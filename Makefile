@@ -109,12 +109,14 @@ bench-json-fleet:
 
 # Sharded-fleet gate: ring/front/canary unit tests (deterministic
 # placement, bounded rebalance, failover, hedging, shed down-weighting,
-# canary bit-identity), the fleet-aware emwatch modes, then the emfleet
+# canary bit-identity) and the /match conformance table that sends every
+# case to a replica's handler and to the front's (same status, headers
+# and reply shape), the fleet-aware emwatch modes, then the emfleet
 # -smoke end-to-end run — 3 replicas warm-started from one snapshot,
-# bit-identity against a single-replica baseline, a mid-run replica
-# kill that must lose nothing, a rebalance that may move only the dead
-# replica's arc, a canary upgrade gated on mirrored bit-identity, and
-# the >=2x virtual-clock speedup acceptance check.
+# bit-identity against a single-replica baseline, measured per-replica
+# load within 1.5x the mean, a mid-run replica kill that must lose
+# nothing, a rebalance that may move only the dead replica's arc, and a
+# canary upgrade gated on mirrored bit-identity.
 fleet-smoke:
 	$(GO) test ./internal/fleet/ ./cmd/emfleet/ ./cmd/emwatch/ -run .
 	$(GO) test ./internal/snap/ -run Canary
@@ -199,13 +201,16 @@ snap-verify:
 verify-parallel: vet snap-verify wire-alloc-gate dedup-smoke route-smoke slo-smoke fleet-smoke
 	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/record/... ./internal/textsim/... ./internal/lm/... ./internal/eval/... ./internal/core/... ./internal/serve/... ./internal/snap/... ./internal/blocking/... ./internal/dedup/... ./internal/stream/... ./internal/backend/... ./internal/route/... ./internal/slo/... ./internal/flight/... ./internal/fleet/...
 
-# Allocation gate for the zero-copy serving hot path. Runs without -race
-# (the race detector defeats sync.Pool, making allocs/op meaningless):
-# first the AllocsPerRun regression tests, then a short benchmark pass
-# piped through benchjson -zero, which exits non-zero if the binary
-# cache-hit path on stringsim reports any allocs/op.
+# Allocation gate for the serving hot path. Runs without -race (the race
+# detector defeats sync.Pool, making allocs/op meaningless): first the
+# AllocsPerRun regression tests — zero for the binary cache-hit, key-probe
+# and protocol-error paths, a ceiling of 3 for an all-hit Submit and the
+# measured ceiling for an all-hit wire request through the fleet front —
+# then a short benchmark pass piped through benchjson -zero, which exits
+# non-zero if the binary cache-hit path on stringsim reports any
+# allocs/op.
 wire-alloc-gate:
-	$(GO) test ./internal/serve/ -run 'ZeroAlloc'
+	$(GO) test ./internal/serve/ ./internal/fleet/ -run 'ZeroAlloc|AllocCeiling'
 	$(GO) test -run '^$$' -bench 'WireCacheHit' -benchtime=0.2s -benchmem ./internal/serve \
 		| $(GO) run ./cmd/benchjson -zero 'WireCacheHit' > /dev/null
 

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -29,10 +27,10 @@ import (
 //  2. Baseline: the whole workload through replica 1 directly, then
 //     through the front with all 3 replicas up — bit-identical, all
 //     requests answered.
-//  3. Speedup: the deterministic virtual-clock accounting over the live
-//     assignment must show >=2x versus a single replica. Placement is a
-//     pure function of the ring, so this is exact and machine-independent
-//     (a wall clock on a single-core CI box would measure nothing).
+//  3. Balance: the pairs each replica actually answered during the fleet
+//     round (its /stats delta of pairs_scored + pairs_cached) must stay
+//     within 1.5x the mean — measured placement balance, not a
+//     throughput (benchmark/README.md has the measured fleet-hit figure).
 //  4. Crash: one replica is killed mid-run; every request must still be
 //     answered correctly (failover), nothing permanently lost.
 //  5. Rebalance: removing the dead replica moves only its arc — the
@@ -112,14 +110,22 @@ func runSmoke(cfg fleetConfig) error {
 	if err != nil {
 		return fmt.Errorf("phase 2 baseline: %w", err)
 	}
+	before, err := replicaLoads(client, procs)
+	if err != nil {
+		return fmt.Errorf("phase 2: %w", err)
+	}
 	fleetPreds, batches, err := runRound(client, frontURL, pairs)
 	if err != nil {
 		return fmt.Errorf("phase 2 fleet: %w", err)
 	}
+	after, err := replicaLoads(client, procs)
+	if err != nil {
+		return fmt.Errorf("phase 3: %w", err)
+	}
 	if err := samePreds(baseline, fleetPreds); err != nil {
 		return fmt.Errorf("phase 2: fleet diverges from single replica: %w", err)
 	}
-	if err := checkHealthz(client, frontURL); err != nil {
+	if err := serve.FetchHealthz(context.Background(), client, frontURL); err != nil {
 		return fmt.Errorf("phase 2: %w", err)
 	}
 	st := front.Stats(context.Background())
@@ -128,18 +134,25 @@ func runSmoke(cfg fleetConfig) error {
 	}
 	fmt.Printf("phase 2: %d batches (%d pairs) through 3 replicas — bit-identical to the single-replica baseline\n", batches, len(pairs))
 
-	// Phase 3: deterministic virtual-clock speedup over the live
-	// assignment. The acceptance bar: 3 replicas >= 2x one.
-	acc := front.Account(pairs, 0)
-	if acc.Speedup < 2.0 {
-		return fmt.Errorf("phase 3: fleet speedup %.2fx < 2.0x (max load %d of %d pairs; per-replica %v)",
-			acc.Speedup, acc.MaxLoad, acc.Pairs, acc.PerReplica)
+	// Phase 3: measured placement balance of the fleet round.
+	var most, sum int64
+	fmt.Print("phase 3: per-replica load")
+	for i, p := range procs {
+		d := after[i] - before[i]
+		if d > most {
+			most = d
+		}
+		sum += d
+		fmt.Printf(" %s=%d", p.name, d)
 	}
-	fmt.Printf("phase 3: virtual-clock speedup %.2fx (single %dus, fleet %dus, per-replica", acc.Speedup, acc.SingleUS, acc.FleetUS)
-	for _, m := range fleet.MembersOf(acc.PerReplica) {
-		fmt.Printf(" %s=%d", m, acc.PerReplica[m])
+	if sum != int64(len(pairs)) {
+		return fmt.Errorf("phase 3: replicas answered %d pairs in the fleet round, want %d", sum, len(pairs))
 	}
-	fmt.Println(")")
+	imbalance := float64(most) * float64(len(procs)) / float64(sum)
+	if imbalance > 1.5 {
+		return fmt.Errorf("phase 3: most-loaded replica answered %d of %d pairs: max/mean %.2f > 1.5", most, sum, imbalance)
+	}
+	fmt.Printf(" — max/mean %.2f\n", imbalance)
 
 	// Phase 4: kill r3 mid-round. Every request must still be answered,
 	// and answered correctly — the front fails its sub-batches over to
@@ -309,26 +322,16 @@ func runRound(client *http.Client, url string, pairs []record.Pair) ([]bool, int
 // postWire posts one wire-framed /match request and decodes the
 // predictions.
 func postWire(client *http.Client, base string, pairs []record.Pair) ([]bool, error) {
-	frame := wire.AppendRequest(nil, pairs, 0)
-	resp, err := client.Post(base+"/match", wire.ContentType, bytes.NewReader(frame))
+	status, reply, err := serve.PostWire(context.Background(), client, base, wire.AppendRequest(nil, pairs, 0))
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s/match: status %d", base, resp.StatusCode)
-	}
-	typ, payload, err := wire.ParseFrame(body)
-	if err != nil || typ != wire.TResp {
-		return nil, fmt.Errorf("%s/match: bad response frame (type %d): %v", base, typ, err)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("%s/match: status %d", base, status)
 	}
 	var wr wire.Response
-	if err := wr.Decode(payload); err != nil {
-		return nil, err
+	if err := serve.ParseWireResponse(reply, &wr); err != nil {
+		return nil, fmt.Errorf("%s/match: %w", base, err)
 	}
 	if len(wr.Preds) != len(pairs) {
 		return nil, fmt.Errorf("%s/match: %d predictions for %d pairs", base, len(wr.Preds), len(pairs))
@@ -336,8 +339,18 @@ func postWire(client *http.Client, base string, pairs []record.Pair) ([]bool, er
 	return wr.Preds, nil
 }
 
-func readBody(resp *http.Response) ([]byte, error) {
-	return io.ReadAll(io.LimitReader(resp.Body, wire.MaxPayload+17))
+// replicaLoads scrapes every replica's /stats and returns the pairs each
+// has answered so far (scored plus cached), aligned with procs.
+func replicaLoads(client *http.Client, procs []*spawned) ([]int64, error) {
+	loads := make([]int64, len(procs))
+	for i, p := range procs {
+		st, err := serve.FetchStats(context.Background(), client, p.url)
+		if err != nil {
+			return nil, fmt.Errorf("%s /stats: %w", p.name, err)
+		}
+		loads[i] = st.PairsScored + st.PairsCached
+	}
+	return loads, nil
 }
 
 func samePreds(want, got []bool) error {
@@ -348,18 +361,6 @@ func samePreds(want, got []bool) error {
 		if want[i] != got[i] {
 			return fmt.Errorf("prediction %d is %v, want %v", i, got[i], want[i])
 		}
-	}
-	return nil
-}
-
-func checkHealthz(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: status %d, want 200", resp.StatusCode)
 	}
 	return nil
 }

@@ -41,12 +41,11 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -639,26 +638,16 @@ func runSmoke(srv *serve.Server) error {
 		Left:  record.Record{Values: []string{"ipad 4th gen", "apple", "399"}},
 		Right: record.Record{Values: []string{"apple ipad 4", "apple", "399.00"}},
 	}
-	frame := wire.AppendRequest(nil, []record.Pair{pair}, 0)
-	wresp, err := http.Post(base+"/match", wire.ContentType, bytes.NewReader(frame))
+	status, reply, err := serve.PostWire(context.Background(), http.DefaultClient, base, wire.AppendRequest(nil, []record.Pair{pair}, 0))
 	if err != nil {
 		return fmt.Errorf("smoke wire match: %w", err)
 	}
-	defer wresp.Body.Close()
-	data, err := io.ReadAll(wresp.Body)
-	if err != nil {
-		return fmt.Errorf("smoke wire match: %w", err)
-	}
-	if wresp.StatusCode != http.StatusOK {
-		return fmt.Errorf("smoke wire match: got %d, want 200", wresp.StatusCode)
-	}
-	typ, payload, err := wire.ParseFrame(data)
-	if err != nil || typ != wire.TResp {
-		return fmt.Errorf("smoke wire match: bad response frame (type %d): %v", typ, err)
+	if status != http.StatusOK {
+		return fmt.Errorf("smoke wire match: got %d, want 200", status)
 	}
 	var wr wire.Response
-	if err := wr.Decode(payload); err != nil {
-		return fmt.Errorf("smoke wire match: bad response payload: %w", err)
+	if err := serve.ParseWireResponse(reply, &wr); err != nil {
+		return fmt.Errorf("smoke wire match: %w", err)
 	}
 	if len(wr.Preds) != 1 || wr.Preds[0] != mr.Predictions[0] {
 		return fmt.Errorf("smoke wire match: preds %v disagree with JSON %v", wr.Preds, mr.Predictions)

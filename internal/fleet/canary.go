@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/record"
+	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
@@ -21,7 +22,7 @@ import (
 //     incumbent's. Mirroring is observe-only: canary answers never
 //     reach clients, mirror failures never fail live requests, and the
 //     mirror sub-request runs asynchronously under its own
-//     MirrorTimeout — a slow or hung canary never adds latency to live
+//     mirrorTimeout — a slow or hung canary never adds latency to live
 //     traffic.
 //  3. PromoteCanary(): allowed only once the mirrored sample is big
 //     enough and every compared prediction matched. Cutover swaps the
@@ -169,7 +170,7 @@ func MirrorSampled(keyHash uint64, permille int) bool {
 // the comparison is defined against the incumbent's predictions.
 // Observe-only: the sample is selected synchronously (so which keys
 // mirror stays deterministic), but the canary sub-request runs in its
-// own goroutine on a detached context bounded by MirrorTimeout — the
+// own goroutine on a detached context bounded by mirrorTimeout — the
 // live request returns without waiting on the canary, and every mirror
 // failure is counted, none propagates.
 func (f *Front) mirror(g *group, from *Replica, preds []bool, deadlineMs int) {
@@ -192,7 +193,7 @@ func (f *Front) mirror(g *group, from *Replica, preds []bool, deadlineMs int) {
 	f.mirrors.Add(1)
 	go func() {
 		defer f.mirrors.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), f.cfg.MirrorTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
 		defer cancel()
 		f.compareMirror(ctx, c, body, want)
 	}()
@@ -206,13 +207,8 @@ func (f *Front) compareMirror(ctx context.Context, c *canary, body []byte, want 
 		c.errors.Add(1)
 		return
 	}
-	typ, payload, perr := wire.ParseFrame(resp)
-	if perr != nil || typ != wire.TResp {
-		c.errors.Add(1)
-		return
-	}
 	var wr wire.Response
-	if wr.Decode(payload) != nil || len(wr.Preds) != len(want) {
+	if serve.ParseWireResponse(resp, &wr) != nil || len(wr.Preds) != len(want) {
 		c.errors.Add(1)
 		return
 	}
@@ -228,7 +224,7 @@ func (f *Front) compareMirror(ctx context.Context, c *canary, body []byte, want 
 }
 
 // WaitMirrors blocks until every in-flight canary mirror has completed
-// and tallied (each is bounded by MirrorTimeout). Tests and the smoke
+// and tallied (each is bounded by mirrorTimeout). Tests and the smoke
 // harness call it before reading the canary report; operators just poll
 // the report until Ready.
 func (f *Front) WaitMirrors() { f.mirrors.Wait() }

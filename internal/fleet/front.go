@@ -57,11 +57,9 @@ type Config struct {
 	// HedgeAfter, when positive, fixes the straggler threshold: a
 	// sub-request outstanding that long gets a hedge to the next ring
 	// replica, first response wins. Zero derives the threshold from the
-	// rolling p99 of sub-request latency, clamped to [HedgeMin,
-	// HedgeMax]. HedgeDisabled turns hedging off entirely.
+	// rolling p99 of sub-request latency, clamped to [hedgeMin,
+	// hedgeMax]. HedgeDisabled turns hedging off entirely.
 	HedgeAfter    time.Duration
-	HedgeMin      time.Duration // default 2ms
-	HedgeMax      time.Duration // default 500ms
 	HedgeDisabled bool
 
 	// ShedPenalty is how long a 429/503 down-weights a replica; during
@@ -74,11 +72,10 @@ type Config struct {
 	// to an active canary (default 250‰); CanaryMinSample is how many
 	// mirrored pairs must compare bit-identical before the canary is
 	// promotable (default 64). Mirrors run asynchronously off the live
-	// request path, each bounded by MirrorTimeout (default 2s) — a slow
-	// or hung canary never adds latency to live traffic.
+	// request path, each bounded by mirrorTimeout — a slow or hung canary
+	// never adds latency to live traffic.
 	MirrorPermille  int
 	CanaryMinSample int
-	MirrorTimeout   time.Duration
 
 	// ProbeInterval, when positive, starts a background loop probing
 	// every replica's /healthz (driving breaker recovery) and ticking
@@ -98,6 +95,14 @@ type Config struct {
 	SLOSpecs []slo.Spec
 	SLOClock slo.Clock
 }
+
+const (
+	// hedgeMin and hedgeMax clamp the rolling-p99 straggler threshold.
+	hedgeMin = 2 * time.Millisecond
+	hedgeMax = 500 * time.Millisecond
+	// mirrorTimeout bounds one asynchronous canary mirror sub-request.
+	mirrorTimeout = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MatcherName == "" {
@@ -121,12 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPairsPerRequest <= 0 {
 		c.MaxPairsPerRequest = 256
 	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 500 * time.Millisecond
-	}
 	if c.ShedPenalty <= 0 {
 		c.ShedPenalty = 250 * time.Millisecond
 	}
@@ -138,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CanaryMinSample <= 0 {
 		c.CanaryMinSample = 64
-	}
-	if c.MirrorTimeout <= 0 {
-		c.MirrorTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -212,9 +208,6 @@ type Front struct {
 	mu       sync.RWMutex // guards replicas map and membership changes
 	replicas map[string]*Replica
 
-	sercache *record.SerializeCache
-	opts     record.SerializeOptions
-
 	reg     *obs.Registry
 	metrics fleetMetrics
 	started time.Time
@@ -241,11 +234,9 @@ func New(cfg Config) (*Front, error) {
 		clock:     cfg.Clock,
 		transport: cfg.Transport,
 		replicas:  make(map[string]*Replica),
-		sercache:  record.NewSerializeCache(),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 	}
-	f.opts = serve.CanonicalKeyOptions(f.sercache)
 	f.ring.Store(ring)
 	if cfg.Registry != nil {
 		f.reg = cfg.Registry
@@ -288,16 +279,7 @@ func (f *Front) initSLO() error {
 	if len(specs) == 0 {
 		return nil
 	}
-	res := time.Second
-	for _, sp := range specs {
-		if r := sp.Short / 5; r < res {
-			res = r
-		}
-	}
-	if res < 50*time.Millisecond {
-		res = 50 * time.Millisecond
-	}
-	e := slo.NewEngine(slo.Config{Clock: f.cfg.SLOClock, Resolution: res})
+	e := slo.NewEngine(slo.Config{Clock: f.cfg.SLOClock, Resolution: serve.AutoSLOResolution(specs)})
 	m := &f.metrics
 	for _, sp := range specs {
 		var err error
@@ -431,7 +413,7 @@ func (f *Front) healthyCount() int {
 }
 
 // Close stops the probe loop and waits out any in-flight canary
-// mirrors (each bounded by MirrorTimeout). It does not touch the
+// mirrors (each bounded by mirrorTimeout). It does not touch the
 // replicas — the front never owns replica processes, only routes to
 // them.
 func (f *Front) Close() {
@@ -529,8 +511,8 @@ func (f *Front) choose(keyHash uint64, ring *Ring, succ []string) (*Replica, boo
 // Submit routes pairs through the fleet: keys are hashed onto the ring,
 // the batch splits into per-replica sub-batches, sub-batches fan out
 // concurrently (with hedging and failover), and the responses
-// reassemble in the caller's order. deadlineMs is forwarded to the
-// replicas (0 = none).
+// reassemble in the caller's order. deadlineMs (0 = none) bounds the
+// whole call and is forwarded to the replicas.
 func (f *Front) Submit(ctx context.Context, pairs []record.Pair, deadlineMs int) (*serve.MatchResult, error) {
 	if len(pairs) == 0 {
 		return &serve.MatchResult{}, nil
@@ -538,6 +520,8 @@ func (f *Front) Submit(ctx context.Context, pairs []record.Pair, deadlineMs int)
 	if len(pairs) > f.cfg.MaxPairsPerRequest {
 		return nil, serve.ErrTooLarge
 	}
+	ctx, cancel := serve.WithDeadline(ctx, deadlineMs, 0)
+	defer cancel()
 	f.metrics.requests.Inc()
 	ring := f.ring.Load()
 	if ring.Len() == 0 {
@@ -552,9 +536,10 @@ func (f *Front) Submit(ctx context.Context, pairs []record.Pair, deadlineMs int)
 	groups := make([]*group, 0, 4)
 	byRep := make(map[*Replica]*group, 4)
 	var keyBuf []byte
+	keyOpts := serve.CanonicalKeyOptions(nil)
 	succ := make([]string, 0, ring.Len())
 	for i, p := range pairs {
-		keyBuf = serve.AppendPairKey(keyBuf[:0], p, f.opts)
+		keyBuf = serve.AppendPairKey(keyBuf[:0], p, keyOpts)
 		kh := KeyHash(keyBuf)
 		rep, diverted := f.choose(kh, ring, succ)
 		if rep == nil {
@@ -746,7 +731,7 @@ func (f *Front) sendHedged(ctx context.Context, rep *Replica, successors []*Repl
 
 // hedgeThreshold returns the live straggler threshold: the fixed
 // HedgeAfter when configured, otherwise the rolling p99 of sub-request
-// latency clamped to [HedgeMin, HedgeMax]. Zero disables hedging (also
+// latency clamped to [hedgeMin, hedgeMax]. Zero disables hedging (also
 // the warm-up state: with under 32 observed sub-requests there is no
 // p99 worth trusting, so only a configured HedgeAfter hedges).
 func (f *Front) hedgeThreshold() time.Duration {
@@ -761,20 +746,21 @@ func (f *Front) hedgeThreshold() time.Duration {
 		return 0
 	}
 	thr := time.Duration(h.Quantile(0.99)) * time.Microsecond
-	if thr < f.cfg.HedgeMin {
-		thr = f.cfg.HedgeMin
+	if thr < hedgeMin {
+		thr = hedgeMin
 	}
-	if thr > f.cfg.HedgeMax {
-		thr = f.cfg.HedgeMax
+	if thr > hedgeMax {
+		thr = hedgeMax
 	}
 	return thr
 }
 
 // sendOnce performs one sub-request and classifies the outcome:
-// transport errors and 5xx count as failures (breaker food), 429/503
-// count as sheds (penalty window + breaker food), 200 parses the wire
-// response. Closed-state breaker bookkeeping only — probes own
-// recovery.
+// transport errors and 5xx count as failures (breaker food); 429/503
+// count as sheds (penalty window + breaker food) and keep their meaning
+// — overload vs unavailability — so the front answers a client with the
+// status a replica would have; 200 parses the wire response.
+// Closed-state breaker bookkeeping only — probes own recovery.
 func (f *Front) sendOnce(ctx context.Context, rep *Replica, body []byte) sendResult {
 	rep.sent.Inc()
 	f.metrics.fanouts.Inc()
@@ -788,17 +774,11 @@ func (f *Front) sendOnce(ctx context.Context, rep *Replica, body []byte) sendRes
 	}
 	switch status {
 	case http.StatusOK:
-		typ, payload, perr := wire.ParseFrame(resp)
-		if perr != nil || typ != wire.TResp {
-			rep.failures.Inc()
-			rep.breaker.NoteFailure()
-			return sendResult{from: rep, err: fmt.Errorf("fleet: %s: bad response frame: %v", rep.name, perr)}
-		}
 		wr := new(wire.Response)
-		if derr := wr.Decode(payload); derr != nil {
+		if perr := serve.ParseWireResponse(resp, wr); perr != nil {
 			rep.failures.Inc()
 			rep.breaker.NoteFailure()
-			return sendResult{from: rep, err: fmt.Errorf("fleet: %s: %w", rep.name, derr)}
+			return sendResult{from: rep, err: fmt.Errorf("fleet: %s: %w", rep.name, perr)}
 		}
 		rep.breaker.NoteSuccess()
 		return sendResult{wr: wr, from: rep}
@@ -806,7 +786,11 @@ func (f *Front) sendOnce(ctx context.Context, rep *Replica, body []byte) sendRes
 		rep.sheds.Inc()
 		rep.shedUntil.Store(int64(f.clock.Now() + f.cfg.ShedPenalty))
 		rep.breaker.NoteFailure()
-		return sendResult{from: rep, err: fmt.Errorf("fleet: %s shed with %d: %w", rep.name, status, backend.ErrOverloaded)}
+		shed := backend.ErrOverloaded
+		if status == http.StatusServiceUnavailable {
+			shed = backend.ErrUnavailable
+		}
+		return sendResult{from: rep, err: fmt.Errorf("fleet: %s shed with %d: %w", rep.name, status, shed)}
 	default:
 		rep.failures.Inc()
 		rep.breaker.NoteFailure()

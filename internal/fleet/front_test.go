@@ -452,21 +452,6 @@ func TestFrontRejectsOversizedBatch(t *testing.T) {
 	}
 }
 
-func TestFrontAccountSpeedup(t *testing.T) {
-	f, _, _ := testFront(t, Config{}, "r1", "r2", "r3")
-	acc := f.Account(mkPairs(300), 0)
-	if acc.Speedup < 2.0 {
-		t.Fatalf("3-replica virtual speedup %.2f, want >= 2.0 (loads %v)", acc.Speedup, acc.PerReplica)
-	}
-	total := 0
-	for _, n := range acc.PerReplica {
-		total += n
-	}
-	if total != acc.Pairs {
-		t.Fatalf("per-replica loads sum to %d, want %d", total, acc.Pairs)
-	}
-}
-
 func TestFrontStatsSnapshot(t *testing.T) {
 	f, st, _ := testFront(t, Config{MatcherName: "jaccard"}, "r1", "r2")
 	live := st.get("stub://r1")

@@ -4,16 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/record"
 	"repro/internal/serve"
-	"repro/internal/snap"
-	"repro/internal/wire"
 )
 
 // FleetStatsSchemaVersion versions the front router's /stats schema,
@@ -156,122 +152,30 @@ func (f *Front) Stats(ctx context.Context) StatsResponse {
 }
 
 // Handler returns the front router's HTTP surface, shaped like a single
-// replica's so clients need no fleet-specific code: POST /match (JSON or
-// binary wire, negotiated by Content-Type), GET /healthz, GET /stats
-// (fleet schema), GET /slo (404 without objectives), GET /metrics.
+// replica's so clients need no fleet-specific code: POST /match is the
+// replicas' own edge (serve.MatchEdge) over the front's Submit, beside
+// GET /healthz, GET /stats (fleet schema), GET /slo (404 without
+// objectives) and GET /metrics.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/match", f.handleMatch)
+	mux.Handle("/match", &serve.MatchEdge{
+		Matcher:   f.cfg.MatcherName,
+		MaxPairs:  f.cfg.MaxPairsPerRequest,
+		Submit:    f.Submit,
+		ServeWire: f.serveWire,
+	})
 	mux.HandleFunc("/healthz", f.handleHealthz)
 	mux.HandleFunc("/stats", f.handleStats)
-	mux.HandleFunc("/slo", f.handleSLO)
+	mux.Handle("/slo", serve.SLOHandler(f.cfg.MatcherName, f.sloEngine, f.metrics.sloBreaches.Load))
 	mux.Handle("/metrics", f.reg.Handler())
 	return mux
 }
 
-func (f *Front) handleMatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		fleetError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		f.handleMatchWire(w, r)
-		return
-	}
-	var req serve.MatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fleetError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	pairs, err := req.ToPairs()
-	if err != nil {
-		fleetError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-	}
-	start := time.Now()
-	res, err := f.Submit(ctx, pairs, req.DeadlineMs)
-	if err != nil {
-		fleetError(w, serve.StatusFor(err), err.Error())
-		return
-	}
-	fleetJSON(w, http.StatusOK, serve.MatchResponse{
-		Matcher:     f.cfg.MatcherName,
-		Predictions: res.Preds,
-		Cached:      res.Cached,
-		CostUSD:     res.CostUSD,
-		Tokens:      res.Tokens,
-		ElapsedMs:   float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-// handleMatchWire answers a binary-framed /match through the fleet: the
-// frame is decoded once at the front (pairs must materialise anyway —
-// the sub-batches are re-framed per replica), routed, and re-framed as
-// a TResp.
-func (f *Front) handleMatchWire(w http.ResponseWriter, r *http.Request) {
-	body, err := readAll(r.Body)
-	if err != nil {
-		f.wireError(w, http.StatusBadRequest, "unreadable body: "+err.Error())
-		return
-	}
-	typ, payload, err := wire.ParseFrame(body)
-	if err != nil {
-		f.wireError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if typ != wire.TReq {
-		f.wireError(w, http.StatusBadRequest, "request frame required")
-		return
-	}
-	var req wire.Request
-	if err := req.Decode(payload); err != nil {
-		f.wireError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Pairs) == 0 {
-		f.wireError(w, http.StatusBadRequest, "no pairs in request")
-		return
-	}
-	pairs := make([]record.Pair, len(req.Pairs))
-	for i, v := range req.Pairs {
-		pairs[i] = v.Materialize()
-	}
-	ctx := r.Context()
-	if req.DeadlineMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
-		defer cancel()
-	}
-	start := time.Now()
-	res, err := f.Submit(ctx, pairs, req.DeadlineMs)
-	if err != nil {
-		f.wireError(w, serve.StatusFor(err), err.Error())
-		return
-	}
-	var e snap.Enc
-	wire.AppendResponsePayload(&e, res.Preds, res.Cached, res.CostUSD, res.Tokens, time.Since(start).Microseconds())
-	frame := wire.AppendFrame(nil, wire.TResp, e.Bytes())
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(frame)
-}
-
-func (f *Front) wireError(w http.ResponseWriter, status int, msg string) {
-	var e snap.Enc
-	wire.AppendErrorPayload(&e, status, msg)
-	frame := wire.AppendFrame(nil, wire.TErr, e.Bytes())
-	w.Header().Set("Content-Type", wire.ContentType)
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(frame)
+// serveWire answers one request frame through the fleet: decoded once at
+// the front (pairs must materialise anyway — the sub-batches are
+// re-framed per replica), routed, and re-framed as a TResp.
+func (f *Front) serveWire(ctx context.Context, body, dst []byte) (int, []byte) {
+	return serve.ServeWireVia(ctx, body, dst, f.cfg.MaxPairsPerRequest, f.Submit)
 }
 
 // handleHealthz: the front is healthy while at least one replica has a
@@ -292,50 +196,11 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["status"] = "unroutable"
 		status = http.StatusServiceUnavailable
 	}
-	fleetJSON(w, status, body)
+	serve.WriteJSON(w, status, body)
 }
 
 func (f *Front) handleStats(w http.ResponseWriter, r *http.Request) {
-	fleetJSON(w, http.StatusOK, f.Stats(r.Context()))
-}
-
-func (f *Front) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if f.sloEngine == nil {
-		fleetError(w, http.StatusNotFound, "no SLOs configured")
-		return
-	}
-	fleetJSON(w, http.StatusOK, serve.SLOResponse{
-		Matcher:    f.cfg.MatcherName,
-		State:      f.sloEngine.Worst(),
-		Breaches:   f.metrics.sloBreaches.Load(),
-		Objectives: f.sloEngine.Snapshot(),
-	})
-}
-
-func fleetJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func fleetError(w http.ResponseWriter, status int, msg string) {
-	fleetJSON(w, status, map[string]string{"error": msg})
-}
-
-func readAll(r io.Reader) ([]byte, error) {
-	buf, err := io.ReadAll(io.LimitReader(r, wire.MaxPayload+17))
-	if err != nil {
-		return buf, err
-	}
-	if len(buf) > wire.MaxPayload+16 {
-		return buf, wire.ErrOversize
-	}
-	return buf, nil
+	serve.WriteJSON(w, http.StatusOK, f.Stats(r.Context()))
 }
 
 // FetchFleetStats GETs a front router's /stats — the watcher-side

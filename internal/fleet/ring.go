@@ -117,10 +117,6 @@ func mix64(x uint64) uint64 {
 // ring's 64-bit keyspace.
 func KeyHash(key []byte) uint64 { return mix64(textsim.TokenHashBytes(key)) }
 
-// Members returns the sorted member names. The slice is shared — do not
-// mutate.
-func (r *Ring) Members() []string { return r.members }
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
@@ -198,8 +194,8 @@ func (r *Ring) Without(member string) (*Ring, error) {
 }
 
 // LoadCounts assigns every key hash to its owner and returns the count
-// per member — the deterministic accounting behind the fleet's
-// throughput model and the rebalance tests.
+// per member — the placement statistic behind the balance and rebalance
+// tests.
 func (r *Ring) LoadCounts(keyHashes []uint64) map[string]int {
 	counts := make(map[string]int, len(r.members))
 	for _, m := range r.members {
@@ -209,4 +205,17 @@ func (r *Ring) LoadCounts(keyHashes []uint64) map[string]int {
 		counts[r.Owner(kh)]++
 	}
 	return counts
+}
+
+// Moved counts how many keys change owner between two rings — the
+// bounded-movement guarantee consistent hashing exists for. Exposed for
+// the rebalance tests and the emfleet -smoke report.
+func Moved(a, b *Ring, keyHashes []uint64) int {
+	moved := 0
+	for _, kh := range keyHashes {
+		if a.Owner(kh) != b.Owner(kh) {
+			moved++
+		}
+	}
+	return moved
 }

@@ -174,30 +174,14 @@ func TestRingLoadBalance(t *testing.T) {
 	if total != len(khs) {
 		t.Fatalf("counts sum to %d, want %d", total, len(khs))
 	}
-	// With 64 vnodes the heaviest member should stay well under 2x fair
-	// share — the bound the virtual-clock speedup model relies on.
+	// With 64 vnodes the heaviest member stays within 1.5x fair share
+	// (max ÷ mean <= 1.5) — the same placement-balance bound emfleet
+	// -smoke asserts on measured per-replica load.
 	fair := len(khs) / 3
 	for m, n := range counts {
-		if n > fair*2 {
+		if n > fair*3/2 {
 			t.Fatalf("member %s owns %d keys, fair share %d — dispersion too poor", m, n, fair)
 		}
-	}
-}
-
-func TestRingAccountingSpeedup(t *testing.T) {
-	r, err := NewRing(0, "r1", "r2", "r3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := RingAccounting(r, testHashes(3000), 0)
-	// The PR's acceptance bar: three replicas must model >= 2x the
-	// single-replica cache-hit throughput under deterministic
-	// virtual-clock accounting.
-	if acc.Speedup < 2.0 {
-		t.Fatalf("3-replica virtual speedup %.2f, want >= 2.0 (loads %v)", acc.Speedup, acc.PerReplica)
-	}
-	if acc.SingleUS != int64(acc.Pairs)*1000 {
-		t.Fatalf("SingleUS = %d, want %d", acc.SingleUS, int64(acc.Pairs)*1000)
 	}
 }
 

@@ -1,14 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/wire"
 )
 
 // HTTPTransport reaches replicas over HTTP with one pooled client:
@@ -41,21 +38,7 @@ func (t *HTTPTransport) Client() *http.Client { return t.client }
 
 // Match implements Transport.
 func (t *HTTPTransport) Match(ctx context.Context, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/match", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxPayload+16))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, payload, nil
+	return serve.PostWire(ctx, t.client, url, body)
 }
 
 // Healthz implements Transport.

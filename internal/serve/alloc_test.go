@@ -75,6 +75,33 @@ func TestWireCacheHitZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestSubmitHitAllocCeiling pins what the record codec adds to the
+// request core on an all-hit request: the MatchResult the caller keeps
+// and its two slices, nothing per pair.
+func TestSubmitHitAllocCeiling(t *testing.T) {
+	pairs := benchmarkPairs(t, "ABT", 64)
+	srv, err := New(trained(t, "stringsim"), Config{
+		MatcherName: "stringsim", CacheCapacity: 1 << 12, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	ctx := context.Background()
+	if _, err := srv.Submit(ctx, pairs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := srv.Submit(ctx, pairs)
+		if err != nil || !res.Cached[len(pairs)-1] {
+			t.Fatalf("all-hit Submit: err %v", err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("all-hit Submit of %d pairs: %v allocs/op, want <= 3", len(pairs), allocs)
+	}
+}
+
 // TestCacheKeyProbeZeroAlloc pins the satellite: building a canonical pair
 // key in pooled scratch and probing the cache by bytes allocates nothing,
 // hit or miss.
@@ -92,13 +119,12 @@ func TestCacheKeyProbeZeroAlloc(t *testing.T) {
 	}
 
 	probe := func(p record.Pair) {
-		bufp := keyBufPool.Get().(*[]byte)
-		buf := srv.appendPairKey((*bufp)[:0], p)
-		_, _ = srv.cache.GetBytes(buf)
-		*bufp = buf
-		keyBufPool.Put(bufp)
+		sc := scratchPool.Get().(*scratch)
+		sc.key = appendKey(sc.key[:0], p.Left.Values, p.Right.Values)
+		_, _ = srv.cache.GetBytes(sc.key)
+		scratchPool.Put(sc)
 	}
-	probe(pairs[0]) // warm the serialize cache and key pool
+	probe(pairs[0]) // warm the scratch pool
 	probe(pairs[5])
 
 	zeroAllocs(t, "cache-hit key probe", func() { probe(pairs[0]) })

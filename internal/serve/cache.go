@@ -40,6 +40,10 @@ type cacheNode struct {
 	prev, next *cacheNode
 }
 
+// defaultCacheShards is the shard count of every server's prediction
+// cache, and of NewPredCache when given none.
+const defaultCacheShards = 16
+
 // NewPredCache returns a cache holding at most capacity entries across
 // nshards shards (rounded up to a power of two; both arguments get sane
 // defaults when non-positive). A zero-capacity cache is valid and never
@@ -50,7 +54,7 @@ func NewPredCache(capacity, nshards int) *PredCache {
 		capacity = 0
 	}
 	if nshards <= 0 {
-		nshards = 16
+		nshards = defaultCacheShards
 	}
 	n := 1
 	for n < nshards {
@@ -67,32 +71,14 @@ func NewPredCache(capacity, nshards int) *PredCache {
 	return c
 }
 
-// Get looks up the cached decision for a canonical pair key, refreshing
-// its recency on a hit.
-func (c *PredCache) Get(key string) (match, ok bool) {
-	s := &c.shards[fnv64str(key)&c.mask]
-	s.mu.Lock()
-	n, ok := s.m[key]
-	if ok {
-		s.moveToFront(n)
-		match = n.match
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return match, ok
-}
-
-// GetBytes is Get for a key held in a scratch buffer. The compiler's
+// GetBytes looks up the cached decision for a canonical pair key held in
+// a scratch buffer, refreshing its recency on a hit. The compiler's
 // map-lookup optimisation for m[string(b)] means the conversion never
 // allocates, which is what makes the serving hot path's cache probe free:
 // the caller builds the canonical key in a pooled []byte and probes
 // without ever interning it.
 func (c *PredCache) GetBytes(key []byte) (match, ok bool) {
-	s := &c.shards[fnv64bytes(key)&c.mask]
+	s := &c.shards[fnv64(key)&c.mask]
 	s.mu.Lock()
 	n, ok := s.m[string(key)]
 	if ok {
@@ -111,7 +97,7 @@ func (c *PredCache) GetBytes(key []byte) (match, ok bool) {
 // Put stores a decision, evicting the shard's least-recently-used entry
 // when the shard is full.
 func (c *PredCache) Put(key string, match bool) {
-	s := &c.shards[fnv64str(key)&c.mask]
+	s := &c.shards[fnv64(key)&c.mask]
 	if s.cap <= 0 {
 		return
 	}
@@ -194,30 +180,16 @@ func (s *cacheShard) moveToFront(n *cacheNode) {
 	s.pushFront(n)
 }
 
-// fnv64str is FNV-1a over a string, the shard selector.
-func fnv64str(s string) uint64 {
+// fnv64 is FNV-1a, the shard selector — one hash over string and byte
+// keys, so GetBytes and Put agree on the shard for equal key content.
+func fnv64[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 1469598103934665603
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// fnv64bytes is fnv64str over a byte slice — same hash, so GetBytes and
-// Put agree on the shard for equal key content.
-func fnv64bytes(b []byte) uint64 {
-	const (
-		offset64 = 1469598103934665603
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= prime64
 	}
 	return h

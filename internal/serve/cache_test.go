@@ -8,15 +8,15 @@ import (
 
 func TestPredCacheBasic(t *testing.T) {
 	c := NewPredCache(128, 4)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.GetBytes([]byte("a")); ok {
 		t.Fatal("empty cache should miss")
 	}
 	c.Put("a", true)
 	c.Put("b", false)
-	if v, ok := c.Get("a"); !ok || !v {
+	if v, ok := c.GetBytes([]byte("a")); !ok || !v {
 		t.Fatalf("a: got (%v,%v), want (true,true)", v, ok)
 	}
-	if v, ok := c.Get("b"); !ok || v {
+	if v, ok := c.GetBytes([]byte("b")); !ok || v {
 		t.Fatalf("b: got (%v,%v), want (false,true)", v, ok)
 	}
 	if c.Len() != 2 {
@@ -28,7 +28,7 @@ func TestPredCacheBasic(t *testing.T) {
 	}
 	// Overwrite keeps one entry and updates the value.
 	c.Put("a", false)
-	if v, _ := c.Get("a"); v {
+	if v, _ := c.GetBytes([]byte("a")); v {
 		t.Fatal("overwrite should update the decision")
 	}
 	if c.Len() != 2 {
@@ -42,13 +42,13 @@ func TestPredCacheLRUEviction(t *testing.T) {
 	c.Put("a", true)
 	c.Put("b", true)
 	c.Put("c", true)
-	c.Get("a") // refresh a; b is now least recent
+	c.GetBytes([]byte("a")) // refresh a; b is now least recent
 	c.Put("d", true)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.GetBytes([]byte("b")); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.GetBytes([]byte(k)); !ok {
 			t.Fatalf("%s should have survived eviction", k)
 		}
 	}
@@ -57,7 +57,7 @@ func TestPredCacheLRUEviction(t *testing.T) {
 func TestPredCacheZeroCapacity(t *testing.T) {
 	c := NewPredCache(0, 8)
 	c.Put("a", true)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.GetBytes([]byte("a")); ok {
 		t.Fatal("zero-capacity cache must never store")
 	}
 	if c.Len() != 0 {
@@ -79,7 +79,7 @@ func TestPredCacheConcurrent(t *testing.T) {
 				if i%3 == 0 {
 					c.Put(key, i%2 == 0)
 				} else {
-					c.Get(key)
+					c.GetBytes([]byte(key))
 				}
 			}
 		}(g)
@@ -90,7 +90,7 @@ func TestPredCacheConcurrent(t *testing.T) {
 	}
 	// The cache must still behave after the storm.
 	c.Put("final", true)
-	if v, ok := c.Get("final"); !ok || !v {
+	if v, ok := c.GetBytes([]byte("final")); !ok || !v {
 		t.Fatal("cache corrupted by concurrent access")
 	}
 }

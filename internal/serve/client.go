@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+
+	"repro/internal/wire"
 )
 
 // Client-side plumbing for the service's observability surface: the
@@ -88,6 +91,39 @@ func FetchHealthz(ctx context.Context, client *http.Client, base string) error {
 		return fmt.Errorf("%s/healthz: status %d", base, resp.StatusCode)
 	}
 	return nil
+}
+
+// PostWire POSTs one request frame to base+"/match" and returns the HTTP
+// status with the raw reply frame (a TResp under 200, a TErr otherwise).
+// It is the one binary-protocol client: the load generator, the smoke
+// gates and the fleet's HTTP transport all send through it. ctx cancels
+// the exchange, and the reply read is bounded by the largest legal frame.
+func PostWire(ctx context.Context, client *http.Client, base string, frame []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/match", bytes.NewReader(frame))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", wire.ContentType)
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	return resp.StatusCode, reply, err
+}
+
+// ParseWireResponse decodes the reply frame of a 200 /match exchange
+// into wr, rejecting anything but a well-formed TResp.
+func ParseWireResponse(reply []byte, wr *wire.Response) error {
+	typ, payload, err := wire.ParseFrame(reply)
+	if err != nil {
+		return fmt.Errorf("bad response frame: %w", err)
+	}
+	if typ != wire.TResp {
+		return fmt.Errorf("bad response frame: type %d, want TResp", typ)
+	}
+	return wr.Decode(payload)
 }
 
 func getJSON(ctx context.Context, client *http.Client, url string, v any) error {

@@ -13,6 +13,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/route"
+	"repro/internal/snap"
+	"repro/internal/wire"
 )
 
 // Admission errors; the HTTP layer maps them onto status codes (429 for a
@@ -75,74 +77,170 @@ func (r *request) finish() {
 	close(r.done)
 }
 
+// pairSource is one decoded request as the request core sees it: enough
+// to build every pair's canonical key for the cache probe and, for the
+// misses only, a record.Pair that outlives the request's buffers. The two
+// implementations are the two codecs' native forms, so neither converts
+// to the other before the probe.
+type pairSource interface {
+	count() int
+	appendKey(dst []byte, i int) []byte
+	pair(i int) record.Pair
+}
+
+// recordPairs is the pair source of JSON and Go callers.
+type recordPairs []record.Pair
+
+func (ps recordPairs) count() int { return len(ps) }
+func (ps recordPairs) appendKey(dst []byte, i int) []byte {
+	return appendKey(dst, ps[i].Left.Values, ps[i].Right.Values)
+}
+func (ps recordPairs) pair(i int) record.Pair { return ps[i] }
+
+// viewPairs is the pair source of binary frames: keys are built straight
+// off the frame views, and only misses materialise records.
+type viewPairs []wire.PairView
+
+func (vs viewPairs) count() int { return len(vs) }
+func (vs viewPairs) appendKey(dst []byte, i int) []byte {
+	return appendKey(dst, vs[i].Left, vs[i].Right)
+}
+func (vs viewPairs) pair(i int) record.Pair { return vs[i].Materialize() }
+
+// scratch is one request's pooled state: the frame decoder and reply
+// encoder of the wire codec, and the key buffer and all-hit answer of the
+// request core. With every piece pooled, a fully cached binary request
+// runs from bytes-in to bytes-out without allocating.
+type scratch struct {
+	req wire.Request
+	enc snap.Enc
+	key []byte
+	hit MatchResult
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+
 // Submit admits pairs for matching and blocks until every pair is decided
-// or ctx is done. It is the single entry point the HTTP handler, the smoke
-// check and the load generator all go through.
+// or ctx is done: the record codec in front of the request core.
 func (s *Server) Submit(ctx context.Context, pairs []record.Pair) (*MatchResult, error) {
+	return s.submit(ctx, pairs, 0)
+}
+
+// submit is Submit with the client's deadline_ms (0 = none given).
+func (s *Server) submit(ctx context.Context, pairs []record.Pair, deadlineMs int) (*MatchResult, error) {
 	if len(pairs) == 0 {
 		return &MatchResult{}, nil
 	}
-	if len(pairs) > s.cfg.MaxPairsPerRequest {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	res, err := serveCore(s, ctx, sc, recordPairs(pairs), "json", deadlineMs)
+	if res == &sc.hit {
+		// An all-hit answer lives in the pooled scratch; the caller keeps
+		// the result, so detach it.
+		res = &MatchResult{Preds: append([]bool(nil), res.Preds...), Cached: append([]bool(nil), res.Cached...)}
+	}
+	return res, err
+}
+
+// serveCore is the one request pipeline behind both codecs: limit check,
+// span and counters, cache probe, all-hit return, miss hand-off. src must
+// hold at least one pair. An all-hit answer is returned in sc.hit and is
+// valid only until sc is recycled; any other answer is heap-owned. It is
+// a top-level generic so each pair source gets its own instantiation and
+// nothing on the hit path is boxed.
+func serveCore[S pairSource](s *Server, ctx context.Context, sc *scratch, src S, proto string, deadlineMs int) (*MatchResult, error) {
+	n := src.count()
+	if n > s.cfg.MaxPairsPerRequest {
 		return nil, ErrTooLarge
 	}
 	s.metrics.requests.Add(1)
 	start := time.Now()
 	span := s.cfg.Tracer.Root("request")
 	span.SetStr("matcher", s.matcher.Name())
-	span.SetInt("pairs", int64(len(pairs)))
-
-	res := &MatchResult{Preds: make([]bool, len(pairs)), Cached: make([]bool, len(pairs))}
+	span.SetStr("proto", proto)
+	span.SetInt("pairs", int64(n))
 
 	// Resolve cache hits up front: hits never enter the queue, never hold
-	// a worker, and cost nothing. The probe builds each key in a pooled
-	// scratch buffer and looks it up by bytes, so a hit allocates nothing;
-	// only misses pay for a durable string copy (which the cache Put needs
-	// anyway).
-	var misses []record.Pair
-	var keys []string
-	var slots []int
+	// a worker, and cost nothing. Keys are built in pooled scratch and
+	// looked up by bytes, so a hit allocates nothing.
+	cacheable := s.cacheable()
+	hit := &sc.hit
+	nmiss := n
 	var kh uint64
-	if s.cacheable() {
-		bufp := keyBufPool.Get().(*[]byte)
-		buf := *bufp
-		for i, p := range pairs {
-			buf = s.appendPairKey(buf[:0], p)
-			if s.flight != nil {
-				kh ^= flight.Hash(buf)
-			}
-			if match, ok := s.cache.GetBytes(buf); ok {
-				res.Preds[i], res.Cached[i] = match, true
-				continue
-			}
-			misses = append(misses, p)
-			keys = append(keys, string(buf))
-			slots = append(slots, i)
+	if cacheable {
+		if cap(hit.Preds) < n {
+			hit.Preds, hit.Cached = make([]bool, n), make([]bool, n)
 		}
-		*bufp = buf
-		keyBufPool.Put(bufp)
-	} else {
-		misses = pairs
-		slots = make([]int, len(pairs))
-		for i := range slots {
-			slots[i] = i
+		hit.Preds, hit.Cached = hit.Preds[:n], hit.Cached[:n]
+		nmiss = 0
+		for i := 0; i < n; i++ {
+			sc.key = src.appendKey(sc.key[:0], i)
+			if s.flight != nil {
+				kh ^= flight.Hash(sc.key)
+			}
+			match, ok := s.cache.GetBytes(sc.key)
+			hit.Preds[i], hit.Cached[i] = match, ok
+			if !ok {
+				nmiss++
+			}
 		}
 	}
-	s.metrics.pairsCached.Add(int64(len(pairs) - len(misses)))
-	span.SetInt("cached", int64(len(pairs)-len(misses)))
-	if len(misses) == 0 {
+	s.metrics.pairsCached.Add(int64(n - nmiss))
+	span.SetInt("cached", int64(n-nmiss))
+	if nmiss == 0 {
 		s.metrics.requestsOK.Add(1)
 		s.metrics.observeLatency(time.Since(start))
 		span.SetStr("outcome", "cache")
 		span.End()
-		s.flightEdge(kh, flight.CodeCacheHit, len(pairs))
-		return res, nil
+		s.flightEdge(kh, flight.CodeCacheHit, n)
+		return hit, nil
 	}
+
+	// Miss path: the unresolved pairs leave the request's buffers (the
+	// scoring queue outlives them) with their durable key strings, which
+	// the cache Put needs anyway. res and friends must be heap-owned — see
+	// submitMisses.
+	res := &MatchResult{Preds: make([]bool, n), Cached: make([]bool, n)}
+	misses := make([]record.Pair, 0, nmiss)
+	slots := make([]int, 0, nmiss)
+	var keys []string
+	if cacheable {
+		copy(res.Preds, hit.Preds)
+		copy(res.Cached, hit.Cached)
+		keys = make([]string, 0, nmiss)
+	}
+	for i := 0; i < n; i++ {
+		if cacheable {
+			if hit.Cached[i] {
+				continue
+			}
+			sc.key = src.appendKey(sc.key[:0], i)
+			keys = append(keys, string(sc.key))
+		}
+		misses = append(misses, src.pair(i))
+		slots = append(slots, i)
+	}
+	ctx, cancel := WithDeadline(ctx, deadlineMs, s.cfg.DefaultDeadline)
+	defer cancel()
 	return s.submitMisses(ctx, start, span, res, misses, keys, slots, kh)
 }
 
+// WithDeadline applies the /match deadline rule: the request's own
+// deadline_ms wins over the service default def, and zero of both leaves
+// ctx unbounded. The returned cancel is never nil. The request core and
+// the fleet front's Submit both bound their waits with it.
+func WithDeadline(ctx context.Context, deadlineMs int, def time.Duration) (context.Context, context.CancelFunc) {
+	if deadlineMs > 0 {
+		def = time.Duration(deadlineMs) * time.Millisecond
+	}
+	if def <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, def)
+}
+
 // submitMisses queues the cache-miss pairs and blocks until they are all
-// decided or ctx is done. It is the shared tail of the JSON and binary
-// request paths. res, misses, keys and slots must be heap-owned by the
+// decided or ctx is done: the tail of the request core. res, misses, keys and slots must be heap-owned by the
 // request: on a deadline-expired return the owning worker may still touch
 // them, so callers must not recycle these buffers through a pool.
 func (s *Server) submitMisses(ctx context.Context, start time.Time, span *obs.Span, res *MatchResult, misses []record.Pair, keys []string, slots []int, kh uint64) (*MatchResult, error) {

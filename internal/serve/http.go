@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/snap"
 	"repro/internal/wire"
@@ -58,16 +59,40 @@ type errorResponse struct {
 // configured), GET /metrics (Prometheus text), GET /debug/vars (expvar).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/match", s.handleMatch)
+	mux.Handle("/match", &MatchEdge{
+		Matcher:   s.matcher.Name(),
+		MaxPairs:  s.cfg.MaxPairsPerRequest,
+		Tracer:    s.cfg.Tracer,
+		Submit:    s.submit,
+		ServeWire: s.ServeWire,
+	})
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/slo", s.handleSLO)
+	mux.Handle("/slo", SLOHandler(s.matcher.Name(), s.sloEngine, s.metrics.sloBreaches.Load))
 	mux.Handle("/metrics", s.reg.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
+// MatchEdge is the one POST /match HTTP surface, mounted by a replica
+// (Server.Handler) and by the fleet front alike, so the two cannot drift:
+// method check, content negotiation, bounded body reads, the JSON and
+// wire reply and error writers, Retry-After. What answers the decoded
+// request is the mounting service's own.
+type MatchEdge struct {
+	// Matcher is echoed in JSON replies.
+	Matcher string
+	// MaxPairs bounds a JSON batch before any pair is materialised.
+	MaxPairs int
+	// Tracer, when non-nil, records the JSON "respond" span.
+	Tracer *obs.Tracer
+	// Submit answers the pairs of a JSON body.
+	Submit SubmitFunc
+	// ServeWire answers one request frame; see Server.ServeWire.
+	ServeWire func(ctx context.Context, body, dst []byte) (int, []byte)
+}
+
+func (e *MatchEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -76,41 +101,34 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// with JSON clients; the body's media type selects the parser and the
 	// response format.
 	if r.Header.Get("Content-Type") == wire.ContentType {
-		s.handleMatchWire(w, r)
+		e.serveWire(w, r)
 		return
 	}
 	var req MatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	pairs, err := req.ToPairs()
+	pairs, err := req.toPairs(e.MaxPairs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, rejectStatus(err), err.Error())
 		return
 	}
-
-	ctx := r.Context()
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-
 	start := time.Now()
-	res, err := s.Submit(ctx, pairs)
+	res, err := e.Submit(r.Context(), pairs, req.DeadlineMs)
 	if err != nil {
 		writeError(w, StatusFor(err), err.Error())
 		return
 	}
-	rspan := s.cfg.Tracer.Root("respond")
+	rspan := e.Tracer.Root("respond")
 	rspan.SetInt("pairs", int64(len(res.Preds)))
-	writeJSON(w, http.StatusOK, MatchResponse{
-		Matcher:     s.matcher.Name(),
+	WriteJSON(w, http.StatusOK, MatchResponse{
+		Matcher:     e.Matcher,
 		Predictions: res.Preds,
 		Cached:      res.Cached,
 		CostUSD:     res.CostUSD,
@@ -120,11 +138,11 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	rspan.End()
 }
 
-// handleMatchWire answers a binary-framed /match request. Body and
-// response buffers come from a pool, so the handler adds no per-request
-// garbage on top of what net/http itself allocates; the protocol work
-// happens in ServeWire.
-func (s *Server) handleMatchWire(w http.ResponseWriter, r *http.Request) {
+// serveWire answers a binary-framed /match request. Body and response
+// buffers come from a pool, so the edge adds no per-request garbage on
+// top of what net/http itself allocates; the protocol work happens in
+// ServeWire.
+func (e *MatchEdge) serveWire(w http.ResponseWriter, r *http.Request) {
 	bodyp := bodyBufPool.Get().(*[]byte)
 	outp := bodyBufPool.Get().(*[]byte)
 	defer func() {
@@ -136,31 +154,25 @@ func (s *Server) handleMatchWire(w http.ResponseWriter, r *http.Request) {
 	var status int
 	var out []byte
 	if rerr != nil {
-		var e snap.Enc
-		status, out = s.wireError((*outp)[:0], &e, wireStatus(rerr), "unreadable body: "+rerr.Error())
+		var enc snap.Enc
+		status, out = wireError((*outp)[:0], &enc, rejectStatus(rerr), "unreadable body: "+rerr.Error())
 	} else {
-		status, out = s.ServeWire(r.Context(), body, (*outp)[:0])
+		status, out = e.ServeWire(r.Context(), body, (*outp)[:0])
 	}
 	*outp = out
-	w.Header().Set("Content-Type", wire.ContentType)
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(out)
+	writeBody(w, wire.ContentType, status, out)
 }
 
 // bodyBufPool recycles request-body and response-frame buffers for the
-// binary protocol handler.
+// binary protocol edge.
 var bodyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
 
-// ToPairs validates the request and converts it to record pairs. Exported
-// for front-router reuse: the fleet's JSON /match handler accepts the
-// same request shape and must apply the same validation.
-func (r *MatchRequest) ToPairs() ([]record.Pair, error) {
+// toPairs validates the request and converts it to record pairs, refusing
+// a batch over maxPairs (ErrTooLarge) before any pair is converted.
+func (r *MatchRequest) toPairs(maxPairs int) ([]record.Pair, error) {
 	single := len(r.Left) > 0 || len(r.Right) > 0
 	if single && len(r.Pairs) > 0 {
 		return nil, errors.New("set either left/right or pairs, not both")
@@ -175,7 +187,10 @@ func (r *MatchRequest) ToPairs() ([]record.Pair, error) {
 		}}, nil
 	}
 	if len(r.Pairs) == 0 {
-		return nil, errors.New("no pairs in request")
+		return nil, errNoPairs
+	}
+	if len(r.Pairs) > maxPairs {
+		return nil, ErrTooLarge
 	}
 	pairs := make([]record.Pair, 0, len(r.Pairs))
 	for i, p := range r.Pairs {
@@ -195,10 +210,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.admit.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"matcher":    s.matcher.Name(),
 		"semantics":  s.semantics.String(),
@@ -207,7 +222,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
+}
+
+// rejectStatus is the status of a request refused before it reached a
+// pipeline: 413 for a frame or batch past its bound, and 400 for
+// everything else, which is malformed. (It runs on the zero-allocation
+// error path, so no errors.As here.)
+func rejectStatus(err error) int {
+	if errors.Is(err, ErrTooLarge) || errors.Is(err, wire.ErrOversize) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // StatusFor maps pipeline errors onto HTTP status codes: a full queue is
@@ -250,7 +276,9 @@ var jsonPool = sync.Pool{New: func() any {
 	return jw
 }}
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a status reply. It is
+// the one JSON reply writer of the replica and fleet HTTP surfaces.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	jw := jsonPool.Get().(*jsonWriter)
 	defer jsonPool.Put(jw)
 	jw.buf.Reset()
@@ -258,14 +286,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, "application/json", status, jw.buf.Bytes())
+}
+
+func writeError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorResponse{Error: msg})
+}
+
+// writeBody sends one reply of either codec; a 429 always tells the
+// client when to come back.
+func writeBody(w http.ResponseWriter, contentType string, status int, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(status)
-	_, _ = w.Write(jw.buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
+	_, _ = w.Write(body)
 }

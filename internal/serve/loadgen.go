@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -240,30 +241,15 @@ func postMatch(client *http.Client, baseURL string, body []byte) (int, int, floa
 }
 
 func postMatchWire(client *http.Client, baseURL string, body []byte) (int, int, float64, error) {
-	resp, err := client.Post(baseURL+"/match", wire.ContentType, bytes.NewReader(body))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, 0, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, 0, 0, nil
-	}
-	typ, payload, err := wire.ParseFrame(data)
-	if err != nil {
-		return resp.StatusCode, 0, 0, fmt.Errorf("loadgen: bad response frame: %w", err)
-	}
-	if typ != wire.TResp {
-		return resp.StatusCode, 0, 0, fmt.Errorf("loadgen: unexpected frame type %d", typ)
+	status, reply, err := PostWire(context.Background(), client, baseURL, body)
+	if err != nil || status != http.StatusOK {
+		return status, 0, 0, err
 	}
 	var wr wire.Response
-	if err := wr.Decode(payload); err != nil {
-		return resp.StatusCode, 0, 0, err
+	if err := ParseWireResponse(reply, &wr); err != nil {
+		return status, 0, 0, fmt.Errorf("loadgen: %w", err)
 	}
-	return resp.StatusCode, len(wr.Preds), wr.CostUSD, nil
+	return status, len(wr.Preds), wr.CostUSD, nil
 }
 
 func latencyQuantiles(lats []time.Duration) (p50, p95, p99 float64) {

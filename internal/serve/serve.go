@@ -146,9 +146,8 @@ type Config struct {
 	// deadline_ms; zero means no default deadline.
 	DefaultDeadline time.Duration
 	// CacheCapacity is the prediction-cache size in entries; <=0 disables
-	// caching. CacheShards is the shard count (defaults to 16).
+	// caching.
 	CacheCapacity int
-	CacheShards   int
 
 	// Tracer, when non-nil, records request/queue/batch/score spans for
 	// every admitted request. Tracing never changes predictions; it only
@@ -311,7 +310,7 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 		matcher:   m,
 		semantics: sem,
 		router:    cfg.Router,
-		cache:     NewPredCache(cfg.CacheCapacity, cfg.CacheShards),
+		cache:     NewPredCache(cfg.CacheCapacity, defaultCacheShards),
 		sercache:  record.NewSerializeCache(),
 		profiles:  textsim.Shared(),
 		queue:     make(chan *request, cfg.QueueDepth),
@@ -320,7 +319,7 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 	// Canonical serialization for serving: schema order, default
 	// separator, memoised through the shared serialize cache so repeated
 	// records never re-serialize.
-	s.opts = record.SerializeOptions{Separator: record.DefaultSeparator, Cache: s.sercache}
+	s.opts = CanonicalKeyOptions(s.sercache)
 	// Routed servers skip their own pricing: the router charges every
 	// attempt (retries and hedges included) through cost.RateForMatcher,
 	// and pricing the delivered pair here would double-bill it.
@@ -444,47 +443,43 @@ func (s *Server) Shutdown() {
 // It is unprintable, so it cannot collide with serialized record content.
 const keySep = '\x1f'
 
-// keyBufPool recycles the scratch buffers pair keys are built in, so the
-// cache-probe path allocates nothing: keys only become durable strings on
-// a miss, when they must outlive the probe to feed the cache Put.
-var keyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// pairKey returns the canonical cache key of a pair: both serialized
-// records joined with an unprintable separator. Serialization goes through
-// the shared serialize cache, so computing the key of a hot pair is two
-// map hits.
-func (s *Server) pairKey(p record.Pair) string {
-	return record.SerializeRecord(p.Left, s.opts) + string(keySep) + record.SerializeRecord(p.Right, s.opts)
-}
-
-// appendPairKey appends p's canonical cache key to dst and returns the
-// extended buffer — the same bytes pairKey produces, built without the
-// string concatenation. The cache probe loops use it with a pooled buffer
-// so key construction is allocation-free.
-func (s *Server) appendPairKey(dst []byte, p record.Pair) []byte {
-	return AppendPairKey(dst, p, s.opts)
-}
-
-// AppendPairKey appends p's canonical serving cache key to dst: both
-// records serialized under opts, joined with the unprintable key
-// separator — byte-identical to the server's own cache keys and to
-// appendWireKey on the binary path. The fleet router partitions its
-// consistent-hash keyspace on exactly these bytes, so a pair owns the
-// same ring position no matter which protocol or process computed it.
-func AppendPairKey(dst []byte, p record.Pair, opts record.SerializeOptions) []byte {
-	dst = append(dst, record.SerializeRecord(p.Left, opts)...)
+// appendKey appends a pair's canonical cache key to dst: each record's
+// values joined with the default separator, the two records joined with
+// keySep — exactly what serving serialization (schema order, default
+// separator) renders. It is the only key builder: JSON records, frame
+// views and the fleet's ring hash all see these bytes, so a pair owns one
+// cache entry and one ring position whichever protocol or process
+// computed it.
+func appendKey[V string | []byte](dst []byte, left, right []V) []byte {
+	dst = appendValues(dst, left)
 	dst = append(dst, keySep)
-	dst = append(dst, record.SerializeRecord(p.Right, opts)...)
+	return appendValues(dst, right)
+}
+
+func appendValues[V string | []byte](dst []byte, vals []V) []byte {
+	for i, val := range vals {
+		if i > 0 {
+			dst = append(dst, record.DefaultSeparator...)
+		}
+		dst = append(dst, val...)
+	}
 	return dst
 }
 
-// CanonicalKeyOptions returns the serialization options serving keys are
-// built under (schema order, default separator) memoised through cache;
-// nil means uncached. External key builders (the fleet router) must use
-// this so their keys stay byte-identical to the replicas' cache keys.
+// AppendPairKey appends p's canonical serving cache key to dst —
+// byte-identical to the server's own cache keys on either protocol. The
+// fleet router partitions its consistent-hash keyspace on exactly these
+// bytes. Serving keys have one canonical form, so the options argument is
+// not consulted; it stays in the signature for callers that pass
+// CanonicalKeyOptions.
+func AppendPairKey(dst []byte, p record.Pair, _ record.SerializeOptions) []byte {
+	return appendKey(dst, p.Left.Values, p.Right.Values)
+}
+
+// CanonicalKeyOptions returns the serialization options serving scores
+// under (schema order, default separator) memoised through cache; nil
+// means uncached. Cache keys are the same rendering, built by appendKey
+// without the memo.
 func CanonicalKeyOptions(cache *record.SerializeCache) record.SerializeOptions {
 	return record.SerializeOptions{Separator: record.DefaultSeparator, Cache: cache}
 }

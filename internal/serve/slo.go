@@ -47,7 +47,7 @@ func (s *Server) initSLO() error {
 	}
 	res := s.cfg.SLOResolution
 	if res <= 0 {
-		res = autoResolution(specs)
+		res = AutoSLOResolution(specs)
 	}
 	e := slo.NewEngine(slo.Config{Clock: s.cfg.SLOClock, Resolution: res})
 	m := &s.metrics
@@ -104,9 +104,9 @@ func (s *Server) initSLO() error {
 	return nil
 }
 
-// autoResolution derives the engine sample spacing from the tightest
+// AutoSLOResolution derives the engine sample spacing from the tightest
 // short window: five samples per short window, clamped to [50ms, 1s].
-func autoResolution(specs []slo.Spec) time.Duration {
+func AutoSLOResolution(specs []slo.Spec) time.Duration {
 	res := time.Second
 	for _, sp := range specs {
 		if r := sp.Short / 5; r < res {
@@ -194,17 +194,21 @@ type SLOResponse struct {
 	Objectives []slo.Status `json:"objectives"`
 }
 
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.sloEngine == nil {
-		writeError(w, http.StatusNotFound, "no SLOs configured")
-		return
+// SLOHandler serves GET /slo for engine e (404 when e is nil): the one
+// /slo body of the replica and fleet HTTP surfaces.
+func SLOHandler(matcher string, e *slo.Engine, breaches func() int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if e == nil {
+			writeError(w, http.StatusNotFound, "no SLOs configured")
+			return
+		}
+		WriteJSON(w, http.StatusOK, SLOResponse{
+			Matcher:    matcher,
+			State:      e.Worst(),
+			Breaches:   breaches(),
+			Objectives: e.Snapshot(),
+		})
 	}
-	writeJSON(w, http.StatusOK, SLOResponse{
-		Matcher:    s.matcher.Name(),
-		State:      s.sloEngine.Worst(),
-		Breaches:   s.metrics.sloBreaches.Load(),
-		Objectives: s.sloEngine.Snapshot(),
-	})
 }
 
 // shedCode maps an admission rejection onto its flight-record code.

@@ -280,16 +280,18 @@ func TestServeWireDrainingAnswers503(t *testing.T) {
 }
 
 // TestWireKeysMatchJSONKeys pins the cross-protocol cache-key identity:
-// the key built from frame views must be byte-identical to the one the
-// JSON path builds from materialised records, or the two protocols would
-// silently stop sharing cache entries.
+// the key built from frame views must be byte-identical to the one built
+// from materialised records and to what serving serialization renders, or
+// the two protocols (and the fleet's ring) would silently stop sharing
+// cache entries. The golden literal pins the bytes themselves, on a pair
+// carrying IDs (never part of a key), an empty value and a value that
+// contains the separator.
 func TestWireKeysMatchJSONKeys(t *testing.T) {
-	srv, err := New(&stubMatcher{}, Config{MatcherName: "stub", CacheCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	pairs := benchmarkPairs(t, "ABT", 32)
+	pairs := append(benchmarkPairs(t, "ABT", 32), record.Pair{
+		Left:  record.Record{ID: "l-1", Values: []string{"ipad, 4th gen", "", "399"}},
+		Right: record.Record{ID: "r-9", Values: []string{"apple ipad 4"}},
+	})
+	const golden = "ipad, 4th gen, , 399\x1fapple ipad 4"
 	frame := wire.AppendRequest(nil, pairs, 0)
 	_, payload, err := wire.ParseFrame(frame)
 	if err != nil {
@@ -299,11 +301,20 @@ func TestWireKeysMatchJSONKeys(t *testing.T) {
 	if err := req.Decode(payload); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range req.Pairs {
-		got := string(appendWireKey(nil, v))
-		want := srv.pairKey(pairs[i])
-		if got != want {
-			t.Fatalf("pair %d: wire key %q != json key %q", i, got, want)
+	opts := CanonicalKeyOptions(nil)
+	for i := range req.Pairs {
+		want := record.SerializeRecord(pairs[i].Left, opts) + string(keySep) + record.SerializeRecord(pairs[i].Right, opts)
+		if got := string(viewPairs(req.Pairs).appendKey(nil, i)); got != want {
+			t.Fatalf("pair %d: wire key %q != serialized key %q", i, got, want)
 		}
+		if got := string(AppendPairKey(nil, pairs[i], opts)); got != want {
+			t.Fatalf("pair %d: AppendPairKey %q != serialized key %q", i, got, want)
+		}
+		if got := string(recordPairs(pairs).appendKey(nil, i)); got != want {
+			t.Fatalf("pair %d: record key %q != serialized key %q", i, got, want)
+		}
+	}
+	if got := string(AppendPairKey(nil, pairs[len(pairs)-1], opts)); got != golden {
+		t.Fatalf("golden pair: key %q, want %q", got, golden)
 	}
 }

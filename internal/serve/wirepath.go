@@ -5,28 +5,17 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/record"
 	"repro/internal/snap"
 	"repro/internal/wire"
 )
 
-// wireScratch is one request's pooled state on the binary protocol path:
-// the reusable frame decoder, the response encoder, the cache-key scratch
-// and the decision buffers. With every piece pooled, a fully cached binary
-// request runs from bytes-in to bytes-out without allocating.
-type wireScratch struct {
-	req    wire.Request
-	enc    snap.Enc
-	key    []byte
-	preds  []bool
-	cached []bool
-}
-
-var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
+// SubmitFunc answers materialised pairs under the client's deadline_ms
+// (0 = none given): the shape of (*fleet.Front).Submit and of the
+// server's own record codec.
+type SubmitFunc func(ctx context.Context, pairs []record.Pair, deadlineMs int) (*MatchResult, error)
 
 // ServeWire answers one binary-protocol request: body is a complete
 // request frame, dst receives the response frame (reusing its capacity),
@@ -34,173 +23,84 @@ var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
 // Errors are answered as TErr frames with the same code, so binary
 // clients never need a JSON parser.
 //
-// This is the zero-copy hot path: pair values are consumed as views into
-// body (no string materialisation), cache keys are built in pooled
-// scratch, and on a fully cached request nothing escapes to the heap.
-// Only cache misses materialise records, because the scoring queue
-// outlives the frame buffer.
+// This is the frame codec in front of the request core, and the zero-copy
+// hot path: pair values are consumed as views into body (no string
+// materialisation), cache keys are built in pooled scratch, and on a
+// fully cached request nothing escapes to the heap. Only cache misses
+// materialise records, because the scoring queue outlives the frame
+// buffer.
 func (s *Server) ServeWire(ctx context.Context, body, dst []byte) (int, []byte) {
-	sc := wirePool.Get().(*wireScratch)
-	defer wirePool.Put(sc)
-
-	typ, payload, err := wire.ParseFrame(body)
-	if err != nil {
-		return s.wireError(dst, &sc.enc, wireStatus(err), err.Error())
-	}
-	if typ != wire.TReq {
-		return s.wireError(dst, &sc.enc, http.StatusBadRequest, "request frame required")
-	}
-	if err := sc.req.Decode(payload); err != nil {
-		return s.wireError(dst, &sc.enc, http.StatusBadRequest, err.Error())
-	}
-	views := sc.req.Pairs
-	if len(views) == 0 {
-		return s.wireError(dst, &sc.enc, http.StatusBadRequest, "no pairs in request")
-	}
-	if len(views) > s.cfg.MaxPairsPerRequest {
-		return s.wireError(dst, &sc.enc, http.StatusRequestEntityTooLarge, ErrTooLarge.Error())
-	}
-
-	s.metrics.requests.Add(1)
-	start := time.Now()
-	span := s.cfg.Tracer.Root("request")
-	span.SetStr("matcher", s.matcher.Name())
-	span.SetStr("proto", "wire")
-	span.SetInt("pairs", int64(len(views)))
-
-	// Probe the prediction cache straight off the frame views.
-	cacheable := s.cacheable()
-	nmiss := len(views)
-	var preds, cached []bool
-	var kh uint64
-	if cacheable {
-		if cap(sc.preds) < len(views) {
-			sc.preds = make([]bool, len(views))
-			sc.cached = make([]bool, len(views))
-		}
-		preds = sc.preds[:len(views)]
-		cached = sc.cached[:len(views)]
-		nmiss = 0
-		for i, v := range views {
-			sc.key = appendWireKey(sc.key[:0], v)
-			if s.flight != nil {
-				kh ^= flight.Hash(sc.key)
-			}
-			match, ok := s.cache.GetBytes(sc.key)
-			preds[i], cached[i] = match, ok
-			if !ok {
-				nmiss++
-			}
-		}
-	}
-	s.metrics.pairsCached.Add(int64(len(views) - nmiss))
-	span.SetInt("cached", int64(len(views)-nmiss))
-
-	if cacheable && nmiss == 0 {
-		// All-hit fast path: answer from the probe with pooled buffers.
-		// The accounting mirrors Submit's cache return exactly, so /stats
-		// cannot tell the two protocols apart.
-		s.metrics.requestsOK.Add(1)
-		s.metrics.observeLatency(time.Since(start))
-		span.SetStr("outcome", "cache")
-		span.End()
-		s.flightEdge(kh, flight.CodeCacheHit, len(views))
-		e := &sc.enc
-		e.Reset()
-		wire.AppendResponsePayload(e, preds, cached, 0, 0, time.Since(start).Microseconds())
-		return http.StatusOK, wire.AppendFrame(dst, wire.TResp, e.Bytes())
-	}
-
-	// Miss path: materialise the unresolved pairs out of the frame buffer
-	// (the scoring queue outlives it) and hand off to the dispatch tail
-	// shared with the JSON path. res and friends must be heap-owned — see
-	// submitMisses.
-	res := &MatchResult{Preds: make([]bool, len(views)), Cached: make([]bool, len(views))}
-	misses := make([]record.Pair, 0, nmiss)
-	slots := make([]int, 0, nmiss)
-	var keys []string
-	if cacheable {
-		copy(res.Preds, preds)
-		copy(res.Cached, cached)
-		keys = make([]string, 0, nmiss)
-		for i, v := range views {
-			if cached[i] {
-				continue
-			}
-			misses = append(misses, v.Materialize())
-			slots = append(slots, i)
-			sc.key = appendWireKey(sc.key[:0], v)
-			keys = append(keys, string(sc.key))
-		}
-	} else {
-		for i, v := range views {
-			misses = append(misses, v.Materialize())
-			slots = append(slots, i)
-		}
-	}
-
-	deadline := s.cfg.DefaultDeadline
-	if sc.req.DeadlineMs > 0 {
-		deadline = time.Duration(sc.req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	out, err := s.submitMisses(ctx, start, span, res, misses, keys, slots, kh)
-	if err != nil {
-		return s.wireError(dst, &sc.enc, StatusFor(err), err.Error())
-	}
-	e := &sc.enc
-	e.Reset()
-	wire.AppendResponsePayload(e, out.Preds, out.Cached, out.CostUSD, out.Tokens, time.Since(start).Microseconds())
-	return http.StatusOK, wire.AppendFrame(dst, wire.TResp, e.Bytes())
+	return serveFrame(body, dst, func(sc *scratch) (*MatchResult, error) {
+		return serveCore(s, ctx, sc, viewPairs(sc.req.Pairs), "wire", sc.req.DeadlineMs)
+	})
 }
 
-// wireError encodes a TErr frame into dst via the pooled encoder and
-// returns it alongside its HTTP status.
-func (s *Server) wireError(dst []byte, e *snap.Enc, status int, msg string) (int, []byte) {
+// ServeWireVia is ServeWire for a service that routes records instead of
+// probing a cache of its own (the fleet front): the same frame checks and
+// reply encoding, with the batch bound enforced before any pair is
+// materialised for submit.
+func ServeWireVia(ctx context.Context, body, dst []byte, maxPairs int, submit SubmitFunc) (int, []byte) {
+	return serveFrame(body, dst, func(sc *scratch) (*MatchResult, error) {
+		if len(sc.req.Pairs) > maxPairs {
+			return nil, ErrTooLarge
+		}
+		pairs := make([]record.Pair, len(sc.req.Pairs))
+		for i, v := range sc.req.Pairs {
+			pairs[i] = v.Materialize()
+		}
+		return submit(ctx, pairs, sc.req.DeadlineMs)
+	})
+}
+
+var (
+	errNotRequest = errors.New("request frame required")
+	errNoPairs    = errors.New("no pairs in request")
+)
+
+// serveFrame is the frame codec: it decodes body as one non-empty request
+// frame into pooled scratch, has answer decide it, and encodes the result
+// — or the rejection, as a TErr frame under its HTTP status — into dst.
+func serveFrame(body, dst []byte, answer func(*scratch) (*MatchResult, error)) (int, []byte) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	typ, payload, err := wire.ParseFrame(body)
+	if err == nil && typ != wire.TReq {
+		err = errNotRequest
+	}
+	if err == nil {
+		err = sc.req.Decode(payload)
+	}
+	if err == nil && len(sc.req.Pairs) == 0 {
+		err = errNoPairs
+	}
+	if err != nil {
+		return wireError(dst, &sc.enc, rejectStatus(err), err.Error())
+	}
+	start := time.Now()
+	res, err := answer(sc)
+	if err != nil {
+		return wireError(dst, &sc.enc, StatusFor(err), err.Error())
+	}
+	sc.enc.Reset()
+	wire.AppendResponsePayload(&sc.enc, res.Preds, res.Cached, res.CostUSD, res.Tokens, time.Since(start).Microseconds())
+	return http.StatusOK, wire.AppendFrame(dst, wire.TResp, sc.enc.Bytes())
+}
+
+// wireError encodes a TErr frame into dst via e and returns it alongside
+// its HTTP status: the one wire error writer.
+func wireError(dst []byte, e *snap.Enc, status int, msg string) (int, []byte) {
 	e.Reset()
 	wire.AppendErrorPayload(e, status, msg)
 	return status, wire.AppendFrame(dst, wire.TErr, e.Bytes())
 }
 
-// wireStatus maps frame-parse errors to HTTP statuses: an oversize
-// declared payload gets the same 413 an oversized JSON request would,
-// everything else is a malformed request.
-func wireStatus(err error) int {
-	if errors.Is(err, wire.ErrOversize) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// appendWireKey builds a pair's canonical cache key straight from its
-// decoded frame views — byte-identical to Server.appendPairKey on the
-// materialised pair, because serving serialization is exactly the record
-// values joined with the default separator.
-func appendWireKey(dst []byte, v wire.PairView) []byte {
-	dst = appendWireRecord(dst, v.Left)
-	dst = append(dst, keySep)
-	return appendWireRecord(dst, v.Right)
-}
-
-func appendWireRecord(dst []byte, vals [][]byte) []byte {
-	for i, val := range vals {
-		if i > 0 {
-			dst = append(dst, record.DefaultSeparator...)
-		}
-		dst = append(dst, val...)
-	}
-	return dst
-}
+// maxBody is the largest /match body either codec reads: the largest
+// legal frame.
+const maxBody = wire.MaxPayload + 16
 
 // readAllInto reads r into dst (reusing its capacity), refusing bodies
-// beyond the largest legal frame so a hostile client cannot balloon the
-// pooled buffers.
+// beyond maxBody so a hostile client cannot balloon the pooled buffers.
 func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
-	const limit = wire.MaxPayload + 16
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
@@ -213,7 +113,7 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 		if err != nil {
 			return dst, err
 		}
-		if len(dst) > limit {
+		if len(dst) > maxBody {
 			return dst, wire.ErrOversize
 		}
 	}
