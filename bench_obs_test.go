@@ -1,6 +1,6 @@
 package crossem
 
-// Observability overhead benchmarks (BENCH_pr4.json, make bench-json-obs):
+// Observability overhead benchmarks (EXPERIMENTS.md "Observability"):
 // the contract of internal/obs is that disabled instrumentation is free —
 // nil handles on the hot path, zero allocations — so matchers can carry
 // their stage spans unconditionally. The ObsDisabled benchmarks pin that

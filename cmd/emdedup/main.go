@@ -19,50 +19,65 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/blocking/lsh"
 	"repro/internal/dedup"
 	"repro/internal/obs"
 )
 
+// config is emdedup's command line: the pipeline configuration plus what
+// to report and check around it.
+type config struct {
+	dedup.Config
+	compare   bool
+	cmpExact  int
+	outPath   string
+	tracePath string
+	dumpMx    bool
+	smoke     bool
+}
+
+func parseFlags(args []string) (config, error) {
+	cfg := config{Config: dedup.DefaultConfig()}
+	fs := flag.NewFlagSet("emdedup", flag.ContinueOnError)
+	fs.IntVar(&cfg.N, "n", cfg.N, "synthetic corpus size (records)")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.IntVar(&cfg.Parallel, "parallel", 0, "workers: 0 = one per CPU, 1 = sequential")
+	fs.IntVar(&cfg.LSH.Bands, "bands", 0, "LSH bands (0 = default)")
+	fs.IntVar(&cfg.LSH.Rows, "rows", 0, "MinHash rows per band (0 = default)")
+	fs.IntVar(&cfg.LSH.TopK, "topk", 0, "max candidates per record (0 = default)")
+	fs.Float64Var(&cfg.LSH.MinJaccard, "minjaccard", 0, "candidate verification threshold (0 = default)")
+	fs.StringVar(&cfg.Matcher, "matcher", cfg.Matcher, `pair matcher: "jaccard" or a registry matcher name`)
+	fs.Float64Var(&cfg.Threshold, "threshold", cfg.Threshold, "edge-acceptance score for clustering")
+	fs.IntVar(&cfg.MaxClusterSize, "maxcluster", cfg.MaxClusterSize, "re-split clusters larger than this (0 = no cap)")
+	fs.BoolVar(&cfg.Stream, "stream", false, "ingest incrementally through stream.Ingestor instead of bulk build")
+	fs.BoolVar(&cfg.compare, "compare", false, "also run the token blocker and report comparisons/recall side by side")
+	fs.IntVar(&cfg.cmpExact, "compare-exact", dedup.CompareExactDefault, "largest corpus the comparison runs the token blocker on directly (larger extrapolates)")
+	fs.StringVar(&cfg.outPath, "out", "", "write the cluster partition to this file")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL span trace of the run to this file")
+	fs.BoolVar(&cfg.dumpMx, "metrics-dump", false, "dump the run's metrics registry as JSON to stderr on exit")
+	fs.BoolVar(&cfg.smoke, "smoke", false, "self-check: exit non-zero unless recall/quality/comparison floors hold")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	cfg.LSH.Seed = cfg.Seed
+	return cfg, nil
+}
+
 func main() {
-	cfg := dedup.DefaultConfig()
-	var (
-		n          = flag.Int("n", cfg.N, "synthetic corpus size (records)")
-		seed       = flag.Uint64("seed", cfg.Seed+0, "random seed")
-		parallel   = flag.Int("parallel", 0, "workers: 0 = one per CPU, 1 = sequential")
-		bands      = flag.Int("bands", 0, "LSH bands (0 = default)")
-		rows       = flag.Int("rows", 0, "MinHash rows per band (0 = default)")
-		topk       = flag.Int("topk", 0, "max candidates per record (0 = default)")
-		minJaccard = flag.Float64("minjaccard", 0, "candidate verification threshold (0 = default)")
-		matcher    = flag.String("matcher", cfg.Matcher, `pair matcher: "jaccard" or a registry matcher name`)
-		threshold  = flag.Float64("threshold", cfg.Threshold, "edge-acceptance score for clustering")
-		maxCluster = flag.Int("maxcluster", cfg.MaxClusterSize, "re-split clusters larger than this (0 = no cap)")
-		streaming  = flag.Bool("stream", false, "ingest incrementally through stream.Ingestor instead of bulk build")
-		compare    = flag.Bool("compare", false, "also run the token blocker and report comparisons/recall side by side")
-		cmpExact   = flag.Int("compare-exact", dedup.CompareExactDefault, "largest corpus the comparison runs the token blocker on directly (larger extrapolates)")
-		outPath    = flag.String("out", "", "write the cluster partition to this file")
-		tracePath  = flag.String("trace", "", "write a JSONL span trace of the run to this file")
-		dumpMx     = flag.Bool("metrics-dump", false, "dump the run's metrics registry as JSON to stderr on exit")
-		smoke      = flag.Bool("smoke", false, "self-check: exit non-zero unless recall/quality/comparison floors hold")
-	)
-	flag.Parse()
-
-	cfg.N = *n
-	cfg.Seed = *seed
-	cfg.Parallel = *parallel
-	cfg.LSH = lsh.Config{Bands: *bands, Rows: *rows, Seed: *seed, TopK: *topk, MinJaccard: *minJaccard}
-	cfg.Matcher = *matcher
-	cfg.Threshold = *threshold
-	cfg.MaxClusterSize = *maxCluster
-	cfg.Stream = *streaming
-
-	if err := run(cfg, *compare, *cmpExact, *outPath, *tracePath, *dumpMx, *smoke, os.Stdout); err != nil {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "emdedup:", err)
+		os.Exit(2)
+	}
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "emdedup:", err)
 		os.Exit(1)
 	}
@@ -71,19 +86,22 @@ func main() {
 // run executes the pipeline and writes the human report to w. Everything
 // written through report() is deterministic for a fixed seed; wall-times
 // go to stderr so output files stay comparable across runs.
-func run(cfg dedup.Config, compare bool, cmpExact int, outPath, tracePath string, dumpMx, smoke bool, w io.Writer) error {
+func run(cfg config, w io.Writer) error {
+	if cfg.compare && cfg.Stream {
+		return fmt.Errorf("-compare requires the bulk pipeline (drop -stream)")
+	}
 	ctx := context.Background()
 	var tracer *obs.Tracer
-	if tracePath != "" {
+	if cfg.tracePath != "" {
 		tracer = obs.NewTracer()
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 	var reg *obs.Registry
-	if dumpMx {
+	if cfg.dumpMx {
 		reg = obs.NewRegistry(obs.Label{Key: "cmd", Value: "emdedup"})
 	}
 
-	res, err := dedup.Run(ctx, cfg)
+	res, err := dedup.Run(ctx, cfg.Config)
 	if err != nil {
 		return err
 	}
@@ -108,11 +126,8 @@ func run(cfg dedup.Config, compare bool, cmpExact int, outPath, tracePath string
 		res.Times.Match.Round(1e6), res.Times.Cluster.Round(1e6))
 
 	var cr *dedup.CompareResult
-	if compare {
-		if cfg.Stream {
-			return fmt.Errorf("-compare requires the bulk pipeline (drop -stream)")
-		}
-		cr = dedup.Compare(cfg, res, cmpExact)
+	if cfg.compare {
+		cr = dedup.Compare(cfg.Config, res, cfg.cmpExact)
 		tag := ""
 		if cr.Extrapolated {
 			tag = fmt.Sprintf(" (extrapolated from samples %v; recall/time at %d)", cr.SampleSizes, cr.SampleSizes[len(cr.SampleSizes)-1])
@@ -128,25 +143,14 @@ func run(cfg dedup.Config, compare bool, cmpExact int, outPath, tracePath string
 		fmt.Fprintf(os.Stderr, "compare wall time: token %s, lsh build+probe %s\n", cr.TokenTime.Round(1e6), cr.LSHTime.Round(1e6))
 	}
 
-	if outPath != "" {
-		if err := writeClusters(outPath, res); err != nil {
+	if cfg.outPath != "" {
+		if err := writeClusters(cfg.outPath, res); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d clusters to %s\n", len(res.Clusters), outPath)
+		fmt.Fprintf(os.Stderr, "wrote %d clusters to %s\n", len(res.Clusters), cfg.outPath)
 	}
-	if tracer != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", tracer.Len(), tracePath)
+	if err := tracer.WriteFile(cfg.tracePath, os.Stderr); err != nil {
+		return err
 	}
 	if reg != nil {
 		registerResult(reg, res)
@@ -154,8 +158,8 @@ func run(cfg dedup.Config, compare bool, cmpExact int, outPath, tracePath string
 			return err
 		}
 	}
-	if smoke {
-		return smokeCheck(cfg, res, cr)
+	if cfg.smoke {
+		return smokeCheck(cfg.Config, res, cr)
 	}
 	return nil
 }
@@ -182,7 +186,7 @@ func registerResult(reg *obs.Registry, res *dedup.Result) {
 	}
 }
 
-// smokeCheck is the dedup-smoke gate: candidate recall, cluster quality
+// smokeCheck is the dedup stage of make smoke: candidate recall, cluster quality
 // and (in compare mode) the comparison advantage must clear their floors.
 func smokeCheck(cfg dedup.Config, res *dedup.Result, cr *dedup.CompareResult) error {
 	var fails []string

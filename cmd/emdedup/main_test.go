@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/blocking/lsh"
 	"repro/internal/dedup"
 )
 
@@ -15,13 +16,14 @@ import (
 func TestOutputByteIdenticalAcrossParallelism(t *testing.T) {
 	dir := t.TempDir()
 	runAt := func(parallel int) (report, clusters []byte) {
-		cfg := dedup.DefaultConfig()
+		cfg := config{Config: dedup.DefaultConfig()}
 		cfg.N = 3000
 		cfg.Seed = 17
 		cfg.Parallel = parallel
-		out := filepath.Join(dir, "clusters.txt")
+		cfg.outPath = filepath.Join(dir, "clusters.txt")
+		out := cfg.outPath
 		var buf bytes.Buffer
-		if err := run(cfg, false, 0, out, "", false, false, &buf); err != nil {
+		if err := run(cfg, &buf); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(out)
@@ -47,13 +49,15 @@ func TestOutputByteIdenticalAcrossParallelism(t *testing.T) {
 // end on a small corpus.
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
-	cfg := dedup.DefaultConfig()
+	cfg := config{Config: dedup.DefaultConfig()}
 	cfg.N = 1200
 	cfg.Seed = 3
 
 	var buf bytes.Buffer
 	trace := filepath.Join(dir, "trace.jsonl")
-	if err := run(cfg, true, 0, "", trace, false, true, &buf); err != nil {
+	bulk := cfg
+	bulk.compare, bulk.tracePath, bulk.smoke = true, trace, true
+	if err := run(bulk, &buf); err != nil {
 		t.Fatalf("bulk+compare+smoke run failed: %v\n%s", err, buf.String())
 	}
 	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
@@ -62,12 +66,46 @@ func TestRunModes(t *testing.T) {
 
 	buf.Reset()
 	cfg.Stream = true
-	if err := run(cfg, false, 0, "", "", false, false, &buf); err != nil {
+	if err := run(cfg, &buf); err != nil {
 		t.Fatalf("stream run failed: %v", err)
 	}
 
 	// -compare under -stream is a usage error.
-	if err := run(cfg, true, 0, "", "", false, false, &buf); err == nil {
+	cfg.compare = true
+	if err := run(cfg, &buf); err == nil {
 		t.Fatal("stream+compare should fail")
+	}
+}
+
+// TestParseFlags covers every emdedup flag once, and the defaults.
+func TestParseFlags(t *testing.T) {
+	got, err := parseFlags([]string{
+		"-n", "500", "-seed", "7", "-parallel", "2", "-bands", "16", "-rows", "4",
+		"-topk", "9", "-minjaccard", "0.4", "-matcher", "stringsim", "-threshold", "0.6",
+		"-maxcluster", "8", "-stream", "-compare", "-compare-exact", "123",
+		"-out", "c.txt", "-trace", "t.jsonl", "-metrics-dump", "-smoke",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := config{
+		Config: dedup.Config{
+			N: 500, Seed: 7, Parallel: 2,
+			LSH:     lsh.Config{Bands: 16, Rows: 4, Seed: 7, TopK: 9, MinJaccard: 0.4},
+			Matcher: "stringsim", Threshold: 0.6, MaxClusterSize: 8, Stream: true,
+		},
+		compare: true, cmpExact: 123, outPath: "c.txt", tracePath: "t.jsonl", dumpMx: true, smoke: true,
+	}
+	if got != want {
+		t.Fatalf("parseFlags = %+v, want %+v", got, want)
+	}
+	def, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDef := config{Config: dedup.DefaultConfig(), cmpExact: dedup.CompareExactDefault}
+	wantDef.LSH.Seed = wantDef.Seed
+	if def != wantDef {
+		t.Fatalf("defaults = %+v, want %+v", def, wantDef)
 	}
 }

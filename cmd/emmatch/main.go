@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,49 +28,64 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/csvio"
-	"repro/internal/datasets"
 	"repro/internal/eval"
 	"repro/internal/matchers"
 	"repro/internal/obs"
 	"repro/internal/record"
-	"repro/internal/stats"
 )
 
-func main() {
-	var (
-		leftPath    = flag.String("left", "", "left relation CSV")
-		rightPath   = flag.String("right", "", "right relation CSV")
-		pairsPath   = flag.String("pairs", "", "pre-blocked pair CSV (alternative to -left/-right)")
-		outPath     = flag.String("out", "", "write matched pairs to this CSV (default: stdout summary only)")
-		matcherName = flag.String("matcher", "gpt-4", "matcher to use")
-		maxCands    = flag.Int("candidates", 10, "blocking: max candidates per left record")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		parallel    = flag.Int("parallel", 0, "workers for transfer-library generation: 0 = one per CPU, 1 = sequential")
-		timeout     = flag.Duration("timeout", 0, "abort matching after this long (0 = no limit)")
-		tracePath   = flag.String("trace", "", "write a JSONL span trace of the run to this file")
-		metricsDump = flag.Bool("metrics-dump", false, "dump the run's metrics registry as JSON to stderr on exit")
-	)
-	flag.Parse()
+// config is emmatch's command line.
+type config struct {
+	leftPath, rightPath, pairsPath, outPath string
 
-	if err := run(*leftPath, *rightPath, *pairsPath, *outPath, *matcherName, *maxCands, *seed, *parallel, *timeout, *tracePath, *metricsDump); err != nil {
+	matcher     string
+	maxCands    int
+	seed        uint64
+	parallel    int
+	timeout     time.Duration
+	tracePath   string
+	metricsDump bool
+}
+
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("emmatch", flag.ContinueOnError)
+	fs.StringVar(&cfg.leftPath, "left", "", "left relation CSV")
+	fs.StringVar(&cfg.rightPath, "right", "", "right relation CSV")
+	fs.StringVar(&cfg.pairsPath, "pairs", "", "pre-blocked pair CSV (alternative to -left/-right)")
+	fs.StringVar(&cfg.outPath, "out", "", "write matched pairs to this CSV (default: stdout summary only)")
+	fs.StringVar(&cfg.matcher, "matcher", "gpt-4", "matcher to use")
+	fs.IntVar(&cfg.maxCands, "candidates", 10, "blocking: max candidates per left record")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "random seed")
+	fs.IntVar(&cfg.parallel, "parallel", 0, "workers for transfer-library generation: 0 = one per CPU, 1 = sequential")
+	fs.DurationVar(&cfg.timeout, "timeout", 0, "abort matching after this long (0 = no limit)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL span trace of the run to this file")
+	fs.BoolVar(&cfg.metricsDump, "metrics-dump", false, "dump the run's metrics registry as JSON to stderr on exit")
+	return cfg, fs.Parse(args)
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "emmatch:", err)
+		os.Exit(2)
+	}
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "emmatch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands int, seed uint64, parallel int, timeout time.Duration, tracePath string, metricsDump bool) error {
-	m, needsTraining, err := matchers.ByName(matcherName)
-	if err != nil {
-		return err
-	}
-
+func run(cfg config) error {
 	// Observability is opt-in and purely observational: tracing and the
 	// pool metrics never change predictions.
 	var tracer *obs.Tracer
-	if tracePath != "" {
+	if cfg.tracePath != "" {
 		tracer = obs.NewTracer()
 	}
-	if metricsDump {
+	if cfg.metricsDump {
 		reg := obs.NewRegistry(obs.Label{Key: "cmd", Value: "emmatch"})
 		eval.EnablePoolMetrics(reg)
 		defer func() {
@@ -83,8 +99,8 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 	var schema record.Schema
 	hasLabels := false
 	switch {
-	case pairsPath != "":
-		f, err := os.Open(pairsPath)
+	case cfg.pairsPath != "":
+		f, err := os.Open(cfg.pairsPath)
 		if err != nil {
 			return err
 		}
@@ -93,17 +109,17 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 		if err != nil {
 			return err
 		}
-	case leftPath != "" && rightPath != "":
-		left, leftSchema, err := readRelationFile(leftPath)
+	case cfg.leftPath != "" && cfg.rightPath != "":
+		left, leftSchema, err := readRelationFile(cfg.leftPath)
 		if err != nil {
 			return err
 		}
-		right, _, err := readRelationFile(rightPath)
+		right, _, err := readRelationFile(cfg.rightPath)
 		if err != nil {
 			return err
 		}
 		schema = leftSchema
-		blocker := blocking.New(blocking.Config{MaxCandidatesPerRecord: maxCands})
+		blocker := blocking.New(blocking.Config{MaxCandidatesPerRecord: cfg.maxCands})
 		for _, p := range blocker.CandidatePairs(left, right) {
 			pairs = append(pairs, record.LabeledPair{Pair: p})
 		}
@@ -118,22 +134,21 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 
 	// Train if the matcher needs transfer data (the benchmark datasets
 	// serve as the built-in transfer library).
-	rng := stats.NewRNG(seed)
-	if needsTraining {
-		fmt.Fprintf(os.Stderr, "training %s on the built-in transfer library...\n", m.Name())
-		start := time.Now()
-		m.Train(datasets.GenerateAllParallel(eval.DatasetSeed, parallel), rng.Split("train"))
-		fmt.Fprintf(os.Stderr, "trained in %.1fs\n", time.Since(start).Seconds())
-	} else {
-		m.Train(nil, rng.Split("train"))
+	ready, err := eval.ReadyMatcher(eval.ReadySpec{
+		Matcher: cfg.matcher, Seed: cfg.seed, Parallel: cfg.parallel,
+		Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+	})
+	if err != nil {
+		return err
 	}
+	m := ready.Matcher
 
 	// Match. The context path is shared with cmd/emserve: with no -timeout
 	// the batch call runs inline, bit-identical to the plain Predict.
 	ctx := context.Background()
-	if timeout > 0 {
+	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
 	ctx = obs.WithTracer(ctx, tracer)
@@ -152,11 +167,8 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 	}
 	elapsed := time.Since(start)
 
-	if tracer != nil {
-		if err := writeTrace(tracer, tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", tracer.Len(), tracePath)
+	if err := tracer.WriteFile(cfg.tracePath, os.Stderr); err != nil {
+		return err
 	}
 
 	// Report.
@@ -180,8 +192,8 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 			100*c.Precision(), 100*c.Recall(), c.F1())
 	}
 
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	if cfg.outPath != "" {
+		f, err := os.Create(cfg.outPath)
 		if err != nil {
 			return err
 		}
@@ -189,21 +201,9 @@ func run(leftPath, rightPath, pairsPath, outPath, matcherName string, maxCands i
 		if err := csvio.WritePairs(f, out, schema); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d matches to %s\n", len(out), outPath)
+		fmt.Fprintf(os.Stderr, "wrote %d matches to %s\n", len(out), cfg.outPath)
 	}
 	return nil
-}
-
-func writeTrace(tracer *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func readRelationFile(path string) ([]record.Record, record.Schema, error) {

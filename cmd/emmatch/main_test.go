@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/matchers"
 	"repro/internal/obs"
@@ -66,7 +67,7 @@ func TestRunOnPairFile(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "out.csv")
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	if err := run("", "", pairPath, outPath, "gpt-4", 5, 1, 1, 0, tracePath, false); err != nil {
+	if err := run(config{pairsPath: pairPath, outPath: outPath, matcher: "gpt-4", maxCands: 5, seed: 1, parallel: 1, tracePath: tracePath}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.ReadFile(outPath)
@@ -106,19 +107,54 @@ func TestRunOnRelations(t *testing.T) {
 	right := filepath.Join(dir, "right.csv")
 	os.WriteFile(left, []byte("id,name,city\na1,golden dragon palace,berlin\na2,iron horse tavern,paris\n"), 0o644)
 	os.WriteFile(right, []byte("id,name,city\nb1,GOLDEN dragon palace,berlin\nb2,blue bistro,rome\n"), 0o644)
-	if err := run(left, right, "", "", "stringsim", 5, 1, 1, 0, "", false); err != nil {
+	if err := run(config{leftPath: left, rightPath: right, matcher: "stringsim", maxCands: 5, seed: 1, parallel: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRequiresInput(t *testing.T) {
-	if err := run("", "", "", "", "gpt-4", 5, 1, 1, 0, "", false); err == nil {
+	if err := run(config{matcher: "gpt-4", maxCands: 5, seed: 1, parallel: 1}); err == nil {
 		t.Fatal("missing inputs should error")
 	}
 }
 
 func TestRunUnknownMatcher(t *testing.T) {
-	if err := run("", "", "whatever.csv", "", "nope", 5, 1, 1, 0, "", false); err == nil {
-		t.Fatal("unknown matcher should error before touching files")
+	pairPath := filepath.Join(t.TempDir(), "pairs.csv")
+	if err := os.WriteFile(pairPath, []byte("left_name,right_name\na,b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(config{pairsPath: pairPath, matcher: "nope", maxCands: 5, seed: 1, parallel: 1})
+	if err == nil || !strings.Contains(err.Error(), `unknown matcher "nope"`) {
+		t.Fatalf("unknown matcher: err = %v", err)
+	}
+}
+
+// TestParseFlags covers every emmatch flag once, and the defaults.
+func TestParseFlags(t *testing.T) {
+	got, err := parseFlags([]string{
+		"-left", "a.csv", "-right", "b.csv", "-pairs", "p.csv", "-out", "o.csv",
+		"-matcher", "ditto", "-candidates", "7", "-seed", "9", "-parallel", "2",
+		"-timeout", "3s", "-trace", "t.jsonl", "-metrics-dump",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := config{
+		leftPath: "a.csv", rightPath: "b.csv", pairsPath: "p.csv", outPath: "o.csv",
+		matcher: "ditto", maxCands: 7, seed: 9, parallel: 2,
+		timeout: 3 * time.Second, tracePath: "t.jsonl", metricsDump: true,
+	}
+	if got != want {
+		t.Fatalf("parseFlags = %+v, want %+v", got, want)
+	}
+	def, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (config{matcher: "gpt-4", maxCands: 10, seed: 1}); def != want {
+		t.Fatalf("defaults = %+v, want %+v", def, want)
+	}
+	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
+		t.Fatal("unknown flag accepted")
 	}
 }

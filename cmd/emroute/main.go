@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,20 +47,30 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
+func parseFlags(args []string) (sweepConfig, error) {
 	var cfg sweepConfig
-	flag.StringVar(&cfg.Targets, "targets", "ABT", "comma-separated target datasets (LODO: tiers train on every other dataset)")
-	flag.StringVar(&cfg.Tiers, "tiers", "stringsim,anymatch-gpt2,gpt-4", "comma-separated cascade tiers, cheap to expensive")
-	flag.StringVar(&cfg.Thresholds, "thresholds", "0,0.3,0.5,0.7,0.9,1", "comma-separated confidence thresholds to sweep")
-	flag.StringVar(&cfg.Inject, "inject", "both", "failure profiles to run: clean, injected, or both")
-	flag.Uint64Var(&cfg.Seed, "seed", 1, "seed for training and failure injection")
-	flag.IntVar(&cfg.MaxPairs, "max-pairs", 0, "cap test pairs per target (0 = the full fixed test set)")
-	flag.IntVar(&cfg.Parallel, "parallel", 0, "arm workers: 0 = one per CPU, 1 = sequential (output is identical either way)")
-	flag.StringVar(&cfg.Out, "out", "", "write the frontier as CSV to this file")
-	flag.BoolVar(&cfg.Smoke, "smoke", false, "run self-checks on the sweep results and exit non-zero on violation")
-	flag.StringVar(&cfg.SLOAssert, "slo-assert", "", "assert these SLOs (e.g. 'f1>=0.3,cost<=$0.25,p99<=100ms') against every clean arm; exit non-zero on violation")
-	flag.Parse()
+	fs := flag.NewFlagSet("emroute", flag.ContinueOnError)
+	fs.StringVar(&cfg.Targets, "targets", "ABT", "comma-separated target datasets (LODO: tiers train on every other dataset)")
+	fs.StringVar(&cfg.Tiers, "tiers", "stringsim,anymatch-gpt2,gpt-4", "comma-separated cascade tiers, cheap to expensive")
+	fs.StringVar(&cfg.Thresholds, "thresholds", "0,0.3,0.5,0.7,0.9,1", "comma-separated confidence thresholds to sweep")
+	fs.StringVar(&cfg.Inject, "inject", "both", "failure profiles to run: clean, injected, or both")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "seed for training and failure injection")
+	fs.IntVar(&cfg.MaxPairs, "max-pairs", 0, "cap test pairs per target (0 = the full fixed test set)")
+	fs.IntVar(&cfg.Parallel, "parallel", 0, "arm workers: 0 = one per CPU, 1 = sequential (output is identical either way)")
+	fs.StringVar(&cfg.Out, "out", "", "write the frontier as CSV to this file")
+	fs.BoolVar(&cfg.Smoke, "smoke", false, "run self-checks on the sweep results and exit non-zero on violation")
+	fs.StringVar(&cfg.SLOAssert, "slo-assert", "", "assert these SLOs (e.g. 'f1>=0.3,cost<=$0.25,p99<=100ms') against every clean arm; exit non-zero on violation")
+	return cfg, fs.Parse(args)
+}
 
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "emroute:", err)
+		os.Exit(2)
+	}
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "emroute:", err)
 		os.Exit(1)

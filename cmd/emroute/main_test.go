@@ -89,3 +89,34 @@ func TestParseThresholds(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFlags covers every emroute flag once, and the defaults.
+func TestParseFlags(t *testing.T) {
+	got, err := parseFlags([]string{
+		"-targets", "ABT,BEER", "-tiers", "stringsim,gpt-4", "-thresholds", "0,1",
+		"-inject", "clean", "-seed", "5", "-max-pairs", "40", "-parallel", "2",
+		"-out", "f.csv", "-smoke", "-slo-assert", "f1>=0.3",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweepConfig{
+		Targets: "ABT,BEER", Tiers: "stringsim,gpt-4", Thresholds: "0,1",
+		Inject: "clean", Seed: 5, MaxPairs: 40, Parallel: 2,
+		Out: "f.csv", Smoke: true, SLOAssert: "f1>=0.3",
+	}
+	if got != want {
+		t.Fatalf("parseFlags = %+v, want %+v", got, want)
+	}
+	def, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDef := sweepConfig{
+		Targets: "ABT", Tiers: "stringsim,anymatch-gpt2,gpt-4",
+		Thresholds: "0,0.3,0.5,0.7,0.9,1", Inject: "both", Seed: 1,
+	}
+	if def != wantDef {
+		t.Fatalf("defaults = %+v, want %+v", def, wantDef)
+	}
+}

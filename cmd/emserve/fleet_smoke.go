@@ -3,24 +3,22 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"time"
 
-	"repro/internal/datasets"
 	"repro/internal/eval"
 	"repro/internal/fleet"
 	"repro/internal/matchers"
-	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/serve"
 	"repro/internal/snap"
 	"repro/internal/wire"
 )
 
-// runSmoke is the make fleet-smoke gate. Every phase asserts; the first
-// violated invariant aborts with a non-nil error (exit 1 in main).
+// runFleetSmoke is the fleet stage of make smoke (emserve -smoke
+// -replicas 3). Every phase asserts; the first violated invariant aborts
+// with a non-nil error (exit 1 in main).
 //
 //  1. Warm start: 3 replicas boot from a throwaway snapshot store —
 //     replica 1 cold-trains and saves, replicas 2 and 3 must restore warm.
@@ -31,6 +29,8 @@ import (
 //     round (its /stats delta of pairs_scored + pairs_cached) must stay
 //     within 1.5x the mean — measured placement balance, not a
 //     throughput (benchmark/README.md has the measured fleet-hit figure).
+//     Replicas run the flags' serve.Config, cache included: a repeat
+//     round must hit the cache of every replica that answered pairs.
 //  4. Crash: one replica is killed mid-run; every request must still be
 //     answered correctly (failover), nothing permanently lost.
 //  5. Rebalance: removing the dead replica moves only its arc — the
@@ -39,15 +39,15 @@ import (
 //     mirrored traffic must compare bit-identical, promotion cuts the
 //     ring member over to the canary URL, the old process drains, and
 //     the workload still answers correctly after cutover.
-func runSmoke(cfg fleetConfig) error {
-	tmp, err := os.MkdirTemp("", "emfleet-smoke-*")
+func runFleetSmoke(cfg config) error {
+	tmp, err := os.MkdirTemp("", "emserve-fleet-smoke-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	cfg.store = tmp
-	if cfg.probeEvery <= 0 {
-		cfg.probeEvery = 200 * time.Millisecond
+	cfg.ready.Store = tmp
+	if cfg.front.ProbeInterval <= 0 {
+		cfg.front.ProbeInterval = 200 * time.Millisecond
 	}
 
 	// Phase 1: warm-start fleet from the shared store.
@@ -63,22 +63,19 @@ func runSmoke(cfg fleetConfig) error {
 	}()
 	for i, p := range procs {
 		byName[p.name] = p
-		if i == 0 && p.warm {
+		if i == 0 && p.ready.Warm {
 			return fmt.Errorf("phase 1: %s restored warm from an empty store", p.name)
 		}
-		if i > 0 && !p.warm {
+		if i > 0 && !p.ready.Warm {
 			return fmt.Errorf("phase 1: %s cold-trained; want warm restore from %s's snapshot", p.name, procs[0].name)
 		}
-		if p.hash != procs[0].hash {
-			return fmt.Errorf("phase 1: %s booted from snapshot %.12s, want %.12s", p.name, p.hash, procs[0].hash)
+		if p.ready.Hash != procs[0].ready.Hash {
+			return fmt.Errorf("phase 1: %s booted from snapshot %.12s, want %.12s", p.name, p.ready.Hash, procs[0].ready.Hash)
 		}
 	}
-	fmt.Printf("phase 1: %s cold-trained and saved %.12s; r2, r3 warm-restored\n", procs[0].name, procs[0].hash)
+	fmt.Printf("phase 1: %s cold-trained and saved %.12s; r2, r3 warm-restored\n", procs[0].name, procs[0].ready.Hash)
 
-	fc, err := cfg.frontConfig()
-	if err != nil {
-		return err
-	}
+	fc := cfg.front
 	// Mirror every canary-owned pair and keep the promotion sample small
 	// enough that one workload round clears it.
 	fc.MirrorPermille = 1000
@@ -93,15 +90,18 @@ func runSmoke(cfg fleetConfig) error {
 			return err
 		}
 	}
-	frontURL, stopFront, err := listenFront(front)
+	frontURL, stopFront, err := listenHandler(front.Handler())
 	if err != nil {
 		return err
 	}
 	defer stopFront()
 
-	pairs, err := smokeWorkload(cfg.smokePairs)
+	pairs, err := replayPairs(cfg) // the workload the serving loadgen uses
 	if err != nil {
 		return err
+	}
+	if len(pairs) > smokePairs {
+		pairs = pairs[:smokePairs]
 	}
 	client := &http.Client{Timeout: 30 * time.Second}
 
@@ -153,6 +153,19 @@ func runSmoke(cfg fleetConfig) error {
 		return fmt.Errorf("phase 3: most-loaded replica answered %d of %d pairs: max/mean %.2f > 1.5", most, sum, imbalance)
 	}
 	fmt.Printf(" — max/mean %.2f\n", imbalance)
+	if _, _, err := runRound(client, frontURL, pairs); err != nil {
+		return fmt.Errorf("phase 3 repeat round: %w", err)
+	}
+	for i, p := range procs {
+		st, err := serve.FetchStats(context.Background(), client, p.url)
+		if err != nil {
+			return fmt.Errorf("phase 3: %s /stats: %w", p.name, err)
+		}
+		if after[i] > before[i] && st.PairsCached == 0 {
+			return fmt.Errorf("phase 3: %s answered %d pairs in the first round and served none of the repeat round from its prediction cache", p.name, after[i]-before[i])
+		}
+	}
+	fmt.Println("phase 3: repeat round served from the prediction cache of every replica that owned pairs")
 
 	// Phase 4: kill r3 mid-round. Every request must still be answered,
 	// and answered correctly — the front fails its sub-batches over to
@@ -210,11 +223,13 @@ func runSmoke(cfg fleetConfig) error {
 	// *different* snapshot of the same matcher (PickCanary), carrying
 	// state saved from the incumbent's trained matcher, so the mirror
 	// comparison must come back bit-identical.
-	canaryHash, err := saveCanarySnapshot(cfg, procs[0])
+	canaryHash, err := saveCanarySnapshot(cfg, procs[0].ready)
 	if err != nil {
 		return err
 	}
-	canaryProc, err := bootFromSnapshot(cfg, "canary", canaryHash)
+	canarySpec := cfg.ready
+	canarySpec.Hash = canaryHash
+	canaryProc, err := spawnReplica("canary", cfg, canarySpec)
 	if err != nil {
 		return err
 	}
@@ -253,7 +268,7 @@ func runSmoke(cfg fleetConfig) error {
 		return fmt.Errorf("phase 6: predictions diverged after cutover: %w", err)
 	}
 	fmt.Printf("phase 6: canary %.12s mirrored %d pairs bit-identically, promoted over r1 (%.12s), post-cutover bit-identical\n",
-		canaryHash, rep.Mirrored, procs[0].hash)
+		canaryHash, rep.Mirrored, procs[0].ready.Hash)
 
 	st = front.Stats(context.Background())
 	fmt.Printf("fleet: %d requests ok, %d pairs, %d hedges (%d won), %d failovers, %d diverts\n",
@@ -262,24 +277,11 @@ func runSmoke(cfg fleetConfig) error {
 	return nil
 }
 
-const smokeBatch = 32
-
-// smokeWorkload replays benchmark pairs — the same workload the serving
-// loadgen uses, truncated to n.
-func smokeWorkload(n int) ([]record.Pair, error) {
-	d, err := datasets.Generate("ABT", eval.DatasetSeed)
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > len(d.Pairs) {
-		n = len(d.Pairs)
-	}
-	pairs := make([]record.Pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = d.Pairs[i].Pair
-	}
-	return pairs, nil
-}
+// The fleet smoke's workload size and wire batch size.
+const (
+	smokePairs = 512
+	smokeBatch = 32
+)
 
 // keyHashes computes each pair's ring key hash exactly the way the
 // front does: canonical pair-key bytes, then the ring mix.
@@ -365,83 +367,37 @@ func samePreds(want, got []bool) error {
 	return nil
 }
 
-// listenFront serves the front router on an ephemeral loopback port.
-func listenFront(front *fleet.Front) (url string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: front.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	return "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
-}
-
 // saveCanarySnapshot writes the incumbent's trained state under a
 // second snapshot key (the seed field bumped), giving PickCanary a
 // distinct, newer artifact whose state is bit-identical by
 // construction — exactly what a rebuilt-but-equivalent release looks
 // like. Returns the hash PickCanary selects.
-func saveCanarySnapshot(cfg fleetConfig, incumbent *spawned) (string, error) {
-	reg := obs.NewRegistry(obs.Label{Key: "replica", Value: "canary-store"})
-	st, err := snap.Open(cfg.store, reg)
+func saveCanarySnapshot(cfg config, incumbent *eval.Ready) (string, error) {
+	st, err := snap.Open(cfg.ready.Store, nil)
 	if err != nil {
 		return "", err
 	}
-	m, _, err := matchers.ByName(cfg.matcher)
+	m, _, err := matchers.ByName(cfg.ready.Matcher)
 	if err != nil {
 		return "", err
 	}
-	snapper := m.(snap.Snapshotter)
-	if _, err := st.LoadHash(incumbent.hash, snapper); err != nil {
+	snapper := m.(snap.Snapshotter) // the incumbent was saved, so the matcher snapshots
+	if _, err := st.LoadHash(incumbent.Hash, snapper); err != nil {
 		return "", fmt.Errorf("loading incumbent snapshot: %w", err)
 	}
-	key := incumbent.key
-	key.Seed = cfg.seed + 1
+	key := incumbent.Key
+	key.Seed = cfg.ready.Seed + 1
 	if _, err := st.Save(key, m.Name(), snapper); err != nil {
 		return "", fmt.Errorf("saving canary snapshot: %w", err)
 	}
 	// Snapshot metadata records the matcher's display name, not the
 	// registry key the CLI flag uses.
-	art, err := st.PickCanary(m.Name(), incumbent.hash)
+	art, err := st.PickCanary(m.Name(), incumbent.Hash)
 	if err != nil {
 		return "", fmt.Errorf("PickCanary: %w", err)
 	}
-	if art.Hash == incumbent.hash {
+	if art.Hash == incumbent.Hash {
 		return "", fmt.Errorf("PickCanary returned the incumbent %.12s", art.Hash)
 	}
 	return art.Hash, nil
-}
-
-// bootFromSnapshot starts one replica restored from a specific artifact
-// hash — the canary boot path.
-func bootFromSnapshot(cfg fleetConfig, name, hash string) (*spawned, error) {
-	m, _, err := matchers.ByName(cfg.matcher)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry(obs.Label{Key: "replica", Value: name})
-	st, err := snap.Open(cfg.store, reg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if _, err := st.LoadHash(hash, m.(snap.Snapshotter)); err != nil {
-		return nil, fmt.Errorf("%s: restoring %.12s: %w", name, hash, err)
-	}
-	srv, err := serve.New(m, serve.Config{
-		MatcherName: cfg.matcher,
-		Registry:    reg,
-		Startup: &serve.StartupInfo{
-			Warm: true, RestoreSeconds: time.Since(start).Seconds(), SnapshotHash: hash,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	url, stop, err := serve.Listen(srv)
-	if err != nil {
-		srv.Shutdown()
-		return nil, err
-	}
-	return &spawned{name: name, url: url, srv: srv, stop: stop, warm: true, hash: hash}, nil
 }

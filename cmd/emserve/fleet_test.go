@@ -59,10 +59,11 @@ func TestKeyHashesDeterministic(t *testing.T) {
 }
 
 func TestStringListFlag(t *testing.T) {
-	var s stringList
-	_ = s.Set("http://a")
-	_ = s.Set("http://b")
-	if len(s) != 2 || s.String() != "http://a,http://b" {
-		t.Fatalf("stringList = %v", s)
+	cfg, err := parseFlags([]string{"-replica", "http://a", "-replica", "http://b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.replicaURLs; len(got) != 2 || got[0] != "http://a" || got[1] != "http://b" {
+		t.Fatalf("-replica -replica = %v", got)
 	}
 }

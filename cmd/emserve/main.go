@@ -11,11 +11,13 @@
 //	emserve -matcher stringsim -addr :8080
 //	emserve -matcher gpt-4 -deadline 250ms -queue 2048
 //	emserve -matcher ditto -store /var/lib/emserve/snapshots
+//	emserve -matcher stringsim -replicas 3 -store /var/lib/emserve/snapshots
+//	emserve -replica http://h:8081 -replica http://h:8082
 //	emserve -matcher stringsim -loadgen -qps 0 -duration 5s
 //	emserve -matcher stringsim -loadgen -proto binary
 //	emserve -route stringsim,anymatch-gpt2,gpt-4 -route-confidence 0.5
 //	emserve -matcher stringsim -slo 'p99<=5ms,shed<=1%' -flight 4096
-//	emserve -matcher stringsim -smoke
+//	emserve -matcher stringsim -smoke [-replicas 3]
 //
 // Endpoints:
 //
@@ -25,19 +27,28 @@
 //	               latency quantiles, dollar cost
 //	GET  /slo      burn-rate status of every -slo objective
 //
+// Fleet mode: -replicas N spawns N in-process replicas — each the server
+// the other flags describe, warm-started from -store so only the first
+// cold-trains — and -replica URL (repeatable) adopts running ones. -addr
+// then serves a front router (see internal/fleet) that consistent-hashes
+// the pair-key space across them, fails over, hedges stragglers (-hedge,
+// -no-hedge), probes health (-probe-interval) and answers the same
+// endpoints, /stats in the fleet schema; -slo also judges its signals.
+//
 // -slo arms the burn-rate SLO engine (see internal/slo) and, with
 // -slo-shed, the breach admission guard; -flight arms the per-request
 // flight recorder, with -flight-dump naming the directory breach and
-// straggler evidence is written to (validated by tracecheck -flight).
+// straggler evidence is written to (validated by emtool trace -flight).
 //
 // -loadgen replays benchmark pairs against an in-process instance and
 // prints a baseline-versus-served throughput/latency report; with -slo it
 // instead drives the fully armed server and renders the final burn-rate
 // status of every objective, where -slo-assert demands a clean run and
-// -slo-expect-breach demands a breach plus validating flight evidence
-// (the make slo-smoke gates). -smoke starts the service on an ephemeral
-// port, checks /healthz and /match, and exits non-zero on any failure
-// (the make serve-smoke gate).
+// -slo-expect-breach demands a breach plus validating flight evidence.
+// -smoke starts the service on an ephemeral port, checks /healthz and
+// /match over both protocols, and exits non-zero on any failure; with
+// -replicas it runs the fleet gate (fleet_smoke.go). Both are make smoke
+// stages.
 package main
 
 import (
@@ -48,9 +59,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -60,6 +72,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/datasets"
 	"repro/internal/eval"
+	"repro/internal/fleet"
 	"repro/internal/flight"
 	"repro/internal/matchers"
 	"repro/internal/obs"
@@ -67,400 +80,333 @@ import (
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/slo"
-	"repro/internal/snap"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		matcherName = flag.String("matcher", "stringsim", "matcher to serve: "+strings.Join(matchers.Names(), ", "))
-		workers     = flag.Int("workers", 0, "scoring workers: 0 = one per CPU")
-		maxBatch    = flag.Int("batch", 64, "max pairs per coalesced micro-batch")
-		batchWait   = flag.Duration("batch-wait", 0, "how long a non-full batch waits for stragglers")
-		queueDepth  = flag.Int("queue", 1024, "admission queue depth (requests); full queue sheds with 429")
-		maxPairs    = flag.Int("max-pairs", 256, "max pairs per request (larger rejected with 413)")
-		deadline    = flag.Duration("deadline", 0, "default per-request deadline (0 = none)")
-		cacheCap    = flag.Int("cache", 1<<16, "prediction cache capacity in entries (0 disables)")
-		seed        = flag.Uint64("seed", 1, "random seed for matcher training")
-		parallel    = flag.Int("parallel", 0, "workers for transfer-library generation: 0 = one per CPU")
-		storeDir    = flag.String("store", "", "snapshot store directory: restore the trained matcher on startup (warm start), train-then-save on miss")
+// config is emserve's command line. serve and front hold what the flags
+// say about every server and about the fleet's front router; the parts
+// of a serve.Config that belong to one server (registry, start-up facts,
+// flight ring) are attached by serveConfig.
+type config struct {
+	addr  string
+	ready eval.ReadySpec
+	serve serve.Config
 
-		loadgen  = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		qps      = flag.Float64("qps", 0, "loadgen target request rate (0 = closed-loop maximum)")
-		duration = flag.Duration("duration", 5*time.Second, "loadgen run duration per phase")
-		conc     = flag.Int("concurrency", 8, "loadgen client workers")
-		perReq   = flag.Int("pairs-per-request", 64, "loadgen pairs per request")
-		dataset  = flag.String("dataset", "ABT", "loadgen benchmark dataset to replay")
-		jsonOut  = flag.Bool("json", false, "loadgen: print the report as JSON")
-		proto    = flag.String("proto", serve.ProtoJSON, "loadgen request protocol: json or binary")
-
-		routeTiers = flag.String("route", "", "serve through a resilient cascade instead of one matcher: comma-separated tiers, cheap to expensive (e.g. stringsim,anymatch-gpt2,gpt-4)")
-		routeConf  = flag.Float64("route-confidence", 0.5, "cascade confidence threshold: pairs below it escalate to the next tier")
-		routeInj   = flag.Bool("route-inject", false, "inject each tier's failure profile (latency tails, faults, rate limits) instead of clean backends")
-
-		sloSpec   = flag.String("slo", "", "comma-separated SLO objectives (e.g. 'p99<=5ms@1m/10s,shed<=1%,cost<=$0.25'): arms the burn-rate engine and /slo")
-		sloShed   = flag.Int("slo-shed", 0, "while any objective is in BREACH, shed this permille of cache-miss admissions with 429 (0 disables the guard)")
-		flightN   = flag.Int("flight", 0, "flight-recorder ring size in records (0 disables)")
-		flightDir = flag.String("flight-dump", "", "directory for flight-evidence JSONL dumps on breach and straggler requests (needs -flight)")
-		sloAssert = flag.Bool("slo-assert", false, "loadgen: exit non-zero unless every objective stayed OK for the whole run")
-		sloExpect = flag.Bool("slo-expect-breach", false, "loadgen: exit non-zero unless the run breached an objective and dumped validating flight evidence (needs -flight and -flight-dump)")
-
-		smoke = flag.Bool("smoke", false, "start, self-check /healthz and /match, exit")
-
-		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in)")
-		tracePath = flag.String("trace", "", "record request/queue/batch/score spans; write JSONL here on shutdown")
-	)
-	flag.Parse()
-
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer()
-	}
-	if err := run(runConfig{
-		addr: *addr, matcher: *matcherName, seed: *seed, parallel: *parallel,
-		store:      *storeDir,
-		routeTiers: *routeTiers, routeConf: *routeConf, routeInject: *routeInj,
-		sloSpec: *sloSpec, sloShed: *sloShed,
-		flightN: *flightN, flightDir: *flightDir,
-		sloAssert: *sloAssert, sloExpect: *sloExpect,
-		loadgen: *loadgen, qps: *qps, duration: *duration, conc: *conc,
-		perReq: *perReq, dataset: *dataset, jsonOut: *jsonOut, proto: *proto,
-		smoke: *smoke,
-		pprof: *pprofOn, tracePath: *tracePath,
-		serveCfg: serve.Config{
-			MatcherName:        *matcherName,
-			Workers:            *workers,
-			MaxBatch:           *maxBatch,
-			BatchWait:          *batchWait,
-			QueueDepth:         *queueDepth,
-			MaxPairsPerRequest: *maxPairs,
-			DefaultDeadline:    *deadline,
-			CacheCapacity:      *cacheCap,
-			Tracer:             tracer,
-		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "emserve:", err)
-		os.Exit(1)
-	}
-}
-
-type runConfig struct {
-	addr     string
-	matcher  string
-	seed     uint64
-	parallel int
-	store    string
-	serveCfg serve.Config
+	replicas    uint
+	replicaURLs []string
+	front       fleet.Config
 
 	routeTiers  string
 	routeConf   float64
 	routeInject bool
 
 	sloSpec   string
-	sloShed   int
 	flightN   int
 	flightDir string
 	sloAssert bool
 	sloExpect bool
 
-	loadgen  bool
-	qps      float64
-	duration time.Duration
-	conc     int
-	perReq   int
-	dataset  string
-	jsonOut  bool
-	proto    string
+	loadgen bool
+	load    serve.LoadGenConfig
+	dataset string
+	jsonOut bool
 
 	smoke     bool
 	pprof     bool
 	tracePath string
 }
 
-func run(cfg runConfig) error {
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("emserve", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	cfg.ready.RegisterFlags(fs)
+	// The serve.Config tunables: one wiring for the single server and for
+	// every fleet replica.
+	sc := &cfg.serve
+	fs.IntVar(&sc.Workers, "workers", 0, "scoring workers: 0 = one per CPU")
+	fs.IntVar(&sc.MaxBatch, "batch", 64, "max pairs per coalesced micro-batch")
+	fs.DurationVar(&sc.BatchWait, "batch-wait", 0, "how long a non-full batch waits for stragglers")
+	fs.IntVar(&sc.QueueDepth, "queue", 1024, "admission queue depth (requests); full queue sheds with 429")
+	fs.IntVar(&sc.MaxPairsPerRequest, "max-pairs", 256, "max pairs per request (larger rejected with 413)")
+	fs.DurationVar(&sc.DefaultDeadline, "deadline", 0, "default per-request deadline (0 = none)")
+	fs.IntVar(&sc.CacheCapacity, "cache", 1<<16, "prediction cache capacity in entries (0 disables)")
+	fs.IntVar(&sc.BreachShedPermille, "slo-shed", 0, "while any objective is in BREACH, shed this permille of cache-miss admissions with 429 (0 disables the guard)")
+
+	fs.UintVar(&cfg.replicas, "replicas", 0, "fleet mode: in-process replicas to spawn behind a front router (0 = one plain server; ignored when -replica URLs are given)")
+	fs.Func("replica", "fleet mode: existing replica base URL to adopt (repeatable); disables spawning", func(v string) error {
+		cfg.replicaURLs = append(cfg.replicaURLs, v)
+		return nil
+	})
+	fs.DurationVar(&cfg.front.HedgeAfter, "hedge", 0, "fleet mode: fixed straggler threshold (0 = rolling p99, clamped)")
+	fs.BoolVar(&cfg.front.HedgeDisabled, "no-hedge", false, "fleet mode: disable hedged requests")
+	fs.DurationVar(&cfg.front.ProbeInterval, "probe-interval", 500*time.Millisecond, "fleet mode: replica health-probe interval (drives breaker ejection and recovery)")
+
+	fs.BoolVar(&cfg.loadgen, "loadgen", false, "run the load generator instead of serving")
+	fs.Float64Var(&cfg.load.QPS, "qps", 0, "loadgen target request rate (0 = closed-loop maximum)")
+	fs.DurationVar(&cfg.load.Duration, "duration", 5*time.Second, "loadgen run duration per phase")
+	fs.IntVar(&cfg.load.Concurrency, "concurrency", 8, "loadgen client workers")
+	fs.IntVar(&cfg.load.PairsPerRequest, "pairs-per-request", 64, "loadgen pairs per request")
+	fs.StringVar(&cfg.dataset, "dataset", "ABT", "loadgen benchmark dataset to replay")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "loadgen: print the report as JSON")
+	fs.StringVar(&cfg.load.Protocol, "proto", serve.ProtoJSON, "loadgen request protocol: json or binary")
+
+	fs.StringVar(&cfg.routeTiers, "route", "", "serve through a resilient cascade instead of one matcher: comma-separated tiers, cheap to expensive (e.g. stringsim,anymatch-gpt2,gpt-4)")
+	fs.Float64Var(&cfg.routeConf, "route-confidence", 0.5, "cascade confidence threshold: pairs below it escalate to the next tier")
+	fs.BoolVar(&cfg.routeInject, "route-inject", false, "inject each tier's failure profile (latency tails, faults, rate limits) instead of clean backends")
+
+	fs.StringVar(&cfg.sloSpec, "slo", "", "comma-separated SLO objectives (e.g. 'p99<=5ms@1m/10s,shed<=1%,cost<=$0.25'): arms the burn-rate engine and /slo")
+	fs.IntVar(&cfg.flightN, "flight", 0, "flight-recorder ring size in records (0 disables)")
+	fs.StringVar(&cfg.flightDir, "flight-dump", "", "directory for flight-evidence JSONL dumps on breach and straggler requests (needs -flight)")
+	fs.BoolVar(&cfg.sloAssert, "slo-assert", false, "loadgen: exit non-zero unless every objective stayed OK for the whole run")
+	fs.BoolVar(&cfg.sloExpect, "slo-expect-breach", false, "loadgen: exit non-zero unless the run breached an objective and dumped validating flight evidence (needs -flight and -flight-dump)")
+
+	fs.BoolVar(&cfg.smoke, "smoke", false, "start, self-check /healthz and /match, exit; with -replicas, run the fleet gate")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "record request/queue/batch/score spans; write JSONL here on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+
 	if (cfg.sloAssert || cfg.sloExpect) && (!cfg.loadgen || cfg.sloSpec == "") {
-		return fmt.Errorf("-slo-assert and -slo-expect-breach need -loadgen and -slo")
+		return cfg, fmt.Errorf("-slo-assert and -slo-expect-breach need -loadgen and -slo")
 	}
 	if cfg.sloExpect && (cfg.flightN <= 0 || cfg.flightDir == "") {
-		return fmt.Errorf("-slo-expect-breach needs -flight and -flight-dump: a breach without evidence is not a pass")
+		return cfg, fmt.Errorf("-slo-expect-breach needs -flight and -flight-dump: a breach without evidence is not a pass")
 	}
 	if cfg.flightDir != "" && cfg.flightN <= 0 {
-		return fmt.Errorf("-flight-dump needs -flight to arm the recorder")
+		return cfg, fmt.Errorf("-flight-dump needs -flight to arm the recorder")
 	}
+	if cfg.fleetMode() && (cfg.loadgen || cfg.routeTiers != "") {
+		return cfg, fmt.Errorf("-loadgen and -route drive one server; drop -replicas/-replica")
+	}
+	cfg.serve.MatcherName = cfg.ready.Matcher
+	cfg.front.MatcherName = cfg.ready.Matcher
 	if cfg.sloSpec != "" {
 		specs, err := slo.ParseSpecs(cfg.sloSpec)
 		if err != nil {
-			return err
+			return cfg, err
 		}
-		cfg.serveCfg.SLOSpecs = specs
-		cfg.serveCfg.BreachShedPermille = cfg.sloShed
+		cfg.serve.SLOSpecs, cfg.front.SLOSpecs = specs, specs
 	}
-	if cfg.flightN > 0 {
-		rec := flight.New(cfg.flightN)
-		cfg.serveCfg.Flight = rec
-		if cfg.flightDir != "" {
-			cfg.serveCfg.FlightDump = flight.NewDumper(rec, cfg.flightDir, 0)
+	return cfg, nil
+}
+
+func (c config) fleetMode() bool { return c.replicas > 0 || len(c.replicaURLs) > 0 }
+
+// serveConfig returns the serve.Config of one server — the single server
+// or the fleet replica called name: the flags' tunables plus the server's
+// own registry, start-up facts and flight ring (each replica dumping into
+// its own subdirectory of -flight-dump).
+func (c config) serveConfig(r *eval.Ready, name string) serve.Config {
+	sc := c.serve
+	sc.Registry = r.Registry
+	sc.Startup = &serve.StartupInfo{Warm: r.Warm, SnapshotHash: r.Hash}
+	if r.Warm {
+		sc.Startup.RestoreSeconds = r.Seconds
+	} else {
+		sc.Startup.TrainSeconds = r.Seconds
+	}
+	if c.flightN > 0 {
+		sc.Flight = flight.New(c.flightN)
+		if c.flightDir != "" {
+			sc.FlightDump = flight.NewDumper(sc.Flight, filepath.Join(c.flightDir, name), 0)
 		}
+	}
+	return sc
+}
+
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "emserve: "+format+"\n", args...)
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
+		logf("%v", err)
+		os.Exit(2)
+	}
+	if err := run(cfg); err != nil {
+		logf("%v", err)
+		os.Exit(1)
+	}
+}
+
+func run(cfg config) error {
+	if cfg.tracePath != "" {
+		cfg.serve.Tracer = obs.NewTracer()
+	}
+	if cfg.fleetMode() {
+		if cfg.smoke {
+			return runFleetSmoke(cfg)
+		}
+		return runFleet(cfg)
 	}
 
-	var (
-		m       matchers.Matcher
-		startup *serve.StartupInfo
-		reg     *obs.Registry
-		err     error
-	)
+	var ready *eval.Ready
+	var err error
 	if cfg.routeTiers != "" {
 		// Routed serving: the dispatcher hands batches to the cascade
 		// router instead of the single matcher, so the served "matcher" is
 		// tier 0 and the snapshot store does not apply.
-		m, cfg.serveCfg.Router, err = buildRouter(cfg)
-		startup = &serve.StartupInfo{}
+		ready, cfg.serve.Router, err = buildRouter(cfg)
 	} else {
-		m, startup, reg, err = loadMatcher(cfg.matcher, cfg.seed, cfg.parallel, cfg.store)
+		spec := cfg.ready
+		spec.Ref, spec.Logf = "emserve-"+spec.Matcher, logf
+		ready, err = eval.ReadyMatcher(spec)
 	}
 	if err != nil {
 		return err
 	}
+	m := ready.Matcher
+	sc := cfg.serveConfig(ready, "")
 
 	if cfg.loadgen {
-		if cfg.serveCfg.SLOSpecs != nil || cfg.serveCfg.Flight != nil {
-			return runSLOLoadGen(m, cfg)
+		if sc.SLOSpecs != nil || sc.Flight != nil {
+			return runSLOLoadGen(m, sc, cfg)
 		}
 		return runLoadGen(m, cfg)
 	}
 
-	cfg.serveCfg.Registry = reg
-	cfg.serveCfg.Startup = startup
-	srv, err := serve.New(m, cfg.serveCfg)
+	srv, err := serve.New(m, sc)
 	if err != nil {
 		return err
 	}
-
 	if cfg.smoke {
 		return runSmoke(srv)
 	}
 
-	handler := srv.Handler()
-	if cfg.pprof {
-		// pprof is opt-in: profiling endpoints on a production port are a
-		// choice, not a default.
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
-	}
-	hs := &http.Server{Addr: cfg.addr, Handler: handler}
-	// Graceful shutdown on SIGINT/SIGTERM: stop admitting, drain in-flight
-	// batches, then close the listener.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "emserve: draining...")
-		srv.Shutdown()
-		_ = hs.Close()
-	}()
-	fmt.Fprintf(os.Stderr, "emserve: serving %s (%s semantics) on %s\n",
-		m.Name(), srv.Semantics(), cfg.addr)
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	logf("serving %s (%s semantics) on %s", m.Name(), srv.Semantics(), cfg.addr)
+	// Graceful shutdown: stop admitting and drain in-flight batches, then
+	// close the listener.
+	if err := serveUntilSignal(cfg, srv.Handler(), srv.Shutdown); err != nil {
 		return err
 	}
-	// The drain has finished by the time ListenAndServe returns (Shutdown
+	// The drain has finished by the time the listener closes (Shutdown
 	// blocks until the workers exit); Shutdown here is an idempotent no-op
 	// that only covers listener errors racing the signal path.
 	srv.Shutdown()
 	st := srv.Stats()
-	fmt.Fprintf(os.Stderr,
-		"emserve: drained: %d requests ok, %d pairs scored, %d from cache, %d expired, $%.4f total cost\n",
+	logf("drained: %d requests ok, %d pairs scored, %d from cache, %d expired, $%.4f total cost",
 		st.RequestsOK, st.PairsScored, st.PairsCached, st.PairsExpired, st.TotalCostUSD)
 	if e := srv.SLO(); e != nil {
 		for _, o := range e.Snapshot() {
-			fmt.Fprintln(os.Stderr, "emserve: slo:", slo.FormatStatus(o))
+			logf("slo: %s", slo.FormatStatus(o))
 		}
 		for _, p := range srv.FlightDump().Paths() {
-			fmt.Fprintln(os.Stderr, "emserve: flight evidence:", p)
+			logf("flight evidence: %s", p)
 		}
 	}
-	if tr := srv.Tracer(); tr != nil && cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "emserve: wrote %d spans to %s\n", tr.Len(), cfg.tracePath)
+	return cfg.serve.Tracer.WriteFile(cfg.tracePath, os.Stderr)
+}
+
+// serveUntilSignal serves handler on -addr until SIGINT or SIGTERM, then
+// runs drain and closes the listener — the one shutdown path of the
+// single server and the fleet front.
+func serveUntilSignal(cfg config, handler http.Handler, drain func()) error {
+	if cfg.pprof {
+		// pprof is opt-in: profiling endpoints on a production port are a
+		// choice, not a default. The import registered them on the default
+		// mux, which nothing serves otherwise.
+		mux := http.NewServeMux()
+		mux.Handle("/", handler)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		handler = mux
+	}
+	hs := &http.Server{Addr: cfg.addr, Handler: handler}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		logf("draining...")
+		drain()
+		_ = hs.Close()
+	}()
+	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		return err
 	}
 	return nil
 }
 
-// loadMatcher readies the matcher for serving. Without a store this is
-// the same startup path as cmd/emmatch: build, then train (fine-tuned
-// matchers on the built-in transfer library). With -store, the trained
-// state is restored from the snapshot store when an artifact exists for
-// (matcher, config, transfer data, seed) — a warm start that skips
-// training entirely and predicts bit-identically to a cold one — and a
-// miss trains as usual, then saves the snapshot so the next start is
-// warm. The returned registry (non-nil only with a store) carries the
-// store's hit/miss/latency metrics plus the startup gauges, and is
-// installed into the server so everything lands on one /metrics page.
-func loadMatcher(name string, seed uint64, parallel int, storeDir string) (matchers.Matcher, *serve.StartupInfo, *obs.Registry, error) {
-	m, needsTraining, err := matchers.ByName(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	info := &serve.StartupInfo{}
-	var (
-		reg *obs.Registry
-		st  *snap.Store
-		key snap.Key
-	)
-	snapper, canSnap := m.(snap.Snapshotter)
-	if storeDir != "" && canSnap {
-		reg = obs.NewRegistry(obs.Label{Key: "matcher", Value: m.Name()})
-		if st, err = snap.Open(storeDir, reg); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	rng := stats.NewRNG(seed)
-	var library []*record.Dataset
-	if needsTraining {
-		library = datasets.GenerateAllParallel(eval.DatasetSeed, parallel)
-	}
-	if st != nil {
-		key = snap.Key{
-			Matcher: name,
-			Config:  matchers.ConfigOf(m),
-			Data:    record.DatasetFingerprints(library),
-			Seed:    seed,
-		}
-		start := time.Now()
-		if _, err := st.Load(key, snapper); err == nil {
-			info.Warm = true
-			info.RestoreSeconds = time.Since(start).Seconds()
-			info.SnapshotHash = key.Hash()
-			fmt.Fprintf(os.Stderr, "emserve: warm start: restored %s from snapshot %.12s in %.3fs\n",
-				m.Name(), info.SnapshotHash, info.RestoreSeconds)
-			return m, info, reg, nil
-		} else if !errors.Is(err, snap.ErrNotFound) {
-			fmt.Fprintf(os.Stderr, "emserve: snapshot load failed (%v); training from scratch\n", err)
-		}
-	}
-	start := time.Now()
-	if needsTraining {
-		fmt.Fprintf(os.Stderr, "emserve: training %s on the built-in transfer library...\n", m.Name())
-		m.Train(library, rng.Split("train"))
-		fmt.Fprintf(os.Stderr, "emserve: trained in %.1fs\n", time.Since(start).Seconds())
-	} else {
-		m.Train(nil, rng.Split("train"))
-	}
-	info.TrainSeconds = time.Since(start).Seconds()
-	if st != nil {
-		hash, err := st.Save(key, m.Name(), snapper)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("saving snapshot: %w", err)
-		}
-		if err := st.SetRef("emserve-"+name, hash); err != nil {
-			return nil, nil, nil, err
-		}
-		info.SnapshotHash = hash
-		fmt.Fprintf(os.Stderr, "emserve: cold start: trained in %.3fs, saved snapshot %.12s (next start is warm)\n",
-			info.TrainSeconds, hash)
-	}
-	return m, info, reg, nil
-}
-
-// buildRouter assembles the -route cascade: each tier resolved by name,
-// fine-tuned tiers trained once on the built-in transfer library, every
-// tier priced through the fail-closed Table-6 rate lookup and wrapped in
-// its simulated provider profile (clean unless -route-inject). The
-// returned matcher is tier 0 — the identity the server advertises and
-// keys its prediction cache on.
-func buildRouter(cfg runConfig) (matchers.Matcher, *route.Router, error) {
+// buildRouter assembles the -route cascade: each tier made ready by name
+// (fine-tuned tiers train once on the shared transfer library), priced
+// through the fail-closed Table-6 rate lookup and wrapped in its
+// simulated provider profile (clean unless -route-inject). The returned
+// matcher is tier 0 — the identity the server advertises and keys its
+// prediction cache on.
+func buildRouter(cfg config) (*eval.Ready, *route.Router, error) {
 	names := strings.Split(cfg.routeTiers, ",")
 	backends := make([]backend.Backend, 0, len(names))
-	var tier0 matchers.Matcher
-	rng := stats.NewRNG(cfg.seed)
-	var library []*record.Dataset
+	var tier0 *eval.Ready
+	library := &eval.Library{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
-		m, needsTraining, err := matchers.ByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
 		rate, err := cost.RateForMatcher(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		if needsTraining {
-			if library == nil {
-				library = datasets.GenerateAllParallel(eval.DatasetSeed, cfg.parallel)
-			}
-			fmt.Fprintf(os.Stderr, "emserve: training cascade tier %s...\n", m.Name())
-			start := time.Now()
-			m.Train(library, rng.Split("train:"+name))
-			fmt.Fprintf(os.Stderr, "emserve: trained in %.1fs\n", time.Since(start).Seconds())
-		} else {
-			m.Train(nil, rng.Split("train:"+name))
+		tier, err := eval.ReadyMatcher(eval.ReadySpec{
+			Matcher: name, Seed: cfg.ready.Seed, Parallel: cfg.ready.Parallel,
+			Split: "train:" + name, Library: library, Logf: logf,
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 		p := backend.ProfileFor(name)
 		if !cfg.routeInject {
 			p = p.Clean()
 		}
-		backends = append(backends, backend.NewSim(name, m, p, rate, cfg.seed))
+		backends = append(backends, backend.NewSim(name, tier.Matcher, p, rate, cfg.ready.Seed))
 		if tier0 == nil {
-			tier0 = m
+			tier0 = tier
 		}
 	}
 	r, err := route.New(route.Config{
 		Confidence: cfg.routeConf,
-		Deadline:   cfg.serveCfg.DefaultDeadline,
+		Deadline:   cfg.serve.DefaultDeadline,
 	}, backends...)
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "emserve: routing cascade %s (confidence %.2f, inject=%v)\n",
-		strings.Join(names, " -> "), cfg.routeConf, cfg.routeInject)
+	logf("routing cascade %s (confidence %.2f, inject=%v)", strings.Join(names, " -> "), cfg.routeConf, cfg.routeInject)
 	return tier0, r, nil
 }
 
-// runLoadGen replays one benchmark dataset's pairs through the serving
-// pipeline and prints the baseline-versus-served comparison.
-func runLoadGen(m matchers.Matcher, cfg runConfig) error {
+// replayPairs loads the -dataset benchmark pairs the loadgen modes replay.
+func replayPairs(cfg config) ([]record.Pair, error) {
 	d, err := datasets.Generate(cfg.dataset, eval.DatasetSeed)
 	if err != nil {
-		return fmt.Errorf("loadgen dataset: %w", err)
+		return nil, fmt.Errorf("loadgen dataset: %w", err)
 	}
 	pairs := make([]record.Pair, len(d.Pairs))
 	for i, p := range d.Pairs {
 		pairs[i] = p.Pair
 	}
-	fmt.Fprintf(os.Stderr, "emserve: replaying %d pairs from %s against %s\n",
-		len(pairs), d.Name, m.Name())
-	cmp, err := serve.CompareServing(m, cfg.matcher, pairs, serve.LoadGenConfig{
-		QPS:             cfg.qps,
-		Duration:        cfg.duration,
-		Concurrency:     cfg.conc,
-		PairsPerRequest: cfg.perReq,
-		Protocol:        cfg.proto,
-	})
+	return pairs, nil
+}
+
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// runLoadGen replays one benchmark dataset's pairs through the serving
+// pipeline and prints the baseline-versus-served comparison.
+func runLoadGen(m matchers.Matcher, cfg config) error {
+	pairs, err := replayPairs(cfg)
+	if err != nil {
+		return err
+	}
+	logf("replaying %d pairs from %s against %s", len(pairs), cfg.dataset, m.Name())
+	cmp, err := serve.CompareServing(m, cfg.ready.Matcher, pairs, cfg.load)
 	if err != nil {
 		return err
 	}
 	if cfg.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(cmp)
+		return printJSON(cmp)
 	}
 	fmt.Print(serve.RenderComparison(cmp))
 	return nil
@@ -473,14 +419,10 @@ func runLoadGen(m matchers.Matcher, cfg runConfig) error {
 // left OK; -slo-expect-breach demands a breach transition AND validating
 // flight evidence on disk, so the breach path is tested end to end
 // rather than trusted.
-func runSLOLoadGen(m matchers.Matcher, cfg runConfig) error {
-	d, err := datasets.Generate(cfg.dataset, eval.DatasetSeed)
+func runSLOLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
+	pairs, err := replayPairs(cfg)
 	if err != nil {
-		return fmt.Errorf("loadgen dataset: %w", err)
-	}
-	pairs := make([]record.Pair, len(d.Pairs))
-	for i, p := range d.Pairs {
-		pairs[i] = p.Pair
+		return err
 	}
 
 	// Transitions arrive from the background tick loop; collect breaches
@@ -489,15 +431,15 @@ func runSLOLoadGen(m matchers.Matcher, cfg runConfig) error {
 		mu       sync.Mutex
 		breaches []string
 	)
-	cfg.serveCfg.OnSLOTransition = func(tr slo.Transition) {
-		fmt.Fprintf(os.Stderr, "emserve: slo %s: %s -> %s (%s)\n", tr.Name, tr.From, tr.To, tr.Status.Spec)
+	sc.OnSLOTransition = func(tr slo.Transition) {
+		logf("slo %s: %s -> %s (%s)", tr.Name, tr.From, tr.To, tr.Status.Spec)
 		if tr.To == slo.Breach {
 			mu.Lock()
 			breaches = append(breaches, tr.Name)
 			mu.Unlock()
 		}
 	}
-	srv, err := serve.New(m, cfg.serveCfg)
+	srv, err := serve.New(m, sc)
 	if err != nil {
 		return err
 	}
@@ -506,15 +448,8 @@ func runSLOLoadGen(m matchers.Matcher, cfg runConfig) error {
 		srv.Shutdown()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "emserve: replaying %d pairs from %s against %s under SLO %q\n",
-		len(pairs), d.Name, m.Name(), cfg.sloSpec)
-	rep, lgErr := serve.GenerateLoad(url, pairs, serve.LoadGenConfig{
-		QPS:             cfg.qps,
-		Duration:        cfg.duration,
-		Concurrency:     cfg.conc,
-		PairsPerRequest: cfg.perReq,
-		Protocol:        cfg.proto,
-	})
+	logf("replaying %d pairs from %s against %s under SLO %q", len(pairs), cfg.dataset, m.Name(), cfg.sloSpec)
+	rep, lgErr := serve.GenerateLoad(url, pairs, cfg.load)
 	stop()
 	srv.TickSLO() // final evaluation covering the run's tail
 	statuses := srv.SLO().Snapshot()
@@ -537,9 +472,7 @@ func runSLOLoadGen(m matchers.Matcher, cfg runConfig) error {
 			SLO     []slo.Status     `json:"slo,omitempty"`
 			Dumps   []string         `json:"flight_dumps,omitempty"`
 		}{Matcher: m.Name(), Load: rep, Stats: st, SLO: statuses, Dumps: dumps}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := printJSON(out); err != nil {
 			return err
 		}
 	} else {
@@ -590,21 +523,31 @@ func runSLOLoadGen(m matchers.Matcher, cfg runConfig) error {
 	return nil
 }
 
-// runSmoke exposes the service on an ephemeral loopback port, performs the
-// checks the serve-smoke Make target needs (healthz up, a /match round
-// trip answering 200 with one prediction), and shuts down.
-func runSmoke(srv *serve.Server) error {
-	hs := &http.Server{Handler: srv.Handler()}
+// listenHandler is serve.Listen for a handler that is not a *serve.Server
+// (the fleet front): an ephemeral loopback port; stop closes the listener.
+func listenHandler(h http.Handler) (url string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	hs := &http.Server{Handler: h}
+	go func() { _ = hs.Serve(ln) }()
+	return "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
+}
+
+// runSmoke exposes the service on an ephemeral loopback port, performs the
+// checks the smoke gate's serve stage needs (healthz up, a /match round
+// trip answering 200 with one prediction over each protocol), and shuts
+// down.
+func runSmoke(srv *serve.Server) error {
+	base, stop, err := serve.Listen(srv)
 	if err != nil {
 		return err
 	}
-	go func() { _ = hs.Serve(ln) }()
 	defer func() {
 		srv.Shutdown()
-		_ = hs.Close()
+		stop()
 	}()
-	base := "http://" + ln.Addr().String()
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {

@@ -17,7 +17,7 @@
 //	emstudy all [-seeds N]       everything above
 //
 // Every evaluating command accepts -trace out.jsonl (record a span trace
-// of the run; inspect with cmd/tracecheck) and -metrics-dump (dump the
+// of the run; inspect with emtool trace) and -metrics-dump (dump the
 // worker-pool metrics registry as JSON on exit). Both are pure observers:
 // traced runs score bit-identically to untraced ones.
 //
@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,9 +50,9 @@ import (
 
 	"repro/internal/ablation"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/csvio"
 	"repro/internal/datasets"
-	"repro/internal/cost"
 	"repro/internal/eval"
 	"repro/internal/lm"
 	"repro/internal/matchers"
@@ -66,49 +67,80 @@ import (
 // exit. Tracing never changes results (see eval.Config.Tracer).
 var tracer *obs.Tracer
 
-// Run-journal state (-journal / -resume): quality-table commands record
-// every completed (matcher, target, seed) cell into a JSONL journal, and
-// -resume replays completed cells instead of re-running them. A resumed
-// run produces output bit-identical to an uninterrupted one: the journal
-// stores exact confusion counts, and its header pins the study, the
-// benchmark fingerprint and the seed list.
+// Run-journal state (-journal / -resume, in cli): quality-table commands
+// record every completed (matcher, target, seed) cell into a JSONL
+// journal, and -resume replays completed cells instead of re-running
+// them. A resumed run produces output bit-identical to an uninterrupted
+// one: the journal stores exact confusion counts, and its header pins the
+// study, the benchmark fingerprint and the seed list.
 var (
-	journalCmd  string        // top-level command, pinned in the journal header
-	journalPath string        // -journal flag (empty: derived from the command)
-	journalOn   bool          // record cells into a journal
-	resumeRun   bool          // -resume flag: replay completed cells
-	journal     *snap.Journal // opened lazily by the first quality run
+	cli     config        // the parsed command line
+	journal *snap.Journal // opened lazily by the first quality run
 )
 
+// config is emstudy's command line: the subcommand, its optional
+// positional argument, and the flags every subcommand shares.
+type config struct {
+	cmd, arg    string
+	seeds       []uint64
+	parallel    int
+	tracePath   string
+	metricsDump bool
+	journalPath string
+	journalOn   bool
+	resume      bool
+}
+
+func parseFlags(args []string) (config, error) {
+	if len(args) == 0 {
+		return config{}, fmt.Errorf("no command")
+	}
+	cfg := config{cmd: args[0]}
+	fs := flag.NewFlagSet(cfg.cmd, flag.ContinueOnError)
+	nSeeds := fs.Int("seeds", 5, "number of repetition seeds (the paper uses 5)")
+	fs.IntVar(&cfg.parallel, "parallel", 0, "evaluation workers: 0 = one per CPU, 1 = sequential (results are identical either way)")
+	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL span trace of the evaluation to this file")
+	fs.BoolVar(&cfg.metricsDump, "metrics-dump", false, "dump the worker-pool metrics registry as JSON to stderr on exit")
+	fs.StringVar(&cfg.journalPath, "journal", "", "record completed evaluation cells into this JSONL run journal (default emstudy-<cmd>.journal)")
+	fs.BoolVar(&cfg.resume, "resume", false, "resume from the run journal: replay completed cells, run only the rest")
+	if err := fs.Parse(args[1:]); err != nil {
+		return cfg, err
+	}
+	cfg.arg = fs.Arg(0)
+	cfg.journalOn = cfg.journalPath != "" || cfg.resume
+	if cfg.journalPath == "" {
+		cfg.journalPath = "emstudy-" + cfg.cmd + ".journal"
+	}
+	cfg.seeds = eval.DefaultSeeds
+	if *nSeeds < len(cfg.seeds) && *nSeeds > 0 {
+		cfg.seeds = cfg.seeds[:*nSeeds]
+	}
+	return cfg, nil
+}
+
 func main() {
-	if len(os.Args) < 2 {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "emstudy:", err)
 		usage()
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	nSeeds := fs.Int("seeds", 5, "number of repetition seeds (the paper uses 5)")
-	parallel := fs.Int("parallel", 0, "evaluation workers: 0 = one per CPU, 1 = sequential (results are identical either way)")
-	tracePath := fs.String("trace", "", "write a JSONL span trace of the evaluation to this file")
-	metricsDump := fs.Bool("metrics-dump", false, "dump the worker-pool metrics registry as JSON to stderr on exit")
-	jPath := fs.String("journal", "", "record completed evaluation cells into this JSONL run journal (default emstudy-<cmd>.journal)")
-	resume := fs.Bool("resume", false, "resume from the run journal: replay completed cells, run only the rest")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	if err := execute(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "emstudy:", err)
+		os.Exit(1)
 	}
-	journalCmd, journalPath, resumeRun = cmd, *jPath, *resume
-	journalOn = *jPath != "" || *resume
-	if journalPath == "" {
-		journalPath = "emstudy-" + cmd + ".journal"
-	}
-	seeds := eval.DefaultSeeds
-	if *nSeeds < len(seeds) && *nSeeds > 0 {
-		seeds = seeds[:*nSeeds]
-	}
-	if *tracePath != "" {
+}
+
+// execute runs the command between the observers' set-up and their
+// output: the metrics dump, the journal close and the trace file.
+func execute(cfg config) error {
+	cli = cfg
+	if cfg.tracePath != "" {
 		tracer = obs.NewTracer()
 	}
-	if *metricsDump {
+	if cfg.metricsDump {
 		reg := obs.NewRegistry(obs.Label{Key: "cmd", Value: "emstudy"})
 		eval.EnablePoolMetrics(reg)
 		defer func() {
@@ -116,35 +148,14 @@ func main() {
 			_ = reg.WriteJSON(os.Stderr)
 		}()
 	}
-
-	if err := run(cmd, seeds, *parallel, fs.Arg(0)); err != nil {
-		journal.Close()
-		fmt.Fprintln(os.Stderr, "emstudy:", err)
-		os.Exit(1)
+	err := run(cfg.cmd, cfg.seeds, cfg.parallel, cfg.arg)
+	if cerr := journal.Close(); err == nil {
+		err = cerr
 	}
-	if err := journal.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "emstudy:", err)
-		os.Exit(1)
-	}
-	if tracer != nil {
-		if err := writeTrace(tracer, *tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "emstudy:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", tracer.Len(), *tracePath)
-	}
-}
-
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return tracer.WriteFile(cfg.tracePath, os.Stderr)
 }
 
 func run(cmd string, seeds []uint64, parallel int, arg string) error {
@@ -259,26 +270,26 @@ func runTable3(seeds []uint64, parallel int) (*core.QualityResults, error) {
 // process (later runs of an `all` invocation reuse it — spec labels are
 // unique across the study's tables) and installs it into the harness.
 func installJournal(h *eval.Harness, seeds []uint64) error {
-	if !journalOn {
+	if !cli.journalOn {
 		return nil
 	}
 	if journal == nil {
 		header := snap.JournalHeader{
-			Study:       "emstudy-" + journalCmd,
+			Study:       "emstudy-" + cli.cmd,
 			Fingerprint: h.BenchmarkFingerprint(),
 			Seeds:       seeds,
 		}
 		var err error
-		if resumeRun {
-			journal, err = snap.ResumeJournal(journalPath, header)
+		if cli.resume {
+			journal, err = snap.ResumeJournal(cli.journalPath, header)
 		} else {
-			journal, err = snap.CreateJournal(journalPath, header)
+			journal, err = snap.CreateJournal(cli.journalPath, header)
 		}
 		if err != nil {
 			return err
 		}
 		if n := journal.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "  resuming %s: %d completed cells replayed\n", journalPath, n)
+			fmt.Fprintf(os.Stderr, "  resuming %s: %d completed cells replayed\n", cli.journalPath, n)
 		}
 	}
 	h.SetJournal(journal)

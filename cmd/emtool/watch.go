@@ -1,4 +1,18 @@
-// Command emwatch is a polling terminal dashboard for a running emserve
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/slo"
+)
+
+// emtool watch is a polling terminal dashboard for a running emserve
 // instance: it scrapes /stats and /slo every interval and renders live
 // throughput (delta-based req/s and pairs/s between polls), latency
 // quantiles, shed and cache rates, dollar cost, and each SLO objective's
@@ -6,92 +20,71 @@
 // code 3 the moment any objective is in BREACH, so scripts and CI gates
 // can watch a service and fail when it runs out of error budget.
 //
-// Usage:
-//
-//	emwatch [-url http://localhost:8080] [-interval 1s] [-n 0]
-//	        [-plain] [-once] [-exit-on-breach=true]
-//	emwatch -addr http://host:8081 -addr http://host:8082 ...
-//	emwatch -fleet http://host:8080
+//	emtool watch [-url http://localhost:8080] [-interval 1s] [-n 0]
+//	             [-plain] [-once] [-exit-on-breach=true]
+//	emtool watch -addr http://host:8081 -addr http://host:8082 ...
+//	emtool watch -fleet http://host:8080
 //
 // -n bounds the number of polls (0 = until interrupted or breached);
 // -plain appends frames instead of redrawing, for logs and pipes; -once
 // is shorthand for -plain -n 1.
 //
-// Fleet modes: -addr (repeatable) watches several replicas side by
-// side, one row each plus a synthesized aggregate line; -fleet watches
-// a front router (cmd/emfleet), whose /stats already embeds every
-// replica's scrape plus breaker/hedge/canary state. In both modes the
-// exit code is 3 when ANY replica is in BREACH.
-package main
-
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"net/http"
-	"os"
-	"time"
-
-	"repro/internal/serve"
-	"repro/internal/slo"
-)
-
-func main() {
-	var cfg watchConfig
-	var addrs stringList
-	flag.StringVar(&cfg.URL, "url", "http://localhost:8080", "base URL of the emserve instance")
-	flag.Var(&addrs, "addr", "replica base URL (repeatable); watch several replicas side by side")
-	fleetURL := flag.String("fleet", "", "front-router base URL; watch the whole fleet through its /stats")
-	flag.DurationVar(&cfg.Interval, "interval", time.Second, "poll interval")
-	flag.IntVar(&cfg.Count, "n", 0, "number of polls (0 = until interrupted or breached)")
-	flag.BoolVar(&cfg.Plain, "plain", false, "append frames instead of redrawing the screen")
-	once := flag.Bool("once", false, "poll once, print one frame, exit (implies -plain -n 1)")
-	flag.BoolVar(&cfg.ExitOnBreach, "exit-on-breach", true, "exit with code 3 as soon as any SLO objective is in BREACH")
-	flag.Parse()
-	if *once {
-		cfg.Plain, cfg.Count = true, 1
-	}
-	if *fleetURL != "" && len(addrs) > 0 {
-		fmt.Fprintln(os.Stderr, "emwatch: -fleet and -addr are mutually exclusive")
-		os.Exit(2)
-	}
-	if *fleetURL != "" || len(addrs) > 0 {
-		breached, err := watchMulti(multiConfig{
-			Addrs:        addrs,
-			FleetURL:     *fleetURL,
-			Interval:     cfg.Interval,
-			Count:        cfg.Count,
-			Plain:        cfg.Plain,
-			ExitOnBreach: cfg.ExitOnBreach,
-		}, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "emwatch:", err)
-			os.Exit(1)
-		}
-		if cfg.ExitOnBreach && breached {
-			fmt.Fprintln(os.Stderr, "emwatch: SLO BREACH")
-			os.Exit(3)
-		}
-		return
-	}
-	worst, err := watch(cfg, os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "emwatch:", err)
-		os.Exit(1)
-	}
-	if cfg.ExitOnBreach && worst == slo.Breach {
-		fmt.Fprintln(os.Stderr, "emwatch: SLO BREACH")
-		os.Exit(3)
-	}
-}
+// -addr and -fleet (an emserve -replicas front) are the fleet modes; see
+// watch_multi.go.
 
 type watchConfig struct {
-	URL          string
+	URL          string   // single-service mode: base URL
+	Addrs        []string // -addr mode: replica base URLs
+	FleetURL     string   // -fleet mode: front router base URL
 	Interval     time.Duration
 	Count        int
 	Plain        bool
 	ExitOnBreach bool
+}
+
+func parseWatchFlags(args []string) (watchConfig, error) {
+	var cfg watchConfig
+	fs := flag.NewFlagSet("emtool watch", flag.ContinueOnError)
+	fs.StringVar(&cfg.URL, "url", "http://localhost:8080", "base URL of the emserve instance")
+	fs.Func("addr", "replica base URL (repeatable); watch several replicas side by side", func(v string) error {
+		cfg.Addrs = append(cfg.Addrs, v)
+		return nil
+	})
+	fs.StringVar(&cfg.FleetURL, "fleet", "", "front-router base URL; watch the whole fleet through its /stats")
+	fs.DurationVar(&cfg.Interval, "interval", time.Second, "poll interval")
+	fs.IntVar(&cfg.Count, "n", 0, "number of polls (0 = until interrupted or breached)")
+	fs.BoolVar(&cfg.Plain, "plain", false, "append frames instead of redrawing the screen")
+	once := fs.Bool("once", false, "poll once, print one frame, exit (implies -plain -n 1)")
+	fs.BoolVar(&cfg.ExitOnBreach, "exit-on-breach", true, "exit with code 3 as soon as any SLO objective is in BREACH")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if *once {
+		cfg.Plain, cfg.Count = true, 1
+	}
+	if cfg.FleetURL != "" && len(cfg.Addrs) > 0 {
+		return cfg, fmt.Errorf("-fleet and -addr are mutually exclusive")
+	}
+	return cfg, nil
+}
+
+func watchMain(args []string, out io.Writer) error {
+	cfg, err := parseWatchFlags(args)
+	if err != nil {
+		return usageError{err}
+	}
+	var breached bool
+	if cfg.FleetURL != "" || len(cfg.Addrs) > 0 {
+		breached, err = watchMulti(cfg, out)
+	} else {
+		var worst slo.State
+		worst, err = watch(cfg, out)
+		breached = worst == slo.Breach
+	}
+	if err == nil && cfg.ExitOnBreach && breached {
+		err = errBreach
+	}
+	return err
 }
 
 // sample is one poll of the service's observability surface.
@@ -136,39 +129,14 @@ func watch(cfg watchConfig, out io.Writer) (slo.State, error) {
 // pollOnce scrapes /stats (required) and /slo (404 means no objectives).
 func pollOnce(client *http.Client, base string) (sample, error) {
 	s := sample{at: time.Now()}
-	if err := getJSON(client, base+"/stats", &s.stats); err != nil {
+	var err error
+	if s.stats, err = serve.FetchStats(context.Background(), client, base); err != nil {
 		return s, fmt.Errorf("stats: %w", err)
 	}
-	resp, err := client.Get(base + "/slo")
-	if err != nil {
+	if s.slo, err = serve.FetchSLO(context.Background(), client, base); err != nil {
 		return s, fmt.Errorf("slo: %w", err)
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var sr serve.SLOResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			return s, fmt.Errorf("slo: %w", err)
-		}
-		s.slo = &sr
-	case http.StatusNotFound:
-		_, _ = io.Copy(io.Discard, resp.Body)
-	default:
-		return s, fmt.Errorf("slo: status %d", resp.StatusCode)
-	}
 	return s, nil
-}
-
-func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // render draws one dashboard frame. The traffic rates are deltas between

@@ -20,28 +20,9 @@ import (
 // non-zero when ANY replica breaches its SLO — a fleet is only as
 // healthy as its worst member.
 
-// stringList is a repeatable string flag.
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
-type multiConfig struct {
-	Addrs        []string // -addr mode: replica base URLs
-	FleetURL     string   // -fleet mode: front router base URL
-	Interval     time.Duration
-	Count        int
-	Plain        bool
-	ExitOnBreach bool
-}
-
 // watchMulti drives either fleet mode or multi-addr mode. It reports
 // whether any replica (or the fleet aggregate) was in BREACH.
-func watchMulti(cfg multiConfig, out io.Writer) (breached bool, err error) {
+func watchMulti(cfg watchConfig, out io.Writer) (breached bool, err error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	prev := make(map[string]*sample, len(cfg.Addrs))
 	var prevFleet *fleet.StatsResponse

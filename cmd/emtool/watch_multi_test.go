@@ -20,7 +20,7 @@ func TestWatchMultiAddrAggregates(t *testing.T) {
 	other := fixture(t, st2, nil)
 
 	var out strings.Builder
-	breached, err := watchMulti(multiConfig{
+	breached, err := watchMulti(watchConfig{
 		Addrs: []string{healthy.URL, other.URL}, Interval: time.Millisecond,
 		Count: 1, Plain: true, ExitOnBreach: true,
 	}, &out)
@@ -47,7 +47,7 @@ func TestWatchMultiAddrBreachingReplica(t *testing.T) {
 	breaching := fixture(t, bad, nil)
 
 	var out strings.Builder
-	breached, err := watchMulti(multiConfig{
+	breached, err := watchMulti(watchConfig{
 		Addrs: []string{healthy.URL, breaching.URL}, Interval: time.Hour,
 		Count: 100, Plain: true, ExitOnBreach: true,
 	}, &out)
@@ -68,7 +68,7 @@ func TestWatchMultiAddrBreachingReplica(t *testing.T) {
 func TestWatchMultiAddrDeadReplica(t *testing.T) {
 	healthy := fixture(t, okStats(), nil)
 	var out strings.Builder
-	_, err := watchMulti(multiConfig{
+	_, err := watchMulti(watchConfig{
 		Addrs: []string{healthy.URL, "http://127.0.0.1:1"}, Interval: time.Millisecond,
 		Count: 1, Plain: true, ExitOnBreach: true,
 	}, &out)
@@ -120,7 +120,7 @@ func fleetStats() fleet.StatsResponse {
 func TestWatchFleetRenders(t *testing.T) {
 	ts := fleetFixture(t, fleetStats())
 	var out strings.Builder
-	breached, err := watchMulti(multiConfig{
+	breached, err := watchMulti(watchConfig{
 		FleetURL: ts.URL, Interval: time.Millisecond, Count: 1, Plain: true, ExitOnBreach: true,
 	}, &out)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestWatchFleetReplicaBreach(t *testing.T) {
 	st.Replicas[0].Stats = &bad
 	ts := fleetFixture(t, st)
 	var out strings.Builder
-	breached, err := watchMulti(multiConfig{
+	breached, err := watchMulti(watchConfig{
 		FleetURL: ts.URL, Interval: time.Hour, Count: 5, Plain: true, ExitOnBreach: true,
 	}, &out)
 	if err != nil {

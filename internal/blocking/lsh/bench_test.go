@@ -9,14 +9,15 @@ import (
 )
 
 // benchCorpus lazily builds one shared 20k corpus + index for the probe
-// benchmarks so `go test -bench` doesn't pay generation per benchmark.
+// benchmarks (and the alloc gate that mirrors one, alloc_test.go) so
+// `go test -bench` doesn't pay generation per benchmark.
 var benchState struct {
 	once    sync.Once
 	records []record.Record
 	ix      *Index
 }
 
-func benchIndex(b *testing.B) ([]record.Record, *Index) {
+func benchIndex(b testing.TB) ([]record.Record, *Index) {
 	benchState.once.Do(func() {
 		c := datasets.GenerateDedupCorpus(20000, 1, 0)
 		benchState.records = c.Records
@@ -45,8 +46,8 @@ func BenchmarkDedupIndexBuild(b *testing.B) {
 }
 
 // BenchmarkDedupProbeStored is the steady-state hot path: probing an
-// already-indexed record against the full index. The allocation gate
-// (benchjson -zero) holds this at 0 allocs/op.
+// already-indexed record against the full index.
+// TestProbeStoredZeroAlloc holds this at 0 allocs/op.
 func BenchmarkDedupProbeStored(b *testing.B) {
 	_, ix := benchIndex(b)
 	p := ix.AcquireProber()

@@ -30,7 +30,7 @@ func BenchmarkDedupPipeline(b *testing.B) {
 // BenchmarkDedupCompare scores LSH against the token blocker and reports
 // the headline comparison metrics (run with -benchtime=1x; the token side
 // is the expensive half). DEDUP_COMPARE_N overrides the corpus size —
-// the bench-json-dedup artifact records N=1000000, where the token side
+// EXPERIMENTS.md's 1M row was recorded at N=1000000, where the token side
 // extrapolates from 25k/100k samples.
 func BenchmarkDedupCompare(b *testing.B) {
 	n := 20000

@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/textsim"
 )
@@ -269,16 +268,11 @@ func matchCandidates(ctx context.Context, cfg Config, corpus *datasets.DedupCorp
 		return edges, nil
 	}
 
-	m, needsTraining, err := matchers.ByName(cfg.Matcher)
+	ready, err := eval.ReadyMatcher(eval.ReadySpec{Matcher: cfg.Matcher, Seed: cfg.Seed, Parallel: cfg.Parallel})
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	if needsTraining {
-		m.Train(datasets.GenerateAllParallel(eval.DatasetSeed, cfg.Parallel), rng.Split("train"))
-	} else {
-		m.Train(nil, rng.Split("train"))
-	}
+	m := ready.Matcher
 	task := matchers.Task{Schema: corpus.Schema}
 	var jac []float64
 	for i, cs := range cands {

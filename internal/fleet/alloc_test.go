@@ -64,3 +64,22 @@ func TestFrontWireHitAllocCeiling(t *testing.T) {
 		t.Fatalf("%.0f allocs per all-hit wire request through the front, ceiling %d", allocs, frontWireHitAllocCeiling)
 	}
 }
+
+// TestRingHotPathZeroAlloc pins what the front pays per pair — KeyHash,
+// Owner, and Successors on failover — at zero allocations, on the
+// fixture BenchmarkRingOwner, BenchmarkRingSuccessors and
+// BenchmarkKeyHash time.
+func TestRingHotPathZeroAlloc(t *testing.T) {
+	r, khs := benchRing(t)
+	dst := make([]string, 0, r.Len())
+	i := 0
+	for name, f := range map[string]func(){
+		"Ring.Owner":      func() { _ = r.Owner(khs[i&1023]); i++ },
+		"Ring.Successors": func() { dst = r.Successors(khs[i&1023], dst); i++ },
+		"KeyHash":         func() { _ = KeyHash(benchKey) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+}

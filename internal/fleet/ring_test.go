@@ -197,12 +197,21 @@ func TestMovedCountsOwnershipChanges(t *testing.T) {
 	}
 }
 
-func BenchmarkRingOwner(b *testing.B) {
+// benchRing is the fixture of the ring benchmarks and of the alloc gate
+// that mirrors them (alloc_test.go): 8 replicas, 1024 key hashes.
+func benchRing(tb testing.TB) (*Ring, []uint64) {
+	tb.Helper()
 	r, err := NewRing(0, "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	khs := testHashes(1024)
+	return r, testHashes(1024)
+}
+
+var benchKey = []byte("anthropologie maxi dress floral\x1fanthropologie floral maxi dress")
+
+func BenchmarkRingOwner(b *testing.B) {
+	r, khs := benchRing(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -211,11 +220,7 @@ func BenchmarkRingOwner(b *testing.B) {
 }
 
 func BenchmarkRingSuccessors(b *testing.B) {
-	r, err := NewRing(0, "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	khs := testHashes(1024)
+	r, khs := benchRing(b)
 	dst := make([]string, 0, r.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -225,10 +230,9 @@ func BenchmarkRingSuccessors(b *testing.B) {
 }
 
 func BenchmarkKeyHash(b *testing.B) {
-	key := []byte("anthropologie maxi dress floral\x1fanthropologie floral maxi dress")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = KeyHash(key)
+		_ = KeyHash(benchKey)
 	}
 }

@@ -3,8 +3,7 @@ package flight
 import "testing"
 
 // BenchmarkFlightWrite is the ring-write hot path: one Log per served
-// request. Gated at 0 allocs/op by `make bench-json-slo` (benchjson
-// -zero).
+// request. TestFlightLogZeroAlloc gates it at 0 allocs/op.
 func BenchmarkFlightWrite(b *testing.B) {
 	r := New(4096)
 	rec := Record{

@@ -5,7 +5,7 @@
 // recorder disabled); the ring always holds the most recent N requests,
 // so when an SLO breaches or a straggler lands, a snapshot of the ring
 // IS the evidence — dumped to JSONL by the Dumper and validated by
-// `tracecheck -flight`.
+// `emtool trace -flight`.
 package flight
 
 import (

@@ -7,7 +7,7 @@ import (
 
 // Disabled-path benchmarks: nil handles must cost a branch, not an
 // allocation. These are the numbers behind the "instrumentation is free
-// when off" contract (BENCH_pr4.json).
+// when off" contract.
 
 func BenchmarkObsDisabledCounterAdd(b *testing.B) {
 	var c *Counter

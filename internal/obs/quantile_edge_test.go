@@ -128,7 +128,7 @@ func TestQuantileLog2MatchesHistogram(t *testing.T) {
 }
 
 // Zero-valued scalars must serialize an explicit value field, and
-// histograms an explicit count/sum — consumers (emwatch, dashboards)
+// histograms an explicit count/sum — consumers (emtool watch, dashboards)
 // distinguish "zero" from "absent". Pins the MetricSnapshot pointer
 // fields.
 func TestSnapshotJSONZeroValuesExplicit(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,6 +243,28 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile writes the trace as JSONL to path and reports the span count
+// on report — the tail of every command's -trace flag. A nil tracer (no
+// -trace) writes nothing.
+func (t *Tracer) WriteFile(path string, report io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(report, "wrote %d spans to %s\n", t.Len(), path)
+	return nil
 }
 
 // ReadJSONL parses a JSONL trace back into span records, skipping blank

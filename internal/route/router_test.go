@@ -357,22 +357,30 @@ func TestRouterAsMatcher(t *testing.T) {
 	}
 }
 
-// BenchmarkRouteAllCheap measures router overhead on the all-cheap path
-// (free tier, clean profile, no escalation). Gated at zero allocs/op by
-// benchjson -zero: the router must add bookkeeping, not garbage, on the
-// hot path.
-func BenchmarkRouteAllCheap(b *testing.B) {
+// allCheapRouter is the fixture of BenchmarkRouteAllCheap and of the alloc
+// gate that mirrors it (alloc_test.go): one free clean tier that decides
+// every pair, caches and pools warmed by one pass.
+func allCheapRouter(tb testing.TB) (*Router, matchers.Task, []Outcome) {
+	tb.Helper()
 	m := matchers.NewStringSim()
 	m.Train(nil, stats.NewRNG(1))
-	task := beerTask(b, 64)
+	task := beerTask(tb, 64)
 	task.Opts.Cache = record.NewSerializeCache()
 	sim := backend.NewSim("stringsim", m, backend.Profile{Name: "zero"}, 0, 1)
 	r, err := New(Config{Clock: &VirtualClock{}}, sim)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dst := make([]Outcome, 0, len(task.Pairs))
-	r.RoutePairs(task, dst) // warm caches and pools
+	return r, task, r.RoutePairs(task, dst) // warm caches and pools
+}
+
+// BenchmarkRouteAllCheap measures router overhead on the all-cheap path
+// (free tier, clean profile, no escalation). TestRouteAllCheapZeroAlloc
+// gates the same path at zero allocations: the router must add
+// bookkeeping, not garbage, on the hot path.
+func BenchmarkRouteAllCheap(b *testing.B) {
+	r, task, dst := allCheapRouter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

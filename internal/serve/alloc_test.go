@@ -3,7 +3,7 @@
 // Allocation regression tests for the serving hot path. They are compiled
 // out under -race: the race detector instruments allocations and makes
 // sync.Pool drop puts at random, so AllocsPerRun is meaningless there. The
-// non-race `go test` leg and the bench-json-wire gate keep them honest.
+// non-race `go test` leg and make alloc-gate keep them honest.
 
 package serve
 

@@ -9,12 +9,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Serving benchmarks for BENCH_pr3.json (see the bench-json-serve Make
-// target): single-pair latency, batched throughput and the cache-hit fast
-// path, for one cheap matcher (stringsim) and one expensive prompted
-// matcher (gpt-4). All go through Submit — the same pipeline the HTTP
-// handler drives — so they measure dispatch, scoring, caching and cost
-// accounting, without the HTTP stack.
+// Serving microbenchmarks (EXPERIMENTS.md "Online serving"; the
+// end-to-end figures are benchmark/'s): single-pair latency, batched
+// throughput and the cache-hit fast path, for one cheap matcher
+// (stringsim) and one expensive prompted matcher (gpt-4). All go through
+// Submit — the same pipeline the HTTP handler drives — so they measure
+// dispatch, scoring, caching and cost accounting, without the HTTP stack.
 
 func benchServer(b *testing.B, matcher string, cacheCap int) (*Server, []record.Pair) {
 	b.Helper()
@@ -84,7 +84,7 @@ func benchCacheHit(b *testing.B, matcher string) {
 // benchWireCacheHit drives ServeWire with a pre-encoded frame against a
 // warmed cache: the zero-copy binary hot path end to end (frame parse,
 // pooled key probe, response encode), minus the HTTP transport. These are
-// the benchmarks the bench-json-wire gate requires to report 0 allocs/op.
+// the paths TestWireCacheHitZeroAlloc (make alloc-gate) holds at 0 allocs.
 func benchWireCacheHit(b *testing.B, matcher string, per int) {
 	srv, pairs := benchServer(b, matcher, 1<<12)
 	if _, err := srv.Submit(context.Background(), pairs); err != nil {

@@ -62,7 +62,8 @@ func BenchmarkSLOTick(b *testing.B) {
 }
 
 // BenchmarkSLODisabled is the nil-engine path serving pays per tick
-// opportunity when no SLOs are configured. Gated at 0 allocs/op.
+// opportunity when no SLOs are configured. TestDisabledEngineZeroAlloc
+// gates it at 0 allocs/op.
 func BenchmarkSLODisabled(b *testing.B) {
 	var e *Engine
 	b.ReportAllocs()

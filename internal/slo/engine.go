@@ -24,7 +24,7 @@ const (
 	Breach
 )
 
-// String returns the display name (upper case, as rendered by emwatch).
+// String returns the display name (upper case, as rendered by emtool watch).
 func (s State) String() string {
 	switch s {
 	case OK:
@@ -542,7 +542,7 @@ func sanitizeMetric(s string) string {
 }
 
 // FormatStatus renders one status as a fixed-width dashboard line —
-// shared by emserve's loadgen report and emwatch.
+// shared by emserve's loadgen report and emtool watch.
 func FormatStatus(st Status) string {
 	sp := Spec{Kind: kindFromString(st.Kind), Floor: st.Kind == "f1"}
 	return fmt.Sprintf("%-28s %-6s long %s (burn %.2f)  short %s (burn %.2f)",
