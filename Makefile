@@ -25,12 +25,13 @@ bench:
 # meaningless): zero for the binary cache-hit, key-probe and
 # protocol-error paths of ServeWire, the hash ring (Owner, Successors,
 # KeyHash), the all-cheap cascade route, the LSH probe of a stored record,
-# the flight-ring write and the nil SLO engine; a ceiling of 3 for an
-# all-hit Submit and the measured ceiling for an all-hit wire request
-# through the fleet front.
+# the flight-ring write, the nil SLO engine, both forms of the
+# Ratcliff/Obershelp kernel and a 64-pair StringSim batch; a ceiling of 3
+# for an all-hit Submit and the measured ceiling for an all-hit wire
+# request through the fleet front.
 alloc-gate:
 	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/blocking/lsh/ ./internal/slo/ ./internal/flight/ \
-		-run 'ZeroAlloc|AllocCeiling'
+		./internal/textsim/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
 
 # End-to-end gate of every binary, in stages that share one throwaway
 # directory. Each stage's command exits non-zero on a violated assertion
@@ -51,8 +52,8 @@ alloc-gate:
 #   verify   emtool snap verify over everything the stages stored
 #   trace    a traced LODO slice through emstudy, validated and folded per
 #            stage by emtool trace
-#   fuzz     5 s per wire/snap fuzz target; a failing input lands in the
-#            package's testdata/fuzz/ and fails the stage
+#   fuzz     5 s per wire/snap/textsim fuzz target; a failing input lands
+#            in the package's testdata/fuzz/ and fails the stage
 smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; store=$$tmp/store; set -x; \
 	$(GO) run ./cmd/emtool snap train -store $$store -matcher stringsim; \
@@ -74,7 +75,8 @@ smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime=5s; \
-	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDec$$' -fuzztime=5s
+	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDec$$' -fuzztime=5s; \
+	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzRatcliffEquivalence$$' -fuzztime=5s
 
 # Determinism/concurrency gate: vet, the allocation gate, the smoke gate,
 # then the race detector over every package that shares state between

@@ -49,11 +49,9 @@ func (m *StringSim) PredictBatchInto(task Task, out []bool) {
 		left := record.SerializeRecord(p.Left, task.Opts)
 		right := record.SerializeRecord(p.Right, task.Opts)
 		st.Enter("classify")
-		// Length bound first: the ratio can never exceed
-		// 2·min(|l|,|r|)/(|l|+|r|), so very asymmetric pairs skip the
-		// quadratic matching entirely without changing any decision.
-		out[i] = textsim.RatcliffUpperBound(left, right) > m.Threshold &&
-			sc.RatcliffObershelp(left, right) > m.Threshold
+		// Only the decision is needed here, so the kernel stops as soon
+		// as the ratio's side of the threshold is settled.
+		out[i] = sc.RatcliffExceeds(left, right, m.Threshold)
 		st.Exit()
 	}
 	sc.Release()
@@ -63,9 +61,8 @@ func (m *StringSim) PredictBatchInto(task Task, out []bool) {
 
 // PredictConfidence implements ConfidenceScorer: the decision margin is
 // the ratio's distance from the threshold. The exact ratio is always
-// computed here — the upper-bound skip only avoids work when the ratio
-// provably cannot exceed the threshold, so the decisions are identical
-// to Predict's.
+// computed here; RatcliffExceeds is that ratio's comparison with the
+// threshold, so the decisions are identical to Predict's.
 func (m *StringSim) PredictConfidence(task Task, out []bool, conf []float64) {
 	sc := textsim.AcquireScratch()
 	for i, p := range task.Pairs {

@@ -469,6 +469,9 @@ func (s *Server) scoreCoalesced(ctx context.Context, live []*request, npairs int
 		preds = s.matcher.Predict(task)
 	}
 	predictUS := time.Since(t0).Microseconds()
+	// Counted before any caller is released: a caller that reads /stats
+	// right after its answer must find its own pairs there.
+	s.metrics.pairsScored.Add(int64(npairs))
 	i := 0
 	for _, r := range live {
 		for j := range r.pairs {
@@ -484,7 +487,6 @@ func (s *Server) scoreCoalesced(ctx context.Context, live []*request, npairs int
 		sc.out = preds[:0]
 		batchPool.Put(sc)
 	}
-	s.metrics.pairsScored.Add(int64(npairs))
 }
 
 // scoreSingles scores each pair as its own batch of one — the canonical

@@ -23,6 +23,7 @@ func (s *Server) scoreRouted(ctx context.Context, live []*request, npairs int) {
 	t0 := time.Now()
 	outcomes := s.router.RoutePairs(task, sc.outcomes[:0])
 	predictUS := time.Since(t0).Microseconds()
+	s.metrics.pairsScored.Add(int64(npairs)) // before any finish, as in scoreCoalesced
 	i := 0
 	for _, r := range live {
 		// The request-level flight record carries the deepest tier any of
@@ -46,7 +47,6 @@ func (s *Server) scoreRouted(ctx context.Context, live []*request, npairs int) {
 	sc.pairs = task.Pairs[:0]
 	sc.outcomes = outcomes[:0]
 	batchPool.Put(sc)
-	s.metrics.pairsScored.Add(int64(npairs))
 }
 
 // Router returns the configured routing cascade, or nil when the server

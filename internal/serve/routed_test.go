@@ -154,3 +154,30 @@ func TestRoutedShedFeedsBreaker(t *testing.T) {
 		t.Fatalf("entry-tier breaker state = %v after sustained shedding, want open", st.Tiers[0].State)
 	}
 }
+
+// TestPairsScoredCountedBeforeReply pins the order of accounting and
+// reply on both batch-invariant scoring paths: by the time Submit returns,
+// /stats already counts the pairs it answered, so a caller reading the
+// counters after its own answer never sees them one batch behind.
+func TestPairsScoredCountedBeforeReply(t *testing.T) {
+	direct, err := New(trained(t, "stringsim"), Config{MatcherName: "stringsim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, _, _ := newRoutedServer(t, route.Config{}, 0, Config{})
+	pairs := routedTestPairs(t, 4)
+	for name, srv := range map[string]*Server{"coalesced": direct, "routed": routed} {
+		answered := int64(0)
+		for i := 0; i < 1000; i++ {
+			// No cache is configured, so every pair is scored.
+			if _, err := srv.Submit(context.Background(), pairs); err != nil {
+				t.Fatal(err)
+			}
+			answered += int64(len(pairs))
+			if got := srv.Stats().PairsScored; got < answered {
+				t.Fatalf("%s: pairs_scored = %d after %d pairs were answered", name, got, answered)
+			}
+		}
+		srv.Shutdown()
+	}
+}

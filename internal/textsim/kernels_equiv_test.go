@@ -125,19 +125,63 @@ func TestTokensEquivalence(t *testing.T) {
 	}
 }
 
-// TestRatcliffUpperBoundSound checks the early-exit bound really is an
-// upper bound: StringSim may skip the full DP only when the bound is
-// below threshold, so bound < ratio anywhere would change predictions.
-func TestRatcliffUpperBoundSound(t *testing.T) {
-	for _, a := range equivCorpus {
-		for _, b := range equivCorpus {
-			bound := RatcliffUpperBound(a, b)
-			ratio := RatcliffObershelp(a, b)
-			if bound < ratio {
-				t.Errorf("RatcliffUpperBound(%q, %q) = %v < actual ratio %v", a, b, bound, ratio)
-			}
+// checkRatcliff compares every Ratcliff/Obershelp entry point against the
+// dense-table reference on one input: the ratio bit for bit, the shared
+// bound (RatcliffExceeds answers from it without searching, so a bound
+// below the ratio anywhere would change predictions), and the decision at
+// t, at the ratio itself and at its two float64 neighbours — where a
+// matched total derived from anything but the ratio's own expression
+// would disagree.
+func checkRatcliff(t *testing.T, sc Scratch, a, b string, thresholds ...float64) {
+	t.Helper()
+	want := legacyRatcliffObershelp(a, b)
+	eq(t, "Scratch.RatcliffObershelp", a, b, sc.RatcliffObershelp(a, b), want)
+	if bound := RatcliffUpperBound(a, b); bound < want {
+		t.Errorf("RatcliffUpperBound(%q, %q) = %v < actual ratio %v", a, b, bound, want)
+	}
+	thresholds = append(thresholds, want, math.Nextafter(want, -1), math.Nextafter(want, 2))
+	for _, th := range thresholds {
+		if got := sc.RatcliffExceeds(a, b, th); got != (want > th) {
+			t.Errorf("RatcliffExceeds(%q, %q, %v) = %v, legacy ratio %v", a, b, th, got, want)
 		}
 	}
+}
+
+// TestRatcliffUpperBoundSound runs checkRatcliff over the corpus at the
+// thresholds matchers use and at the ones that must terminate without
+// one: below zero, at and above one, infinite and NaN.
+func TestRatcliffUpperBoundSound(t *testing.T) {
+	sc := AcquireScratch()
+	defer sc.Release()
+	for _, a := range equivCorpus {
+		for _, b := range equivCorpus {
+			checkRatcliff(t, sc, a, b, 0.3, 0.5, 0.7, -1, math.Copysign(0, -1), 0, 1, 1.5,
+				math.Inf(-1), math.Inf(1), math.NaN())
+		}
+	}
+}
+
+// longRecords are two serialised records past difflib's 200-element
+// autojunk line, where the position index has its fullest buckets.
+var longRecords = [2]string{
+	"Sony WH-1000XM4 Wireless Industry Leading Noise Canceling Overhead Headphones with Mic for Phone-Call and Alexa Voice Control, Black, Sony Electronics Inc., 348.00, B0863TXGM3, Over-Ear, Bluetooth 5.0, 30 hours battery life, Touch Sensor controls",
+	"sony wh1000xm4/b premium noise cancelling wireless over-the-ear headphones with built in microphone black, sony, $349.99, model WH1000XM4/B, bluetooth, up to 30 hrs battery, quick attention mode, speak-to-chat, wearing detection, multipoint",
+}
+
+// FuzzRatcliffEquivalence holds the indexed kernel, its decision-only
+// form and the shared bound to the dense-table reference on arbitrary
+// input, invalid UTF-8 included.
+func FuzzRatcliffEquivalence(f *testing.F) {
+	for i, a := range equivCorpus {
+		f.Add(a, equivCorpus[(i+7)%len(equivCorpus)], 0.5)
+	}
+	f.Add(longRecords[0], longRecords[1], 0.5)
+	f.Add(longRecords[1], longRecords[0]+" ñandú", 0.3)
+	f.Fuzz(func(t *testing.T, a, b string, th float64) {
+		sc := AcquireScratch()
+		defer sc.Release()
+		checkRatcliff(t, sc, a, b, th)
+	})
 }
 
 // TestProfileIdempotent verifies a cache hit returns the identical

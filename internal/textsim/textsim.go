@@ -10,9 +10,9 @@
 // profile kernels (see Profile): each argument is resolved through the
 // process-wide ProfileCache, so the lowercasing, tokenization and set
 // construction happen once per distinct string and the per-pair cost is a
-// merge join over precomputed sorted slices. The edit-distance kernels
-// (Levenshtein, RatcliffObershelp, Jaro) live in scratch.go and reuse
-// pooled DP rows instead.
+// merge join over precomputed sorted slices. The sequence kernels
+// (Levenshtein, RatcliffObershelp, Jaro) live in scratch.go and work in
+// pooled scratch instead.
 package textsim
 
 import (
