@@ -79,10 +79,8 @@ smoke:
 	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzRatcliffEquivalence$$' -fuzztime=5s
 
 # Determinism/concurrency gate: vet, the allocation gate, the smoke gate,
-# then the race detector over every package that shares state between
-# goroutines — the parallel engine and the caches under it, the serving
-# dispatcher, the snapshot store's writers, LSH build/probe workers, the
-# routing stack shared across serving workers, the SLO tick loop, the
-# lock-free flight ring, and the fleet front's fan-out.
+# then the race detector over every internal/ and cmd/ package. The root
+# package is left out: its one known red test, TestTable4DemoDirections,
+# is tier-1's business.
 verify-parallel: vet alloc-gate smoke
-	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/record/... ./internal/textsim/... ./internal/lm/... ./internal/eval/... ./internal/core/... ./internal/serve/... ./internal/snap/... ./internal/blocking/... ./internal/dedup/... ./internal/stream/... ./internal/backend/... ./internal/route/... ./internal/slo/... ./internal/flight/... ./internal/fleet/...
+	$(GO) test -race ./internal/... ./cmd/...

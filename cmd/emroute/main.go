@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/cost"
 	"repro/internal/eval"
 	"repro/internal/matchers"
@@ -310,11 +311,10 @@ func runArm(a arm, tierNames []string, tierMatchers []matchers.Matcher, tierRate
 		}
 		backends[i] = backend.NewSim(name, tierMatchers[i], p, tierRates[i], seed)
 	}
-	clock := &route.VirtualClock{}
 	r, err := route.New(route.Config{
 		Confidence: a.Threshold,
 		Deadline:   30 * time.Second,
-		Clock:      clock,
+		Clock:      &clock.Virtual{},
 	}, backends...)
 	if err != nil {
 		panic(err) // config is validated before the sweep starts

@@ -68,7 +68,7 @@ func spawnReplica(name string, cfg config, spec eval.ReadySpec) (*spawned, error
 	if err != nil {
 		return nil, err
 	}
-	url, stop, err := serve.Listen(srv)
+	url, stop, err := serve.Listen(srv.Handler())
 	if err != nil {
 		srv.Shutdown()
 		return nil, err

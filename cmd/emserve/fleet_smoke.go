@@ -90,7 +90,7 @@ func runFleetSmoke(cfg config) error {
 			return err
 		}
 	}
-	frontURL, stopFront, err := listenHandler(front.Handler())
+	frontURL, stopFront, err := serve.Listen(front.Handler())
 	if err != nil {
 		return err
 	}

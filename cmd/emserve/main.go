@@ -13,8 +13,7 @@
 //	emserve -matcher ditto -store /var/lib/emserve/snapshots
 //	emserve -matcher stringsim -replicas 3 -store /var/lib/emserve/snapshots
 //	emserve -replica http://h:8081 -replica http://h:8082
-//	emserve -matcher stringsim -loadgen -qps 0 -duration 5s
-//	emserve -matcher stringsim -loadgen -proto binary
+//	emserve -matcher stringsim -loadgen -qps 0 -duration 5s -proto binary
 //	emserve -route stringsim,anymatch-gpt2,gpt-4 -route-confidence 0.5
 //	emserve -matcher stringsim -slo 'p99<=5ms,shed<=1%' -flight 4096
 //	emserve -matcher stringsim -smoke [-replicas 3]
@@ -40,11 +39,11 @@
 // flight recorder, with -flight-dump naming the directory breach and
 // straggler evidence is written to (validated by emtool trace -flight).
 //
-// -loadgen replays benchmark pairs against an in-process instance and
-// prints a baseline-versus-served throughput/latency report; with -slo it
-// instead drives the fully armed server and renders the final burn-rate
-// status of every objective, where -slo-assert demands a clean run and
-// -slo-expect-breach demands a breach plus validating flight evidence.
+// -loadgen replays benchmark pairs against an in-process instance of the
+// server the other flags describe and prints its throughput/latency
+// report plus, with -slo, the final burn-rate status of every objective,
+// where -slo-assert demands a clean run and -slo-expect-breach demands a
+// breach plus validating flight evidence.
 // -smoke starts the service on an ephemeral port, checks /healthz and
 // /match over both protocols, and exits non-zero on any failure; with
 // -replicas it runs the fleet gate (fleet_smoke.go). Both are make smoke
@@ -57,7 +56,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -182,6 +180,9 @@ func parseFlags(args []string) (config, error) {
 	}
 	cfg.serve.MatcherName = cfg.ready.Matcher
 	cfg.front.MatcherName = cfg.ready.Matcher
+	// The front admits what its replicas admit: a larger bound would pass
+	// sub-batches they refuse, a smaller one would 413 requests they take.
+	cfg.front.MaxPairsPerRequest = cfg.serve.MaxPairsPerRequest
 	if cfg.sloSpec != "" {
 		specs, err := slo.ParseSpecs(cfg.sloSpec)
 		if err != nil {
@@ -264,10 +265,7 @@ func run(cfg config) error {
 	sc := cfg.serveConfig(ready, "")
 
 	if cfg.loadgen {
-		if sc.SLOSpecs != nil || sc.Flight != nil {
-			return runSLOLoadGen(m, sc, cfg)
-		}
-		return runLoadGen(m, cfg)
+		return runLoadGen(m, sc, cfg)
 	}
 
 	srv, err := serve.New(m, sc)
@@ -393,33 +391,14 @@ func printJSON(v any) error {
 	return enc.Encode(v)
 }
 
-// runLoadGen replays one benchmark dataset's pairs through the serving
-// pipeline and prints the baseline-versus-served comparison.
-func runLoadGen(m matchers.Matcher, cfg config) error {
-	pairs, err := replayPairs(cfg)
-	if err != nil {
-		return err
-	}
-	logf("replaying %d pairs from %s against %s", len(pairs), cfg.dataset, m.Name())
-	cmp, err := serve.CompareServing(m, cfg.ready.Matcher, pairs, cfg.load)
-	if err != nil {
-		return err
-	}
-	if cfg.jsonOut {
-		return printJSON(cmp)
-	}
-	fmt.Print(serve.RenderComparison(cmp))
-	return nil
-}
-
-// runSLOLoadGen replays one benchmark dataset through a fully armed
-// server — SLO engine, breach admission guard, flight recorder, routed
-// or single-matcher — and renders the load report plus the final
-// burn-rate status of every objective. -slo-assert demands the run never
-// left OK; -slo-expect-breach demands a breach transition AND validating
-// flight evidence on disk, so the breach path is tested end to end
-// rather than trusted.
-func runSLOLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
+// runLoadGen replays one benchmark dataset through the server sc
+// describes — routed or single-matcher, with whatever SLO engine, breach
+// admission guard and flight recorder the flags armed — and renders the
+// load report plus the final burn-rate status of every objective.
+// -slo-assert demands the run never left OK; -slo-expect-breach demands a
+// breach transition AND validating flight evidence on disk, so the breach
+// path is tested end to end rather than trusted.
+func runLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
 	pairs, err := replayPairs(cfg)
 	if err != nil {
 		return err
@@ -443,12 +422,12 @@ func runSLOLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
 	if err != nil {
 		return err
 	}
-	url, stop, err := serve.Listen(srv)
+	url, stop, err := serve.Listen(srv.Handler())
 	if err != nil {
 		srv.Shutdown()
 		return err
 	}
-	logf("replaying %d pairs from %s against %s under SLO %q", len(pairs), cfg.dataset, m.Name(), cfg.sloSpec)
+	logf("replaying %d pairs from %s against %s", len(pairs), cfg.dataset, m.Name())
 	rep, lgErr := serve.GenerateLoad(url, pairs, cfg.load)
 	stop()
 	srv.TickSLO() // final evaluation covering the run's tail
@@ -476,9 +455,9 @@ func runSLOLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
 			return err
 		}
 	} else {
-		fmt.Printf("load: %d ok, %d shed (slo %d), %d errors — %.0f pairs/s, p50 %.3fms p95 %.3fms p99 %.3fms, cost $%.4f\n",
+		fmt.Printf("load: %d ok, %d shed (slo %d), %d errors — %.0f pairs/s at %.1f%% cache hits, p50 %.3fms p95 %.3fms p99 %.3fms, cost $%.4f\n",
 			rep.OK, rep.Rejected, st.ShedSLO, rep.Errors,
-			rep.PairPerSec, rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.CostUSD)
+			rep.PairPerSec, 100*st.CacheHitRate, rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.CostUSD)
 		for _, o := range statuses {
 			fmt.Println("slo:", slo.FormatStatus(o))
 		}
@@ -523,24 +502,12 @@ func runSLOLoadGen(m matchers.Matcher, sc serve.Config, cfg config) error {
 	return nil
 }
 
-// listenHandler is serve.Listen for a handler that is not a *serve.Server
-// (the fleet front): an ephemeral loopback port; stop closes the listener.
-func listenHandler(h http.Handler) (url string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: h}
-	go func() { _ = hs.Serve(ln) }()
-	return "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
-}
-
 // runSmoke exposes the service on an ephemeral loopback port, performs the
 // checks the smoke gate's serve stage needs (healthz up, a /match round
 // trip answering 200 with one prediction over each protocol), and shuts
 // down.
 func runSmoke(srv *serve.Server) error {
-	base, stop, err := serve.Listen(srv)
+	base, stop, err := serve.Listen(srv.Handler())
 	if err != nil {
 		return err
 	}

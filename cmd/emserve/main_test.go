@@ -22,7 +22,9 @@ func defaults() config {
 			MatcherName: "stringsim", MaxBatch: 64, QueueDepth: 1024,
 			MaxPairsPerRequest: 256, CacheCapacity: 65536,
 		},
-		front:     fleet.Config{MatcherName: "stringsim", ProbeInterval: 500 * time.Millisecond},
+		front: fleet.Config{
+			MatcherName: "stringsim", MaxPairsPerRequest: 256, ProbeInterval: 500 * time.Millisecond,
+		},
 		routeConf: 0.5,
 		load: serve.LoadGenConfig{
 			Duration: 5 * time.Second, Concurrency: 8, PairsPerRequest: 64, Protocol: serve.ProtoJSON,
@@ -64,6 +66,11 @@ func TestParseFlags(t *testing.T) {
 		{"serve tunables", "-workers 3 -batch 16 -batch-wait 2ms -max-pairs 32 -cache 0", func(c *config) {
 			c.serve.Workers, c.serve.MaxBatch, c.serve.BatchWait = 3, 16, 2*time.Millisecond
 			c.serve.MaxPairsPerRequest, c.serve.CacheCapacity = 32, 0
+			c.front.MaxPairsPerRequest = 32
+		}},
+		{"the fleet front takes -max-pairs", "-replicas 3 -max-pairs 512", func(c *config) {
+			c.replicas = 3
+			c.serve.MaxPairsPerRequest, c.front.MaxPairsPerRequest = 512, 512
 		}},
 		{"fleet front", "-replica http://a -replica http://b -hedge 5ms -no-hedge -probe-interval 1s", func(c *config) {
 			c.replicaURLs = []string{"http://a", "http://b"}

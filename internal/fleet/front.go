@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/route"
@@ -37,12 +38,9 @@ type Config struct {
 	// in /match responses and /stats so clients and dashboards see the
 	// same field a single emserve would report.
 	MatcherName string
-	// VNodes is the per-replica virtual-node count; <=0 means
-	// DefaultVNodes.
-	VNodes int
-	// Clock drives shed-penalty windows and probe bookkeeping. Defaults
-	// to the real clock; tests inject a route.VirtualClock.
-	Clock route.Clock
+	// Clock drives shed-penalty windows, probe bookkeeping and the SLO
+	// engine. Defaults to the real clock; tests inject a clock.Virtual.
+	Clock clock.Clock
 	// Transport reaches replicas; defaults to an HTTPTransport.
 	Transport Transport
 	// Breaker configures per-replica ejection. The fleet default is
@@ -83,17 +81,12 @@ type Config struct {
 	// deterministic tests drive it by hand.
 	ProbeInterval time.Duration
 
-	// Registry receives the fleet's metrics; a private registry is
-	// created when nil.
-	Registry *obs.Registry
-
 	// SLOSpecs, when non-empty, arms a fleet-level burn-rate engine over
 	// the front's own aggregated metrics: latency ceilings bind the
 	// fleet request-latency histogram, shed ratios the replica shed
 	// signals, error ratios the permanently failed requests. Evaluated
-	// on SLOClock (default: real clock).
+	// on Clock.
 	SLOSpecs []slo.Spec
-	SLOClock slo.Clock
 }
 
 const (
@@ -108,11 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.MatcherName == "" {
 		c.MatcherName = "fleet"
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.Clock == nil {
-		c.Clock = route.NewRealClock()
+		c.Clock = clock.NewReal()
 	}
 	if c.Transport == nil {
 		c.Transport = NewHTTPTransport(0)
@@ -201,7 +191,7 @@ type fleetMetrics struct {
 // Handler, stop with Close.
 type Front struct {
 	cfg       Config
-	clock     route.Clock
+	clock     clock.Clock
 	transport Transport
 
 	ring     atomic.Pointer[Ring]
@@ -225,7 +215,7 @@ type Front struct {
 // New builds a Front with no replicas; call AddReplica before serving.
 func New(cfg Config) (*Front, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.VNodes)
+	ring, err := NewRing(DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -236,13 +226,9 @@ func New(cfg Config) (*Front, error) {
 		replicas:  make(map[string]*Replica),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
+		reg:       obs.NewRegistry(obs.Label{Key: "fleet", Value: cfg.MatcherName}),
 	}
 	f.ring.Store(ring)
-	if cfg.Registry != nil {
-		f.reg = cfg.Registry
-	} else {
-		f.reg = obs.NewRegistry(obs.Label{Key: "fleet", Value: cfg.MatcherName})
-	}
 	m := &f.metrics
 	m.requests = f.reg.Counter("emfleet_requests_total", "/match requests admitted by the front router")
 	m.requestsOK = f.reg.Counter("emfleet_requests_ok_total", "requests answered with predictions")
@@ -279,7 +265,7 @@ func (f *Front) initSLO() error {
 	if len(specs) == 0 {
 		return nil
 	}
-	e := slo.NewEngine(slo.Config{Clock: f.cfg.SLOClock, Resolution: serve.AutoSLOResolution(specs)})
+	e := slo.NewEngine(slo.Config{Clock: f.clock, Resolution: serve.AutoSLOResolution(specs)})
 	m := &f.metrics
 	for _, sp := range specs {
 		var err error

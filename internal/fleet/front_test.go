@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/record"
 	"repro/internal/route"
 	"repro/internal/serve"
@@ -184,10 +185,10 @@ func wantPreds(t *testing.T, pairs []record.Pair) []bool {
 
 // testFront builds a Front on a virtual clock and a stub transport with
 // the given replica names (URL = "stub://" + name).
-func testFront(t *testing.T, cfg Config, names ...string) (*Front, *stubTransport, *route.VirtualClock) {
+func testFront(t *testing.T, cfg Config, names ...string) (*Front, *stubTransport, *clock.Virtual) {
 	t.Helper()
 	st := newStubTransport()
-	vc := &route.VirtualClock{}
+	vc := &clock.Virtual{}
 	cfg.Transport = st
 	cfg.Clock = vc
 	cfg.HedgeDisabled = cfg.HedgeAfter == 0 // deterministic unless a test opts in

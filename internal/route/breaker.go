@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrBreakerOpen is the terminal error a tier reports while its circuit
@@ -73,7 +75,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // additionally requires a sequential caller, same as the router.
 type Breaker struct {
 	cfg   BreakerConfig
-	clock Clock
+	clock clock.Clock
 	// onTransition, when set, observes every state change (for metrics).
 	// Called with the breaker's lock held — must not call back in.
 	onTransition func(from, to State)
@@ -86,11 +88,11 @@ type Breaker struct {
 }
 
 // NewBreaker returns a closed breaker on the given clock.
-func NewBreaker(cfg BreakerConfig, clock Clock) *Breaker {
-	if clock == nil {
-		clock = NewRealClock()
+func NewBreaker(cfg BreakerConfig, clk clock.Clock) *Breaker {
+	if clk == nil {
+		clk = clock.NewReal()
 	}
-	return &Breaker{cfg: cfg.withDefaults(), clock: clock}
+	return &Breaker{cfg: cfg.withDefaults(), clock: clk}
 }
 
 // State returns the current state (Open is reported as-is even when the

@@ -5,14 +5,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 var errBoom = errors.New("boom")
 
-func testBreaker(threshold int, cooldown time.Duration) (*Breaker, *VirtualClock) {
-	clock := &VirtualClock{}
-	b := NewBreaker(BreakerConfig{FailureThreshold: threshold, Cooldown: cooldown}, clock)
-	return b, clock
+func testBreaker(threshold int, cooldown time.Duration) (*Breaker, *clock.Virtual) {
+	vc := &clock.Virtual{}
+	b := NewBreaker(BreakerConfig{FailureThreshold: threshold, Cooldown: cooldown}, vc)
+	return b, vc
 }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/cost"
 	"repro/internal/flight"
 	"repro/internal/matchers"
@@ -46,16 +47,22 @@ type Config struct {
 	// backend.ErrDeadline instead of sleeping.
 	Deadline time.Duration
 	// Clock drives latencies, backoffs and breaker cooldowns. Defaults
-	// to the real clock; experiments inject a VirtualClock.
-	Clock Clock
+	// to the real clock; experiments inject a clock.Virtual.
+	Clock clock.Clock
 	// Registry receives the router's metrics. A private unexposed
 	// registry is used when nil.
 	Registry *obs.Registry
 	// Flight, when non-nil, receives one per-pair flight record per
 	// routed pair, timestamped on the router's clock — deterministic
-	// under a VirtualClock.
+	// under a virtual clock.
 	Flight *flight.Recorder
 }
+
+// VirtualClock is clock.Virtual under its old name, kept only because
+// benchmark/lodo.go writes `Clock: &route.VirtualClock{}` and benchmark/
+// may not be edited alongside the code it measures; a later benchmark
+// issue drops it.
+type VirtualClock = clock.Virtual
 
 // Outcome describes how one pair was routed.
 type Outcome struct {
@@ -114,7 +121,7 @@ type tier struct {
 // which the hash-derived randomness guarantees.
 type Router struct {
 	cfg       Config
-	clock     Clock
+	clock     clock.Clock
 	tiers     []*tier
 	flightRec *flight.Recorder
 
@@ -135,7 +142,7 @@ func New(cfg Config, backends ...backend.Backend) (*Router, error) {
 		return nil, fmt.Errorf("route: no backends")
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = NewRealClock()
+		cfg.Clock = clock.NewReal()
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	cfg.Breaker = cfg.Breaker.withDefaults()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/cost"
 	"repro/internal/datasets"
 	"repro/internal/eval"
@@ -69,7 +70,7 @@ func beerTask(tb testing.TB, n int) matchers.Task {
 func newTestRouter(t *testing.T, cfg Config, backends ...backend.Backend) *Router {
 	t.Helper()
 	if cfg.Clock == nil {
-		cfg.Clock = &VirtualClock{}
+		cfg.Clock = &clock.Virtual{}
 	}
 	r, err := New(cfg, backends...)
 	if err != nil {
@@ -367,7 +368,7 @@ func allCheapRouter(tb testing.TB) (*Router, matchers.Task, []Outcome) {
 	task := beerTask(tb, 64)
 	task.Opts.Cache = record.NewSerializeCache()
 	sim := backend.NewSim("stringsim", m, backend.Profile{Name: "zero"}, 0, 1)
-	r, err := New(Config{Clock: &VirtualClock{}}, sim)
+	r, err := New(Config{Clock: &clock.Virtual{}}, sim)
 	if err != nil {
 		tb.Fatal(err)
 	}

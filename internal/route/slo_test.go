@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/flight"
 	"repro/internal/slo"
 )
@@ -23,7 +24,7 @@ func routeSpec(t *testing.T, s string) slo.Spec {
 // single failing backend breaches its own budget while the healthy
 // tier stays OK.
 func TestRouterBindSLOsPerTierError(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	bad := &stubBackend{name: "gpt-4", always: backend.ErrOverloaded}
 	good := &stubBackend{name: "stringsim", match: true, conf: 0.9}
 	r := newTestRouter(t, Config{Clock: vc, Retry: RetryConfig{MaxAttempts: 1}}, bad, good)
@@ -72,7 +73,7 @@ func TestRouterBindSLOsPerTierError(t *testing.T) {
 
 // Latency and cost specs bind the router's own instruments.
 func TestRouterBindSLOsLatencyAndCost(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	slow := &stubBackend{name: "gpt-4", rate: 30, match: true, conf: 0.9, lat: 50 * time.Millisecond}
 	r := newTestRouter(t, Config{Clock: vc}, slow)
 	e := slo.NewEngine(slo.Config{Clock: vc, Resolution: time.Second})
@@ -101,7 +102,7 @@ func TestRouterBindSLOsLatencyAndCost(t *testing.T) {
 // degraded pairs carry their own code.
 func TestRouterFlightDeterministicReplay(t *testing.T) {
 	run := func() []flight.Record {
-		vc := &VirtualClock{}
+		vc := &clock.Virtual{}
 		rec := flight.New(64)
 		flaky := &stubBackend{name: "gpt-4", rate: 30, always: backend.ErrOverloaded, lat: time.Millisecond}
 		r := newTestRouter(t, Config{Clock: vc, Flight: rec, Retry: RetryConfig{MaxAttempts: 2}}, flaky)
@@ -133,7 +134,7 @@ func TestRouterFlightDeterministicReplay(t *testing.T) {
 	// A healthy tier logs scored records with its tier index.
 	rec := flight.New(64)
 	ok := &stubBackend{name: "stringsim", match: true, conf: 0.9}
-	r := newTestRouter(t, Config{Clock: &VirtualClock{}, Flight: rec}, ok)
+	r := newTestRouter(t, Config{Clock: &clock.Virtual{}, Flight: rec}, ok)
 	r.RoutePairs(beerTask(t, 3), nil)
 	for _, rc := range rec.Snapshot(nil) {
 		if rc.Code != flight.CodeScored || rc.Tier != 0 || rc.Pairs != 1 {

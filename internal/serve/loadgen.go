@@ -9,12 +9,10 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/matchers"
 	"repro/internal/record"
 	"repro/internal/wire"
 )
@@ -22,15 +20,15 @@ import (
 // The load generator replays benchmark pairs against a running service at
 // a target rate and reports what the paper's cost analysis can only
 // estimate offline: sustained throughput, tail latency, shed rate, cache
-// effectiveness and dollar cost under real concurrent traffic. Its
-// headline mode compares a single-request closed-loop baseline (no
-// batching, no cache) against the full serving pipeline, which is the
-// speedup the micro-batching dispatcher and prediction cache exist to buy.
+// effectiveness and dollar cost under real concurrent traffic. Paced
+// runs are open-loop: a request's latency counts from the instant the
+// schedule meant to send it, so a server that falls behind shows the
+// backlog instead of hiding it (no coordinated omission).
 
 // LoadGenConfig parameterises one load-generation run.
 type LoadGenConfig struct {
 	// QPS is the target request arrival rate; <=0 runs closed-loop at
-	// maximum throughput.
+	// maximum throughput, each request timed from its own send.
 	QPS float64
 	// Duration bounds the run; defaults to 5s.
 	Duration time.Duration
@@ -74,9 +72,8 @@ const (
 type LoadReport struct {
 	Requests   int64   `json:"requests"`
 	OK         int64   `json:"ok"`
-	Rejected   int64   `json:"rejected"`       // 429/503 responses
-	Errors     int64   `json:"errors"`         // transport or 5xx failures
-	ClientSkip int64   `json:"client_skipped"` // open-loop ticks with no free worker
+	Rejected   int64   `json:"rejected"` // 429/503 responses
+	Errors     int64   `json:"errors"`   // transport or 5xx failures
 	Pairs      int64   `json:"pairs"`
 	Elapsed    float64 `json:"elapsed_sec"`
 	ReqPerSec  float64 `json:"req_per_sec"`
@@ -121,15 +118,26 @@ func GenerateLoad(baseURL string, pairs []record.Pair, cfg LoadGenConfig) (LoadR
 	var mu sync.Mutex
 	var lats []time.Duration
 
-	jobs := make(chan int, cfg.Concurrency)
+	// A job is one request: which body, and the instant the schedule
+	// meant to send it (the zero time in closed-loop runs).
+	type job struct {
+		idx int
+		at  time.Time
+	}
+	// One buffered slot per worker keeps closed-loop workers fed between
+	// the driver's sends.
+	jobs := make(chan job, cfg.Concurrency)
 	var wg sync.WaitGroup
 	wg.Add(cfg.Concurrency)
 	for w := 0; w < cfg.Concurrency; w++ {
 		go func() {
 			defer wg.Done()
-			for idx := range jobs {
-				body := bodies[idx%len(bodies)]
-				t0 := time.Now()
+			for j := range jobs {
+				body := bodies[j.idx%len(bodies)]
+				t0 := j.at
+				if t0.IsZero() {
+					t0 = time.Now()
+				}
 				status, npairs, costUSD, err := post(client, baseURL, body)
 				lat := time.Since(t0)
 				switch {
@@ -151,29 +159,22 @@ func GenerateLoad(baseURL string, pairs []record.Pair, cfg LoadGenConfig) (LoadR
 		}()
 	}
 
-	// Drive arrivals: paced when QPS > 0, closed-loop otherwise.
+	// Drive arrivals: paced when QPS > 0, closed-loop otherwise. A paced
+	// tick that finds every worker busy waits its turn and keeps its
+	// scheduled instant, so late ticks queue in order and their latency
+	// includes the wait.
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
-	n := 0
-	for time.Now().Before(deadline) {
+	for n := 0; time.Now().Before(deadline); n++ {
+		var at time.Time
 		if cfg.QPS > 0 {
-			next := start.Add(time.Duration(float64(n) / cfg.QPS * float64(time.Second)))
-			if d := time.Until(next); d > 0 {
+			at = start.Add(time.Duration(float64(n) / cfg.QPS * float64(time.Second)))
+			if d := time.Until(at); d > 0 {
 				time.Sleep(d)
 			}
-			select {
-			case jobs <- n:
-				rep.Requests++
-			default:
-				// All workers busy: an open-loop generator never blocks,
-				// it records the missed tick and moves on.
-				rep.ClientSkip++
-			}
-		} else {
-			jobs <- n
-			rep.Requests++
 		}
-		n++
+		jobs <- job{idx: n, at: at}
+		rep.Requests++
 	}
 	close(jobs)
 	wg.Wait()
@@ -264,130 +265,16 @@ func latencyQuantiles(lats []time.Duration) (p50, p95, p99 float64) {
 	return at(0.50), at(0.95), at(0.99)
 }
 
-// ServingComparison is the report of CompareServing: the same matcher and
-// replay set behind a bare single-request pipeline versus the full serving
-// pipeline.
-type ServingComparison struct {
-	Matcher  string     `json:"matcher"`
-	Protocol string     `json:"protocol"`
-	Pairs    int        `json:"replay_pairs"`
-	Baseline LoadReport `json:"baseline"`
-	Served   LoadReport `json:"served"`
-	// Speedup is served pairs/sec over baseline pairs/sec — the factor
-	// micro-batching plus the prediction cache buy on this traffic.
-	Speedup      float64 `json:"speedup"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	MeanBatch    float64 `json:"mean_batch"`
-}
-
-// CompareServing measures the serving pipeline's win on one matcher: a
-// sequential single-request baseline with batching and caching disabled,
-// then the full pipeline (micro-batched requests, prediction cache) under
-// concurrent load, both over real HTTP on loopback listeners.
-func CompareServing(m matchers.Matcher, name string, pairs []record.Pair, cfg LoadGenConfig) (*ServingComparison, error) {
-	cfg = cfg.withDefaults()
-
-	baseline, stop, err := listenServer(m, Config{
-		MatcherName: name, MaxBatch: 1, CacheCapacity: 0, Workers: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	baseCfg := cfg
-	baseCfg.QPS = 0
-	baseCfg.Concurrency = 1
-	baseCfg.PairsPerRequest = 1
-	baseRep, err := GenerateLoad(baseline, pairs, baseCfg)
-	stop()
-	if err != nil {
-		return nil, err
-	}
-
-	srv, err := New(m, Config{MatcherName: name, CacheCapacity: 1 << 16})
-	if err != nil {
-		return nil, err
-	}
-	url, stopHTTP, err := listen(srv)
-	if err != nil {
-		srv.Shutdown()
-		return nil, err
-	}
-	servedRep, err := GenerateLoad(url, pairs, cfg)
-	stopHTTP()
-	stats := srv.Stats()
-	srv.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-
-	cmp := &ServingComparison{
-		Matcher:      srv.Matcher().Name(),
-		Protocol:     cfg.Protocol,
-		Pairs:        len(pairs),
-		Baseline:     baseRep,
-		Served:       servedRep,
-		CacheHitRate: stats.CacheHitRate,
-		MeanBatch:    stats.MeanBatch,
-	}
-	if baseRep.PairPerSec > 0 {
-		cmp.Speedup = servedRep.PairPerSec / baseRep.PairPerSec
-	}
-	return cmp, nil
-}
-
-// listenServer builds a Server for m under cfg and exposes it on a
-// loopback listener; the returned stop tears down listener and server.
-func listenServer(m matchers.Matcher, cfg Config) (url string, stop func(), err error) {
-	srv, err := New(m, cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	url, stopHTTP, err := listen(srv)
-	if err != nil {
-		srv.Shutdown()
-		return "", nil, err
-	}
-	return url, func() {
-		stopHTTP()
-		srv.Shutdown()
-	}, nil
-}
-
-// Listen serves srv.Handler() on an ephemeral loopback port and returns
-// the base URL plus a stop that closes the listener (the server itself
-// still needs Shutdown). cmd/emserve's loadgen modes use it to stand up
-// the full HTTP surface — /match, /stats, /slo — without a fixed port.
-func Listen(srv *Server) (url string, stop func(), err error) {
-	return listen(srv)
-}
-
-// listen serves srv.Handler() on an ephemeral loopback port.
-func listen(srv *Server) (url string, stop func(), err error) {
+// Listen serves h on an ephemeral loopback port and returns the base URL
+// plus a stop that closes the listener (a *Server behind h still needs
+// Shutdown). cmd/emserve's loadgen, smoke and fleet modes use it to stand
+// up a full HTTP surface — /match, /stats, /slo — without a fixed port.
+func Listen(h http.Handler) (url string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: h}
 	go func() { _ = hs.Serve(ln) }()
 	return "http://" + ln.Addr().String(), func() { _ = hs.Close() }, nil
-}
-
-// RenderComparison formats a serving comparison as the human report the
-// -loadgen CLI mode prints.
-func RenderComparison(c *ServingComparison) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serving comparison — %s over %d replay pairs (%s protocol)\n", c.Matcher, c.Pairs, c.Protocol)
-	row := func(name string, r LoadReport) {
-		fmt.Fprintf(&b, "  %-9s %9.0f pairs/s  %8.0f req/s  p50 %7.3fms  p95 %7.3fms  p99 %7.3fms  ok %d  shed %d",
-			name, r.PairPerSec, r.ReqPerSec, r.P50Ms, r.P95Ms, r.P99Ms, r.OK, r.Rejected)
-		if r.CostUSD > 0 {
-			fmt.Fprintf(&b, "  cost $%.4f", r.CostUSD)
-		}
-		b.WriteString("\n")
-	}
-	row("baseline", c.Baseline)
-	row("served", c.Served)
-	fmt.Fprintf(&b, "  speedup %.1fx  (cache hit rate %.1f%%, mean batch %.1f pairs)\n",
-		c.Speedup, 100*c.CacheHitRate, c.MeanBatch)
-	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/datasets"
 	"repro/internal/eval"
 	"repro/internal/matchers"
@@ -33,7 +34,7 @@ func newRoutedServer(t *testing.T, rcfg route.Config, rate float64, scfg Config)
 	m := matchers.NewStringSim()
 	m.Train(nil, stats.NewRNG(1))
 	if rcfg.Clock == nil {
-		rcfg.Clock = &route.VirtualClock{}
+		rcfg.Clock = &clock.Virtual{}
 	}
 	b := backend.NewSim("stringsim", m, backend.ProfileReliable.Clean(), rate, 21)
 	r, err := route.New(rcfg, b)

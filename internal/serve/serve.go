@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cost"
 	"repro/internal/flight"
 	"repro/internal/matchers"
@@ -182,8 +183,8 @@ type Config struct {
 	// F1 floors are rejected — serving traffic is unlabeled.
 	SLOSpecs []slo.Spec
 	// SLOClock drives the engine; nil means the real clock. Tests inject
-	// a slo.VirtualClock (route.VirtualClock satisfies it too).
-	SLOClock slo.Clock
+	// a clock.Virtual.
+	SLOClock clock.Clock
 	// SLOResolution overrides the engine's sample spacing; <=0 derives
 	// it from the tightest short window (five samples per window,
 	// clamped to [50ms, 1s]).

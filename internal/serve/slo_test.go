@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/flight"
 	"repro/internal/record"
 	"repro/internal/slo"
@@ -38,7 +39,7 @@ func sloPair(l, r string) record.Pair {
 // the guard. Everything is driven by manual ticks — no sleeps, no real
 // traffic races.
 func TestServeSLOBreachGuardsAdmission(t *testing.T) {
-	vc := &slo.VirtualClock{}
+	vc := &clock.Virtual{}
 	rec := flight.New(256)
 	dir := t.TempDir()
 	dump := flight.NewDumper(rec, dir, time.Nanosecond)
@@ -69,7 +70,7 @@ func TestServeSLOBreachGuardsAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	tick := func() {
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		srv.TickSLO()
 	}
 	tick() // baseline sample

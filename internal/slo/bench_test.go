@@ -5,12 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
-func benchEngine(b *testing.B) (*Engine, *VirtualClock, *obs.Histogram) {
+func benchEngine(b *testing.B) (*Engine, *clock.Virtual, *obs.Histogram) {
 	b.Helper()
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
 	reg := obs.NewRegistry()
 	h := reg.Log2Histogram("lat_us", "")
@@ -50,13 +51,13 @@ func BenchmarkSLOTick(b *testing.B) {
 	}
 	// Warm the ring and scratch past their growth phase.
 	for i := 0; i < 200; i++ {
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		e.Tick()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		e.Tick()
 	}
 }

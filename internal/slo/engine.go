@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -98,7 +99,7 @@ type Transition struct {
 // Config configures an Engine.
 type Config struct {
 	// Clock drives evaluation; nil means the real clock.
-	Clock Clock
+	Clock clock.Clock
 	// Resolution is the sample spacing the rolling windows retain;
 	// window edges snap to it. 0 means 1s. Callers tick at least this
 	// often (the serve loop derives its tick from the shortest window).
@@ -146,7 +147,7 @@ type objective struct {
 // a valid disabled engine: Tick and Snapshot return nil, Worst returns
 // OK — serving pays nothing when no SLOs are configured.
 type Engine struct {
-	clock    Clock
+	clock    clock.Clock
 	res      time.Duration
 	warnFrac float64
 
@@ -163,7 +164,7 @@ type Engine struct {
 // Add* methods before the first Tick.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Clock == nil {
-		cfg.Clock = RealClock()
+		cfg.Clock = clock.NewReal()
 	}
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = time.Second

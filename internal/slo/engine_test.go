@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func mustSpec(t *testing.T, s string) Spec {
 // window hot) → BREACH (both windows hot) → OK (budget recovers) on a
 // virtual clock, entirely deterministically.
 func TestEngineBurnRateStates(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
 	var bad, total atomic.Int64
 	if err := e.AddRatio(mustSpec(t, "shed<=10%@30s/5s"),
@@ -38,7 +39,7 @@ func TestEngineBurnRateStates(t *testing.T) {
 	step := func(dBad, dTotal int64, adv time.Duration) State {
 		bad.Add(dBad)
 		total.Add(dTotal)
-		vc.Advance(adv)
+		vc.Sleep(adv)
 		sts := e.Tick()
 		if len(sts) != 1 {
 			t.Fatalf("got %d statuses", len(sts))
@@ -96,7 +97,7 @@ func TestEngineBurnRateStates(t *testing.T) {
 // snapshots: old slow traffic must stop mattering once it leaves the
 // long window.
 func TestEngineLatencyWindowing(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
 	reg := obs.NewRegistry()
 	h := reg.Log2Histogram("lat_us", "")
@@ -108,7 +109,7 @@ func TestEngineLatencyWindowing(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(8000)
 	}
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	st := e.Tick()[0]
 	if st.State != Breach || st.ValueShort < 4000 {
 		t.Fatalf("slow traffic: %+v, want BREACH with p99 ≈ 8ms", st)
@@ -118,7 +119,7 @@ func TestEngineLatencyWindowing(t *testing.T) {
 		for j := 0; j < 100; j++ {
 			h.Observe(100)
 		}
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		e.Tick()
 	}
 	final := e.Snapshot()[0]
@@ -130,7 +131,7 @@ func TestEngineLatencyWindowing(t *testing.T) {
 // F1 floors burn only on labeled traffic: empty windows are "no data",
 // not a breach.
 func TestEngineF1Floor(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
 	var tp, fp, fn atomic.Int64
 	load := func(c *atomic.Int64) func() float64 {
@@ -141,27 +142,27 @@ func TestEngineF1Floor(t *testing.T) {
 	}
 	// No labels at all: stays OK.
 	for i := 0; i < 5; i++ {
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		if st := e.Tick()[0]; st.State != OK || st.BurnLong != 0 {
 			t.Fatalf("unlabeled tick: %+v", st)
 		}
 	}
 	// Good labels: F1 = 1, OK.
 	tp.Add(80)
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	if st := e.Tick()[0]; st.State != OK || st.ValueShort != 1 {
 		t.Fatalf("good labels: %+v", st)
 	}
 	// Quality collapse: all false positives.
 	fp.Add(500)
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	st := e.Tick()[0]
 	if st.BurnShort < 1 {
 		t.Fatalf("collapse not burning: %+v", st)
 	}
 	for i := 0; st.State != Breach && i < 10; i++ {
 		fp.Add(500)
-		vc.Advance(time.Second)
+		vc.Sleep(time.Second)
 		st = e.Tick()[0]
 	}
 	if st.State != Breach {
@@ -177,7 +178,7 @@ func TestEngineF1Floor(t *testing.T) {
 // sequences.
 func TestEngineDeterministicOnVirtualClock(t *testing.T) {
 	run := func() []byte {
-		vc := &VirtualClock{}
+		vc := &clock.Virtual{}
 		e := NewEngine(Config{Clock: vc, Resolution: 500 * time.Millisecond})
 		reg := obs.NewRegistry()
 		h := reg.Log2Histogram("lat_us", "")
@@ -209,7 +210,7 @@ func TestEngineDeterministicOnVirtualClock(t *testing.T) {
 			}
 			pairs.Add(100)
 			dollars.Add(int64(i * 40)) // micro-dollars
-			vc.Advance(500 * time.Millisecond)
+			vc.Sleep(500 * time.Millisecond)
 			b, err := json.Marshal(e.Tick())
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +238,7 @@ func TestEngineNilAndErrors(t *testing.T) {
 	e.RegisterMetrics(obs.NewRegistry())
 	e.OnTransition(func(Transition) {})
 
-	live := NewEngine(Config{Clock: &VirtualClock{}})
+	live := NewEngine(Config{Clock: &clock.Virtual{}})
 	if err := live.AddRatio(mustSpec(t, "p99<=5ms"), nil, nil); err == nil {
 		t.Fatal("AddRatio accepted a latency spec")
 	}
@@ -250,7 +251,7 @@ func TestEngineNilAndErrors(t *testing.T) {
 }
 
 func TestEngineMetricsExposition(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
 	var bad, total atomic.Int64
 	if err := e.AddRatio(mustSpec(t, "shed<=10%@10s/2s"),
@@ -262,9 +263,9 @@ func TestEngineMetricsExposition(t *testing.T) {
 	e.RegisterMetrics(reg)
 	bad.Add(50)
 	total.Add(100)
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	e.Tick()
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	e.Tick()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

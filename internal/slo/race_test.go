@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -13,7 +14,7 @@ import (
 // while the underlying counters advance — run under -race via the
 // Makefile race list.
 func TestEngineConcurrentTickAndRead(t *testing.T) {
-	vc := &VirtualClock{}
+	vc := &clock.Virtual{}
 	e := NewEngine(Config{Clock: vc, Resolution: time.Millisecond})
 	reg := obs.NewRegistry()
 	h := reg.Log2Histogram("lat_us", "")
@@ -46,8 +47,8 @@ func TestEngineConcurrentTickAndRead(t *testing.T) {
 			}
 		}()
 	}
-	worker(func() { vc.Advance(time.Millisecond); e.Tick() })
-	worker(func() { vc.Advance(time.Millisecond); e.Tick() })
+	worker(func() { vc.Sleep(time.Millisecond); e.Tick() })
+	worker(func() { vc.Sleep(time.Millisecond); e.Tick() })
 	worker(func() { _ = e.Snapshot(); _ = e.Worst() })
 	worker(func() {
 		var sb nullWriter

@@ -6,7 +6,7 @@
 // budget) or BREACH (both windows over budget — the SRE-style
 // fast-and-sustained condition that filters out blips). The engine is
 // driven by an injectable Clock, so the whole state machine is
-// deterministic under a VirtualClock; transition callbacks feed
+// deterministic under a clock.Virtual; transition callbacks feed
 // admission control and the flight-recorder dumper in internal/serve.
 package slo
 
