@@ -8,12 +8,14 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/matchers"
+	"repro/internal/record"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -31,15 +33,22 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // frontWireHitAllocCeiling is the allocations of one all-hit 64-pair wire
 // request through Front.Handler() over three in-process replicas, as
-// measured when the front moved onto the shared /match edge (813 before
-// it). The front still materialises every pair and re-frames per replica
-// (ROADMAP item 5), which is where they go; the ceiling keeps the edge
-// from adding to them.
-const frontWireHitAllocCeiling = 772
+// measured when the front became a byte relay (772 before it). The front
+// itself allocates only the closures of the two group goroutines it
+// starts; the rest are the edge's Content-Type header, the test's own
+// request body wrapper and the three replies the in-process transport
+// allocates (two each).
+const frontWireHitAllocCeiling = 10
 
-func TestFrontWireHitAllocCeiling(t *testing.T) {
-	pairs := abtPairs(t, 64)
-	f, _ := inprocFleet(t, matchers.NewStringSim(), 3,
+// wireHitFixture is one all-hit 64-pair request through a front over
+// three in-process stringsim replicas, the fixture of
+// TestFrontWireHitAllocCeiling and of the front benchmarks: serveWire
+// sends it through Front.Handler() as a frame, and the returned pairs are
+// what Front.Submit takes.
+func wireHitFixture(tb testing.TB) (f *Front, pairs []record.Pair, serveWire func()) {
+	tb.Helper()
+	pairs = abtPairs(tb, 64)
+	f, _ = inprocFleet(tb, matchers.NewStringSim(), 3,
 		serve.Config{MatcherName: "stringsim", CacheCapacity: 1 << 12, Workers: 1},
 		Config{MatcherName: "stringsim", HedgeDisabled: true})
 	h := f.Handler()
@@ -48,20 +57,49 @@ func TestFrontWireHitAllocCeiling(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/match", nil)
 	req.Header.Set("Content-Type", wire.ContentType)
 	w := &discardWriter{h: http.Header{}}
-	do := func() {
+	serveWire = func() {
 		body.Seek(0, io.SeekStart)
 		req.Body = io.NopCloser(body)
 		h.ServeHTTP(w, req)
 		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
+			tb.Fatalf("status %d", w.status)
 		}
 	}
-	do() // score and cache every pair; from here on every request is all-hit
-	do()
-	allocs := testing.AllocsPerRun(100, do)
+	serveWire() // score and cache every pair; from here on every request is all-hit
+	serveWire()
+	return f, pairs, serveWire
+}
+
+func TestFrontWireHitAllocCeiling(t *testing.T) {
+	_, _, serveWire := wireHitFixture(t)
+	allocs := testing.AllocsPerRun(100, serveWire)
 	t.Logf("all-hit wire request through Front.Handler(): %.0f allocs", allocs)
 	if allocs > frontWireHitAllocCeiling {
 		t.Fatalf("%.0f allocs per all-hit wire request through the front, ceiling %d", allocs, frontWireHitAllocCeiling)
+	}
+}
+
+// BenchmarkFrontWireHit times an all-hit 64-pair frame through
+// Front.Handler(), replicas included.
+func BenchmarkFrontWireHit(b *testing.B) {
+	_, _, serveWire := wireHitFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveWire()
+	}
+}
+
+// BenchmarkFrontSubmitHit times the same 64 pairs through Front.Submit.
+func BenchmarkFrontSubmitHit(b *testing.B) {
+	f, pairs, _ := wireHitFixture(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Submit(ctx, pairs, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

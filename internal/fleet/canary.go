@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"repro/internal/record"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -89,7 +88,7 @@ func (c *canary) report() *CanaryReport {
 func (f *Front) StartCanary(target, url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.replicas[target]; !ok {
+	if f.Replica(target) == nil {
 		return fmt.Errorf("fleet: canary target %q is not a ring member", target)
 	}
 	if f.canary.Load() != nil {
@@ -126,7 +125,7 @@ func (f *Front) PromoteCanary() (oldURL string, err error) {
 	if c == nil {
 		return "", fmt.Errorf("fleet: no canary active")
 	}
-	rep := f.replicas[c.target]
+	rep := f.Replica(c.target)
 	if rep == nil {
 		return "", fmt.Errorf("fleet: canary target %q left the ring", c.target)
 	}
@@ -165,37 +164,41 @@ func MirrorSampled(keyHash uint64, permille int) bool {
 
 // mirror sends the canary its deterministic share of a just-answered
 // sub-batch and tallies the bit-identity comparison. Called on the
-// success path of sendGroup; from is the replica that actually answered
-// — mirroring only happens when that is the shadowed incumbent, because
-// the comparison is defined against the incumbent's predictions.
-// Observe-only: the sample is selected synchronously (so which keys
-// mirror stays deterministic), but the canary sub-request runs in its
-// own goroutine on a detached context bounded by mirrorTimeout — the
+// success path of sendGroup, while views are valid; from is the replica
+// that actually answered — mirroring only happens when that is the
+// shadowed incumbent, because the comparison is defined against the
+// incumbent's predictions. Observe-only: the sample is selected and its
+// Raw spans copied into the mirror's own body synchronously (so which
+// keys mirror stays deterministic), but the canary sub-request runs in
+// its own goroutine on a detached context bounded by mirrorTimeout — the
 // live request returns without waiting on the canary, and every mirror
 // failure is counted, none propagates.
-func (f *Front) mirror(g *group, from *Replica, preds []bool, deadlineMs int) {
+func (f *Front) mirror(g *group, from *Replica, preds []bool, views []wire.PairView) {
 	c := f.canary.Load()
 	if c == nil || from.name != c.target {
 		return
 	}
-	var sample []record.Pair
+	var body []byte
 	var want []bool
-	for i, kh := range g.khs {
+	for j, kh := range g.khs {
 		if MirrorSampled(kh, c.permille) {
-			sample = append(sample, g.pairs[i])
-			want = append(want, preds[i])
+			if body == nil {
+				body = make([]byte, wire.RequestHeaderRoom)
+			}
+			body = append(body, views[g.slots[j]].Raw...)
+			want = append(want, preds[j])
 		}
 	}
-	if len(sample) == 0 {
+	if len(want) == 0 {
 		return
 	}
-	body := wire.AppendRequest(nil, sample, deadlineMs)
 	f.mirrors.Add(1)
 	go func() {
 		defer f.mirrors.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
 		defer cancel()
-		f.compareMirror(ctx, c, body, want)
+		ms, _ := timeLeft(ctx)
+		f.compareMirror(ctx, c, wire.FrameRequest(body, ms, len(want)), want)
 	}()
 }
 

@@ -3,19 +3,16 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/clock"
 	"repro/internal/obs"
-	"repro/internal/record"
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/slo"
-	"repro/internal/wire"
 )
 
 // Transport is how the front reaches a replica. Production uses the
@@ -24,7 +21,10 @@ import (
 // deterministic.
 type Transport interface {
 	// Match posts one wire-framed /match body to the replica and returns
-	// the HTTP status plus the raw response frame.
+	// the HTTP status plus the raw response frame. body is the front's
+	// pooled sub-frame: once Match returns a status (err == nil) it must
+	// no longer read body; after an error it may, and the front drops the
+	// buffer instead of reusing it.
 	Match(ctx context.Context, url string, body []byte) (status int, resp []byte, err error)
 	// Healthz probes replica liveness (nil = healthy).
 	Healthz(ctx context.Context, url string) error
@@ -186,6 +186,44 @@ type fleetMetrics struct {
 	sloBreaches *obs.Counter
 }
 
+// placement is one membership snapshot: the ring and the replica behind
+// each member, reps[i] serving ring.members[i]. A membership change swaps
+// in a new placement, so the request path reads both lock-free and never
+// sees one without the other.
+type placement struct {
+	ring *Ring
+	reps []*Replica
+}
+
+// index returns the position of the member named name, or -1.
+func (p *placement) index(name string) int {
+	i := sort.SearchStrings(p.ring.members, name)
+	if i < len(p.ring.members) && p.ring.members[i] == name {
+		return i
+	}
+	return -1
+}
+
+// replica returns the member named name, or nil.
+func (p *placement) replica(name string) *Replica {
+	if i := p.index(name); i >= 0 {
+		return p.reps[i]
+	}
+	return nil
+}
+
+// rebuilt returns the placement over ring, keeping the replicas of the
+// members p already has and taking added for the one it has not.
+func (p *placement) rebuilt(ring *Ring, added *Replica) *placement {
+	np := &placement{ring: ring, reps: make([]*Replica, len(ring.members))}
+	for i, name := range ring.members {
+		if np.reps[i] = p.replica(name); np.reps[i] == nil {
+			np.reps[i] = added
+		}
+	}
+	return np
+}
+
 // Front is the fleet router: it owns the ring, the replica set and the
 // fan-out machinery. Create with New, add replicas, serve HTTP via
 // Handler, stop with Close.
@@ -194,9 +232,8 @@ type Front struct {
 	clock     clock.Clock
 	transport Transport
 
-	ring     atomic.Pointer[Ring]
-	mu       sync.RWMutex // guards replicas map and membership changes
-	replicas map[string]*Replica
+	place atomic.Pointer[placement]
+	mu    sync.Mutex // serialises membership and canary changes
 
 	reg     *obs.Registry
 	metrics fleetMetrics
@@ -223,12 +260,11 @@ func New(cfg Config) (*Front, error) {
 		cfg:       cfg,
 		clock:     cfg.Clock,
 		transport: cfg.Transport,
-		replicas:  make(map[string]*Replica),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 		reg:       obs.NewRegistry(obs.Label{Key: "fleet", Value: cfg.MatcherName}),
 	}
-	f.ring.Store(ring)
+	f.place.Store(&placement{ring: ring})
 	m := &f.metrics
 	m.requests = f.reg.Counter("emfleet_requests_total", "/match requests admitted by the front router")
 	m.requestsOK = f.reg.Counter("emfleet_requests_ok_total", "requests answered with predictions")
@@ -244,7 +280,7 @@ func New(cfg Config) (*Front, error) {
 	m.subLatency = f.reg.Log2Histogram("emfleet_sub_latency_us", "replica sub-request latency in microseconds")
 	m.sloBreaches = f.reg.Counter("emfleet_slo_breaches_total", "fleet SLO objectives entering BREACH")
 	f.reg.GaugeFunc("emfleet_replicas", "ring members", func() float64 {
-		return float64(f.ring.Load().Len())
+		return float64(f.Ring().Len())
 	})
 	f.reg.GaugeFunc("emfleet_replicas_healthy", "ring members with a closed breaker", func() float64 {
 		return float64(f.healthyCount())
@@ -301,10 +337,8 @@ func (f *Front) initSLO() error {
 
 // shedTotal sums shed responses across replicas.
 func (f *Front) shedTotal() int64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	var n int64
-	for _, r := range f.replicas {
+	for _, r := range f.place.Load().reps {
 		n += r.sheds.Load()
 	}
 	return n
@@ -326,7 +360,7 @@ func (f *Front) TickSLO() {
 func (f *Front) Registry() *obs.Registry { return f.reg }
 
 // Ring returns the current ring snapshot.
-func (f *Front) Ring() *Ring { return f.ring.Load() }
+func (f *Front) Ring() *Ring { return f.place.Load().ring }
 
 // AddReplica registers a replica under a stable ring name and rebuilds
 // the ring. The name is the placement identity: keep it stable across
@@ -334,10 +368,11 @@ func (f *Front) Ring() *Ring { return f.ring.Load() }
 func (f *Front) AddReplica(name, url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.replicas[name]; ok {
+	pl := f.place.Load()
+	if pl.replica(name) != nil {
 		return fmt.Errorf("fleet: replica %q already registered", name)
 	}
-	ring, err := f.ring.Load().With(name)
+	ring, err := pl.ring.With(name)
 	if err != nil {
 		return err
 	}
@@ -357,8 +392,7 @@ func (f *Front) AddReplica(name, url string) error {
 			r.ejections.Inc()
 		}
 	})
-	f.replicas[name] = r
-	f.ring.Store(ring)
+	f.place.Store(pl.rebuilt(ring, r))
 	return nil
 }
 
@@ -367,30 +401,24 @@ func (f *Front) AddReplica(name, url string) error {
 func (f *Front) RemoveReplica(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.replicas[name]; !ok {
+	pl := f.place.Load()
+	if pl.replica(name) == nil {
 		return fmt.Errorf("fleet: unknown replica %q", name)
 	}
-	ring, err := f.ring.Load().Without(name)
+	ring, err := pl.ring.Without(name)
 	if err != nil {
 		return err
 	}
-	delete(f.replicas, name)
-	f.ring.Store(ring)
+	f.place.Store(pl.rebuilt(ring, nil))
 	return nil
 }
 
 // Replica returns the named replica, or nil.
-func (f *Front) Replica(name string) *Replica {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.replicas[name]
-}
+func (f *Front) Replica(name string) *Replica { return f.place.Load().replica(name) }
 
 func (f *Front) healthyCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	n := 0
-	for _, r := range f.replicas {
+	for _, r := range f.place.Load().reps {
 		if r.breaker.State() != route.Open {
 			n++
 		}
@@ -431,13 +459,7 @@ func (f *Front) probeLoop(interval time.Duration) {
 // Closed-state bookkeeping, so probes alone own recovery — deterministic
 // under an injected clock.
 func (f *Front) ProbeAll(ctx context.Context) {
-	f.mu.RLock()
-	reps := make([]*Replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		reps = append(reps, r)
-	}
-	f.mu.RUnlock()
-	for _, r := range reps {
+	for _, r := range f.place.Load().reps {
 		if !r.breaker.Allow() {
 			continue // open and cooling: no probe yet
 		}
@@ -447,339 +469,5 @@ func (f *Front) ProbeAll(ctx context.Context) {
 			r.probeFails.Inc()
 		}
 		r.breaker.Record(err)
-	}
-}
-
-// group is one request's sub-batch bound for a single replica.
-type group struct {
-	rep   *Replica
-	pairs []record.Pair
-	slots []int    // positions in the caller's result
-	khs   []uint64 // ring key hashes, aligned with pairs
-}
-
-// choose walks keyHash's successor chain and picks the replica the pair
-// should be sent to: the first member that is neither ejected (breaker
-// Open) nor shed-penalized for this key. A penalized replica diverts
-// only ShedDivertPermille of its keys — a down-weight, not an ejection.
-// When every member is ejected the owner is returned anyway: sending a
-// doomed request gives the caller a real error instead of a silent drop.
-func (f *Front) choose(keyHash uint64, ring *Ring, succ []string) (*Replica, bool) {
-	succ = ring.Successors(keyHash, succ)
-	now := f.clock.Now()
-	diverted := false
-	for i, name := range succ {
-		r := f.replicas[name]
-		if r == nil {
-			continue
-		}
-		if r.breaker.State() == route.Open {
-			continue
-		}
-		if r.penalizedAt(now) && int(mix64(keyHash^divertSalt)%1000) < f.cfg.ShedDivertPermille {
-			// Down-weighted: this key diverts for the penalty window,
-			// unless every later member is also out (then it sticks).
-			if i < len(succ)-1 {
-				diverted = true
-				continue
-			}
-		}
-		return r, diverted
-	}
-	if len(succ) > 0 {
-		if r := f.replicas[succ[0]]; r != nil {
-			return r, false
-		}
-	}
-	return nil, false
-}
-
-// Submit routes pairs through the fleet: keys are hashed onto the ring,
-// the batch splits into per-replica sub-batches, sub-batches fan out
-// concurrently (with hedging and failover), and the responses
-// reassemble in the caller's order. deadlineMs (0 = none) bounds the
-// whole call and is forwarded to the replicas.
-func (f *Front) Submit(ctx context.Context, pairs []record.Pair, deadlineMs int) (*serve.MatchResult, error) {
-	if len(pairs) == 0 {
-		return &serve.MatchResult{}, nil
-	}
-	if len(pairs) > f.cfg.MaxPairsPerRequest {
-		return nil, serve.ErrTooLarge
-	}
-	ctx, cancel := serve.WithDeadline(ctx, deadlineMs, 0)
-	defer cancel()
-	f.metrics.requests.Inc()
-	ring := f.ring.Load()
-	if ring.Len() == 0 {
-		f.metrics.errors.Inc()
-		return nil, fmt.Errorf("fleet: no replicas: %w", backend.ErrUnavailable)
-	}
-	start := time.Now()
-
-	// Assign every pair to a replica. Assignment reads replica health,
-	// so hold the membership read lock across the walk.
-	f.mu.RLock()
-	groups := make([]*group, 0, 4)
-	byRep := make(map[*Replica]*group, 4)
-	var keyBuf []byte
-	keyOpts := serve.CanonicalKeyOptions(nil)
-	succ := make([]string, 0, ring.Len())
-	for i, p := range pairs {
-		keyBuf = serve.AppendPairKey(keyBuf[:0], p, keyOpts)
-		kh := KeyHash(keyBuf)
-		rep, diverted := f.choose(kh, ring, succ)
-		if rep == nil {
-			f.mu.RUnlock()
-			f.metrics.errors.Inc()
-			return nil, fmt.Errorf("fleet: no route for pair %d: %w", i, backend.ErrUnavailable)
-		}
-		if diverted {
-			f.metrics.diverts.Inc()
-		}
-		g := byRep[rep]
-		if g == nil {
-			g = &group{rep: rep}
-			byRep[rep] = g
-			groups = append(groups, g)
-		}
-		g.pairs = append(g.pairs, p)
-		g.slots = append(g.slots, i)
-		g.khs = append(g.khs, kh)
-	}
-	f.mu.RUnlock()
-
-	res := &serve.MatchResult{Preds: make([]bool, len(pairs)), Cached: make([]bool, len(pairs))}
-	var costMicro, tokens atomic.Int64
-	// First group error wins. A mutex, not atomic.Value: sub-batches
-	// fail with differently-typed errors (%w wraps vs plain fmt.Errorf),
-	// and atomic.Value panics on inconsistently typed stores.
-	var errMu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		g := g
-		run := func() {
-			if err := f.sendGroup(ctx, ring, g, deadlineMs, res, &costMicro, &tokens); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}
-		if len(groups) == 1 {
-			run()
-		} else {
-			wg.Add(1)
-			go func() { defer wg.Done(); run() }()
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		f.metrics.errors.Inc()
-		return nil, firstErr
-	}
-	res.CostUSD = float64(costMicro.Load()) / 1e6
-	res.Tokens = int(tokens.Load())
-	f.metrics.requestsOK.Inc()
-	f.metrics.pairs.Add(int64(len(pairs)))
-	f.metrics.latency.ObserveDuration(time.Since(start))
-	return res, nil
-}
-
-// sendGroup delivers one sub-batch: the chosen replica first, then ring
-// successors on failure (failover), with a hedge racing any straggling
-// attempt. On success the predictions land in res at the group's slots
-// and, when a canary is active and the incumbent answered, a
-// deterministic sample of the group is mirrored for the bit-identity
-// check.
-func (f *Front) sendGroup(ctx context.Context, ring *Ring, g *group, deadlineMs int, res *serve.MatchResult, costMicro, tokens *atomic.Int64) error {
-	body := wire.AppendRequest(nil, g.pairs, deadlineMs)
-
-	// Candidate chain: the chosen replica, then every other member in
-	// ring order from the group's first key. The chosen replica may
-	// itself be a successor (divert/ejection), so dedupe against it.
-	f.mu.RLock()
-	names := ring.Successors(g.khs[0], make([]string, 0, ring.Len()))
-	chain := make([]*Replica, 0, len(names))
-	chain = append(chain, g.rep)
-	for _, name := range names {
-		if r := f.replicas[name]; r != nil && r != g.rep {
-			chain = append(chain, r)
-		}
-	}
-	f.mu.RUnlock()
-
-	var lastErr error
-	for i, rep := range chain {
-		if i > 0 {
-			// Skip ejected successors during failover, but never skip the
-			// last candidate: a full sweep of open breakers still deserves
-			// one real attempt.
-			if rep.breaker.State() == route.Open && i < len(chain)-1 {
-				continue
-			}
-			f.metrics.failovers.Inc()
-		}
-		wr, from, err := f.sendHedged(ctx, rep, chain[i+1:], body)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		if len(wr.Preds) != len(g.pairs) {
-			lastErr = fmt.Errorf("fleet: replica %s answered %d predictions for %d pairs", from.name, len(wr.Preds), len(g.pairs))
-			from.failures.Inc()
-			from.breaker.NoteFailure()
-			continue
-		}
-		for j, slot := range g.slots {
-			res.Preds[slot] = wr.Preds[j]
-			res.Cached[slot] = wr.Cached[j]
-		}
-		costMicro.Add(int64(wr.CostUSD * 1e6))
-		tokens.Add(int64(wr.Tokens))
-		f.mirror(g, from, wr.Preds, deadlineMs)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("fleet: no replica available: %w", backend.ErrUnavailable)
-	}
-	return lastErr
-}
-
-// sendResult is one sub-request's outcome in the hedge race.
-type sendResult struct {
-	wr   *wire.Response
-	from *Replica
-	err  error
-}
-
-// sendHedged sends body to rep; when the attempt straggles past the
-// hedge threshold and a successor exists, a hedge request races it and
-// the first success wins. Both outcomes feed the replicas' Closed-state
-// breaker bookkeeping.
-func (f *Front) sendHedged(ctx context.Context, rep *Replica, successors []*Replica, body []byte) (*wire.Response, *Replica, error) {
-	threshold := f.hedgeThreshold()
-	var hedge *Replica
-	if threshold > 0 {
-		for _, s := range successors {
-			if s.breaker.State() != route.Open {
-				hedge = s
-				break
-			}
-		}
-	}
-	if hedge == nil {
-		r := f.sendOnce(ctx, rep, body)
-		return r.wr, r.from, r.err
-	}
-
-	ch := make(chan sendResult, 2)
-	go func() { ch <- f.sendOnce(ctx, rep, body) }()
-	timer := time.NewTimer(threshold)
-	defer timer.Stop()
-	var first sendResult
-	select {
-	case first = <-ch:
-		if first.err == nil {
-			return first.wr, first.from, nil
-		}
-		return nil, first.from, first.err
-	case <-timer.C:
-		// Straggler: issue the hedge, take the first finisher that
-		// succeeded (falling back to the second if the first errored).
-		f.metrics.hedges.Inc()
-		go func() { ch <- f.sendOnce(ctx, hedge, body) }()
-		first = <-ch
-		if first.err == nil {
-			if first.from == hedge {
-				f.metrics.hedgeWins.Inc()
-				hedge.hedgesWon.Inc()
-			}
-			return first.wr, first.from, nil
-		}
-		second := <-ch
-		if second.err == nil {
-			if second.from == hedge {
-				f.metrics.hedgeWins.Inc()
-				hedge.hedgesWon.Inc()
-			}
-			return second.wr, second.from, nil
-		}
-		return nil, first.from, first.err
-	case <-ctx.Done():
-		return nil, rep, ctx.Err()
-	}
-}
-
-// hedgeThreshold returns the live straggler threshold: the fixed
-// HedgeAfter when configured, otherwise the rolling p99 of sub-request
-// latency clamped to [hedgeMin, hedgeMax]. Zero disables hedging (also
-// the warm-up state: with under 32 observed sub-requests there is no
-// p99 worth trusting, so only a configured HedgeAfter hedges).
-func (f *Front) hedgeThreshold() time.Duration {
-	if f.cfg.HedgeDisabled {
-		return 0
-	}
-	if f.cfg.HedgeAfter > 0 {
-		return f.cfg.HedgeAfter
-	}
-	h := f.metrics.subLatency
-	if h.Count() < 32 {
-		return 0
-	}
-	thr := time.Duration(h.Quantile(0.99)) * time.Microsecond
-	if thr < hedgeMin {
-		thr = hedgeMin
-	}
-	if thr > hedgeMax {
-		thr = hedgeMax
-	}
-	return thr
-}
-
-// sendOnce performs one sub-request and classifies the outcome:
-// transport errors and 5xx count as failures (breaker food); 429/503
-// count as sheds (penalty window + breaker food) and keep their meaning
-// — overload vs unavailability — so the front answers a client with the
-// status a replica would have; 200 parses the wire response.
-// Closed-state breaker bookkeeping only — probes own recovery.
-func (f *Front) sendOnce(ctx context.Context, rep *Replica, body []byte) sendResult {
-	rep.sent.Inc()
-	f.metrics.fanouts.Inc()
-	t0 := time.Now()
-	status, resp, err := f.transport.Match(ctx, rep.URL(), body)
-	f.metrics.subLatency.ObserveDuration(time.Since(t0))
-	if err != nil {
-		rep.failures.Inc()
-		rep.breaker.NoteFailure()
-		return sendResult{from: rep, err: fmt.Errorf("fleet: %s: %w", rep.name, err)}
-	}
-	switch status {
-	case http.StatusOK:
-		wr := new(wire.Response)
-		if perr := serve.ParseWireResponse(resp, wr); perr != nil {
-			rep.failures.Inc()
-			rep.breaker.NoteFailure()
-			return sendResult{from: rep, err: fmt.Errorf("fleet: %s: %w", rep.name, perr)}
-		}
-		rep.breaker.NoteSuccess()
-		return sendResult{wr: wr, from: rep}
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		rep.sheds.Inc()
-		rep.shedUntil.Store(int64(f.clock.Now() + f.cfg.ShedPenalty))
-		rep.breaker.NoteFailure()
-		shed := backend.ErrOverloaded
-		if status == http.StatusServiceUnavailable {
-			shed = backend.ErrUnavailable
-		}
-		return sendResult{from: rep, err: fmt.Errorf("fleet: %s shed with %d: %w", rep.name, status, shed)}
-	default:
-		rep.failures.Inc()
-		rep.breaker.NoteFailure()
-		return sendResult{from: rep, err: fmt.Errorf("fleet: %s answered status %d", rep.name, status)}
 	}
 }

@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/datasets"
+	"repro/internal/eval"
 	"repro/internal/record"
 	"repro/internal/route"
 	"repro/internal/serve"
@@ -28,11 +32,15 @@ type stubReplica struct {
 	shed      int           // next N Match calls: 429
 	badStatus int           // when non-zero, Match answers this HTTP status, no body
 	block     chan struct{} // when non-nil, Match waits here first
+	delay     time.Duration // when non-zero, Match waits this long first
 	health    error
 	invert    bool // invert predictions (canary-mismatch scripting)
 	cost      float64
 	stats     serve.Stats
 	statsOK   bool
+
+	deadlines []int    // deadline_ms of every frame received
+	keys      []string // canonical key of every pair received
 }
 
 // stubPred is the deterministic prediction every honest stub computes:
@@ -73,10 +81,26 @@ func (t *stubTransport) Match(ctx context.Context, url string, body []byte) (int
 	if r == nil {
 		return 0, nil, fmt.Errorf("stub: no replica at %s", url)
 	}
+	typ, payload, err := wire.ParseFrame(body)
+	if err != nil || typ != wire.TReq {
+		return http.StatusBadRequest, nil, fmt.Errorf("stub: bad frame: %v", err)
+	}
+	var req wire.Request
+	if err := req.Decode(payload); err != nil {
+		return http.StatusBadRequest, nil, err
+	}
 	r.mu.Lock()
 	r.calls++
-	blk := r.block
+	r.deadlines = append(r.deadlines, req.DeadlineMs)
+	for i := range req.Pairs {
+		r.keys = append(r.keys, string(serve.AppendViewKey(nil, &req.Pairs[i])))
+	}
+	blk, delay := r.block, r.delay
 	r.mu.Unlock()
+	if delay > 0 {
+		blk = make(chan struct{})
+		time.AfterFunc(delay, func() { close(blk) })
+	}
 	if blk != nil {
 		select {
 		case <-blk:
@@ -104,14 +128,6 @@ func (t *stubTransport) Match(ctx context.Context, url string, body []byte) (int
 	cost := r.cost
 	r.mu.Unlock()
 
-	typ, payload, err := wire.ParseFrame(body)
-	if err != nil || typ != wire.TReq {
-		return http.StatusBadRequest, nil, fmt.Errorf("stub: bad frame: %v", err)
-	}
-	var req wire.Request
-	if err := req.Decode(payload); err != nil {
-		return http.StatusBadRequest, nil, err
-	}
 	preds := make([]bool, len(req.Pairs))
 	cached := make([]bool, len(req.Pairs))
 	for i, v := range req.Pairs {
@@ -492,5 +508,96 @@ func TestFrontDuplicateReplicaRejected(t *testing.T) {
 	}
 	if err := f.RemoveReplica("nope"); err == nil {
 		t.Fatal("removing unknown replica succeeded")
+	}
+}
+
+// TestFrontForwardsRemainingDeadline: every attempt's frame carries the
+// time the request has left, not the deadline it arrived with. A 200 ms
+// request whose owner fails after 40 ms fails over with at most 160 ms.
+func TestFrontForwardsRemainingDeadline(t *testing.T) {
+	f, st, _ := testFront(t, Config{}, "r1", "r2")
+	p := pairOwnedBy(t, f, "r1")
+	owner := st.get("stub://r1")
+	owner.mu.Lock()
+	owner.fail = 1
+	owner.delay = 40 * time.Millisecond
+	owner.mu.Unlock()
+
+	if _, err := f.Submit(context.Background(), []record.Pair{p}, 200); err != nil {
+		t.Fatal(err)
+	}
+	first, failover := owner.deadlines, st.get("stub://r2").deadlines
+	if len(first) != 1 || first[0] <= 160 || first[0] > 200 {
+		t.Fatalf("owner received deadlines %v, want one in (160, 200]", first)
+	}
+	if len(failover) != 1 || failover[0] <= 0 || failover[0] > 160 {
+		t.Fatalf("failover received deadlines %v, want one in (0, 160]", failover)
+	}
+}
+
+// TestFrontOnePlacement: the wire path and Front.Submit send every pair to
+// the ring owner of its canonical key, over a stride of every dataset's
+// pairs, and the ring hash of a fixed key is pinned so the next change to
+// placement is a deliberate one.
+func TestFrontOnePlacement(t *testing.T) {
+	const golden uint64 = 0xefac573e412f84f6
+	if got := KeyHash(benchKey); got != golden {
+		t.Fatalf("KeyHash(%q) = %#x, want %#x: placement changed", benchKey, got, golden)
+	}
+
+	f, st, _ := testFront(t, Config{}, "r1", "r2", "r3")
+	var pairs []record.Pair
+	for _, d := range datasets.GenerateAllParallel(eval.DatasetSeed, 2) {
+		for i := 0; i < len(d.Pairs); i += 97 {
+			pairs = append(pairs, d.Pairs[i].Pair)
+		}
+	}
+	want := map[string]string{} // canonical key → ring owner
+	for _, p := range pairs {
+		key := serve.AppendPairKey(nil, p, serve.CanonicalKeyOptions(nil))
+		want[string(key)] = "stub://" + f.Ring().Owner(KeyHash(key))
+	}
+	// placed drains what the replicas received: canonical key → replica.
+	placed := func() map[string]string {
+		got := map[string]string{}
+		for url, r := range st.reps {
+			r.mu.Lock()
+			for _, k := range r.keys {
+				if prev, ok := got[k]; ok && prev != url {
+					t.Fatalf("key %q sent to %s and %s", k, prev, url)
+				}
+				got[k] = url
+			}
+			r.keys = nil
+			r.mu.Unlock()
+		}
+		return got
+	}
+	h := f.Handler()
+	for _, entry := range []string{"Submit", "wire"} {
+		for at := 0; at < len(pairs); at += 64 {
+			batch := pairs[at:min(at+64, len(pairs))]
+			if entry == "Submit" {
+				if _, err := f.Submit(context.Background(), batch, 0); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/match", bytes.NewReader(wire.AppendRequest(nil, batch, 0)))
+			req.Header.Set("Content-Type", wire.ContentType)
+			if h.ServeHTTP(rec, req); rec.Code != http.StatusOK {
+				t.Fatalf("wire batch at %d: status %d", at, rec.Code)
+			}
+		}
+		got := placed()
+		if len(got) != len(want) {
+			t.Fatalf("%s: replicas received %d distinct keys, want %d", entry, len(got), len(want))
+		}
+		for k, owner := range want {
+			if got[k] != owner {
+				t.Fatalf("%s: key %q went to %s, its ring owner is %s", entry, k, got[k], owner)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -83,13 +82,7 @@ type StatsResponse struct {
 // through the transport. Rows are sorted by replica name so the
 // snapshot is stable for dashboards and tests.
 func (f *Front) Stats(ctx context.Context) StatsResponse {
-	f.mu.RLock()
-	reps := make([]*Replica, 0, len(f.replicas))
-	for _, r := range f.replicas {
-		reps = append(reps, r)
-	}
-	f.mu.RUnlock()
-	sort.Slice(reps, func(i, j int) bool { return reps[i].name < reps[j].name })
+	reps := f.place.Load().reps // in name order, as the ring sorts its members
 
 	m := &f.metrics
 	out := StatsResponse{
@@ -171,18 +164,11 @@ func (f *Front) Handler() http.Handler {
 	return mux
 }
 
-// serveWire answers one request frame through the fleet: decoded once at
-// the front (pairs must materialise anyway — the sub-batches are
-// re-framed per replica), routed, and re-framed as a TResp.
-func (f *Front) serveWire(ctx context.Context, body, dst []byte) (int, []byte) {
-	return serve.ServeWireVia(ctx, body, dst, f.cfg.MaxPairsPerRequest, f.Submit)
-}
-
 // handleHealthz: the front is healthy while at least one replica has a
 // non-open breaker — a fleet that can still route somewhere is up; a
 // fleet with every replica ejected is not.
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ring := f.ring.Load()
+	ring := f.Ring()
 	healthy := f.healthyCount()
 	body := map[string]any{
 		"status":     "ok",

@@ -6,12 +6,16 @@
 // The load-bearing properties:
 //
 //   - Deterministic placement. The ring hashes the byte-exact cache key
-//     every replica builds for a pair (serve.AppendPairKey — the same
-//     bytes the binary wire path probes its prediction cache with), so
-//     a pair always lands on the replica whose cache can answer it, and
-//     the key→replica assignment is a pure function of the membership
-//     list and the key bytes: identical across runs, processes and
-//     GOMAXPROCS.
+//     every replica builds for a pair (serve.AppendPairKey and
+//     serve.AppendViewKey — the same bytes the binary wire path probes its
+//     prediction cache with), so a pair always lands on the replica whose
+//     cache can answer it, and the key→replica assignment is a pure
+//     function of the membership list and the key bytes: identical across
+//     runs, processes and GOMAXPROCS.
+//
+//   - A byte relay. The front never materialises a pair: it hashes each
+//     pair's key off the request frame's views and copies the pair's
+//     encoded bytes into its owner's pooled sub-frame (relay.go).
 //
 //   - Bounded movement. Virtual nodes spread each replica over the ring;
 //     when a replica joins or leaves, only the keys in its arcs move
@@ -33,6 +37,7 @@ package fleet
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strconv"
 
@@ -113,9 +118,17 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// castagnoli is the CRC-32C table; the standard library computes CRC-32C
+// with the CPU's CRC32 instruction where there is one.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // KeyHash maps a canonical pair key (serve.AppendPairKey bytes) onto the
-// ring's 64-bit keyspace.
-func KeyHash(key []byte) uint64 { return mix64(textsim.TokenHashBytes(key)) }
+// ring's 64-bit keyspace: CRC-32C, which reads the key a word at a time,
+// spread over 64 bits by the splitmix64 finalizer. Placement depends on
+// it, so it must be the same in every process and on every platform, and
+// changing it moves most keys to another replica: every replica cache
+// re-warms once.
+func KeyHash(key []byte) uint64 { return mix64(uint64(crc32.Checksum(key, castagnoli))) }
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }

@@ -36,9 +36,11 @@ func NewHTTPTransport(timeout time.Duration) *HTTPTransport {
 // the watcher reuse it).
 func (t *HTTPTransport) Client() *http.Client { return t.client }
 
-// Match implements Transport.
+// Match implements Transport. It posts a copy of body: net/http may still
+// read a request body after Do returns (the RoundTripper contract), and
+// the front reuses body once Match has returned a status.
 func (t *HTTPTransport) Match(ctx context.Context, url string, body []byte) (int, []byte, error) {
-	return serve.PostWire(ctx, t.client, url, body)
+	return serve.PostWire(ctx, t.client, url, append([]byte(nil), body...))
 }
 
 // Healthz implements Transport.

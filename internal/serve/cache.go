@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -15,12 +16,15 @@ import (
 // service has.
 //
 // The cache is sharded to keep lock contention off the hot path: keys are
-// FNV-1a hashed to a power-of-two shard count and each shard maintains an
-// independent LRU list under its own mutex. Entries are tiny (key string +
-// one bool), so capacity is counted in entries, not bytes.
+// hashed with hash/maphash under a seed of the cache's own onto a
+// power-of-two shard count, and each shard maintains an independent LRU
+// list under its own mutex. A random seed is safe because shard choice
+// never leaves the process. Entries are tiny (key string + one bool), so
+// capacity is counted in entries, not bytes.
 type PredCache struct {
 	shards []cacheShard
 	mask   uint64
+	seed   maphash.Seed
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -63,7 +67,7 @@ func NewPredCache(capacity, nshards int) *PredCache {
 	// Distribute capacity across shards, rounding up so the total is never
 	// below the requested capacity.
 	per := (capacity + n - 1) / n
-	c := &PredCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
+	c := &PredCache{shards: make([]cacheShard, n), mask: uint64(n - 1), seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheNode)
 		c.shards[i].cap = per
@@ -78,7 +82,7 @@ func NewPredCache(capacity, nshards int) *PredCache {
 // the caller builds the canonical key in a pooled []byte and probes
 // without ever interning it.
 func (c *PredCache) GetBytes(key []byte) (match, ok bool) {
-	s := &c.shards[fnv64(key)&c.mask]
+	s := &c.shards[maphash.Bytes(c.seed, key)&c.mask]
 	s.mu.Lock()
 	n, ok := s.m[string(key)]
 	if ok {
@@ -97,7 +101,7 @@ func (c *PredCache) GetBytes(key []byte) (match, ok bool) {
 // Put stores a decision, evicting the shard's least-recently-used entry
 // when the shard is full.
 func (c *PredCache) Put(key string, match bool) {
-	s := &c.shards[fnv64(key)&c.mask]
+	s := &c.shards[maphash.String(c.seed, key)&c.mask]
 	if s.cap <= 0 {
 		return
 	}
@@ -178,19 +182,4 @@ func (s *cacheShard) moveToFront(n *cacheNode) {
 	}
 	s.unlink(n)
 	s.pushFront(n)
-}
-
-// fnv64 is FNV-1a, the shard selector — one hash over string and byte
-// keys, so GetBytes and Put agree on the shard for equal key content.
-func fnv64[K string | []byte](key K) uint64 {
-	const (
-		offset64 = 1469598103934665603
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
 }

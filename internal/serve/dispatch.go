@@ -101,11 +101,9 @@ func (ps recordPairs) pair(i int) record.Pair { return ps[i] }
 // off the frame views, and only misses materialise records.
 type viewPairs []wire.PairView
 
-func (vs viewPairs) count() int { return len(vs) }
-func (vs viewPairs) appendKey(dst []byte, i int) []byte {
-	return appendKey(dst, vs[i].Left, vs[i].Right)
-}
-func (vs viewPairs) pair(i int) record.Pair { return vs[i].Materialize() }
+func (vs viewPairs) count() int                         { return len(vs) }
+func (vs viewPairs) appendKey(dst []byte, i int) []byte { return AppendViewKey(dst, &vs[i]) }
+func (vs viewPairs) pair(i int) record.Pair             { return vs[i].Materialize() }
 
 // scratch is one request's pooled state: the frame decoder and reply
 // encoder of the wire codec, and the key buffer and all-hit answer of the

@@ -74,6 +74,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// SubmitFunc answers materialised pairs under the client's deadline_ms
+// (0 = none given): the shape of (*fleet.Front).Submit and of the
+// server's own record codec.
+type SubmitFunc func(ctx context.Context, pairs []record.Pair, deadlineMs int) (*MatchResult, error)
+
 // MatchEdge is the one POST /match HTTP surface, mounted by a replica
 // (Server.Handler) and by the fleet front alike, so the two cannot drift:
 // method check, content negotiation, bounded body reads, the JSON and

@@ -68,6 +68,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/slo"
 	"repro/internal/textsim"
+	"repro/internal/wire"
 )
 
 // Semantics fixes how a matcher's offline batch behaviour maps onto
@@ -475,6 +476,12 @@ func appendValues[V string | []byte](dst []byte, vals []V) []byte {
 // CanonicalKeyOptions.
 func AppendPairKey(dst []byte, p record.Pair, _ record.SerializeOptions) []byte {
 	return appendKey(dst, p.Left.Values, p.Right.Values)
+}
+
+// AppendViewKey is AppendPairKey for a decoded frame pair: the same bytes,
+// built straight off the frame views without materialising the pair.
+func AppendViewKey(dst []byte, v *wire.PairView) []byte {
+	return appendKey(dst, v.Left, v.Right)
 }
 
 // CanonicalKeyOptions returns the serialization options serving scores

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datasets"
+	"repro/internal/eval"
 	"repro/internal/matchers"
 	"repro/internal/record"
 	"repro/internal/wire"
@@ -280,14 +282,21 @@ func TestServeWireDrainingAnswers503(t *testing.T) {
 }
 
 // TestWireKeysMatchJSONKeys pins the cross-protocol cache-key identity:
-// the key built from frame views must be byte-identical to the one built
-// from materialised records and to what serving serialization renders, or
-// the two protocols (and the fleet's ring) would silently stop sharing
-// cache entries. The golden literal pins the bytes themselves, on a pair
-// carrying IDs (never part of a key), an empty value and a value that
-// contains the separator.
+// the key built from frame views (AppendViewKey, which the fleet front
+// hashes onto its ring) must be byte-identical to the one built from
+// materialised records and to what serving serialization renders, or the
+// two protocols (and the fleet's ring) would silently stop sharing cache
+// entries. It runs over a stride of every dataset's pairs. The golden
+// literal pins the bytes themselves, on a pair carrying IDs (never part of
+// a key), an empty value and a value that contains the separator.
 func TestWireKeysMatchJSONKeys(t *testing.T) {
-	pairs := append(benchmarkPairs(t, "ABT", 32), record.Pair{
+	var pairs []record.Pair
+	for _, d := range datasets.GenerateAllParallel(eval.DatasetSeed, 2) {
+		for i := 0; i < len(d.Pairs); i += 61 {
+			pairs = append(pairs, d.Pairs[i].Pair)
+		}
+	}
+	pairs = append(pairs, record.Pair{
 		Left:  record.Record{ID: "l-1", Values: []string{"ipad, 4th gen", "", "399"}},
 		Right: record.Record{ID: "r-9", Values: []string{"apple ipad 4"}},
 	})
@@ -304,8 +313,8 @@ func TestWireKeysMatchJSONKeys(t *testing.T) {
 	opts := CanonicalKeyOptions(nil)
 	for i := range req.Pairs {
 		want := record.SerializeRecord(pairs[i].Left, opts) + string(keySep) + record.SerializeRecord(pairs[i].Right, opts)
-		if got := string(viewPairs(req.Pairs).appendKey(nil, i)); got != want {
-			t.Fatalf("pair %d: wire key %q != serialized key %q", i, got, want)
+		if got := string(AppendViewKey(nil, &req.Pairs[i])); got != want {
+			t.Fatalf("pair %d: view key %q != serialized key %q", i, got, want)
 		}
 		if got := string(AppendPairKey(nil, pairs[i], opts)); got != want {
 			t.Fatalf("pair %d: AppendPairKey %q != serialized key %q", i, got, want)

@@ -7,15 +7,9 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/record"
 	"repro/internal/snap"
 	"repro/internal/wire"
 )
-
-// SubmitFunc answers materialised pairs under the client's deadline_ms
-// (0 = none given): the shape of (*fleet.Front).Submit and of the
-// server's own record codec.
-type SubmitFunc func(ctx context.Context, pairs []record.Pair, deadlineMs int) (*MatchResult, error)
 
 // ServeWire answers one binary-protocol request: body is a complete
 // request frame, dst receives the response frame (reusing its capacity),
@@ -35,20 +29,15 @@ func (s *Server) ServeWire(ctx context.Context, body, dst []byte) (int, []byte) 
 	})
 }
 
-// ServeWireVia is ServeWire for a service that routes records instead of
-// probing a cache of its own (the fleet front): the same frame checks and
-// reply encoding, with the batch bound enforced before any pair is
-// materialised for submit.
-func ServeWireVia(ctx context.Context, body, dst []byte, maxPairs int, submit SubmitFunc) (int, []byte) {
+// ServeFrame is the frame codec for a service that answers decoded views
+// without a cache of its own (the fleet front): the checks, reply encoding
+// and TErr writer of ServeWire, with answer deciding the request. The
+// request and its views are valid only until answer returns, and the
+// result answer returns is encoded before ServeFrame returns, so it may
+// live in the caller's pooled scratch.
+func ServeFrame(body, dst []byte, answer func(*wire.Request) (*MatchResult, error)) (int, []byte) {
 	return serveFrame(body, dst, func(sc *scratch) (*MatchResult, error) {
-		if len(sc.req.Pairs) > maxPairs {
-			return nil, ErrTooLarge
-		}
-		pairs := make([]record.Pair, len(sc.req.Pairs))
-		for i, v := range sc.req.Pairs {
-			pairs[i] = v.Materialize()
-		}
-		return submit(ctx, pairs, sc.req.DeadlineMs)
+		return answer(&sc.req)
 	})
 }
 

@@ -39,7 +39,9 @@
 // The server-side decode path is zero-copy: Request.Decode exposes the
 // pair values as views into the frame buffer, and the serve package
 // builds cache keys and serialized records directly from those views
-// without materialising strings on the hot path.
+// without materialising strings on the hot path. Each pair's encoded
+// bytes are self-contained, so a relay regroups pairs by copying their
+// Raw spans behind a new header (FrameRequest) instead of re-encoding.
 package wire
 
 import (
@@ -137,6 +139,11 @@ func ParseFrame(buf []byte) (typ byte, payload []byte, err error) {
 type PairView struct {
 	LeftID, RightID []byte
 	Left, Right     [][]byte
+	// Raw is the pair's encoded bytes as they sit in the payload, left ID
+	// through the last right value: any ordered run of Raw spans behind a
+	// FrameRequest header is a valid request carrying those pairs, which
+	// is how the fleet front relays pairs without re-encoding them.
+	Raw []byte
 }
 
 // Materialize copies the view into an owned record.Pair.
@@ -161,6 +168,7 @@ func viewStrings(vals [][]byte) []string {
 type pairSpan struct {
 	leftID, rightID []byte
 	l0, l1, r0, r1  int
+	raw             []byte
 }
 
 // Request is a decoded match request. A Request is reusable: Decode
@@ -197,8 +205,12 @@ func (r *Request) Decode(payload []byte) error {
 		return fmt.Errorf("%w: pair count %d exceeds payload", ErrCorrupt, npairs)
 	}
 	for i := uint64(0); i < npairs; i++ {
-		var sp pairSpan
+		// Filled in place: spans and views are big enough that copying
+		// them shows in the hit path's profile.
+		r.spans = append(r.spans, pairSpan{})
+		sp := &r.spans[len(r.spans)-1]
 		var err error
+		start := len(payload) - d.Remaining()
 		sp.leftID = d.BytesView()
 		if sp.l0, sp.l1, err = r.decodeValues(); err != nil {
 			return err
@@ -207,7 +219,8 @@ func (r *Request) Decode(payload []byte) error {
 		if sp.r0, sp.r1, err = r.decodeValues(); err != nil {
 			return err
 		}
-		r.spans = append(r.spans, sp)
+		end := len(payload) - d.Remaining()
+		sp.raw = payload[start:end:end]
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -216,13 +229,14 @@ func (r *Request) Decode(payload []byte) error {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, d.Remaining())
 	}
 	// vals is fully grown; PairView subslices are stable now.
-	for _, sp := range r.spans {
-		r.Pairs = append(r.Pairs, PairView{
-			LeftID:  sp.leftID,
-			RightID: sp.rightID,
-			Left:    r.vals[sp.l0:sp.l1],
-			Right:   r.vals[sp.r0:sp.r1],
-		})
+	if cap(r.Pairs) < len(r.spans) {
+		r.Pairs = make([]PairView, 0, len(r.spans))
+	}
+	r.Pairs = r.Pairs[:len(r.spans)]
+	for i := range r.spans {
+		sp, v := &r.spans[i], &r.Pairs[i]
+		v.LeftID, v.RightID, v.Raw = sp.leftID, sp.rightID, sp.raw
+		v.Left, v.Right = r.vals[sp.l0:sp.l1], r.vals[sp.r0:sp.r1]
 	}
 	return nil
 }
@@ -255,22 +269,56 @@ func (r *Request) decodeValues() (start, end int, err error) {
 // dst. This is the client-side encoder (load generator, CLI); it is not
 // allocation-free and does not need to be.
 func AppendRequest(dst []byte, pairs []record.Pair, deadlineMs int) []byte {
-	e := snap.NewEnc()
-	e.Uvarint(uint64(deadlineMs))
-	e.Uvarint(uint64(len(pairs)))
+	buf := make([]byte, RequestHeaderRoom)
 	for _, p := range pairs {
-		e.Str(p.Left.ID)
-		e.Uvarint(uint64(len(p.Left.Values)))
-		for _, v := range p.Left.Values {
-			e.Str(v)
-		}
-		e.Str(p.Right.ID)
-		e.Uvarint(uint64(len(p.Right.Values)))
-		for _, v := range p.Right.Values {
-			e.Str(v)
-		}
+		buf = AppendPair(buf, p)
 	}
-	return AppendFrame(dst, TReq, e.Bytes())
+	return append(dst, FrameRequest(buf, deadlineMs, len(pairs))...)
+}
+
+// AppendPair appends p encoded as one request pair: the bytes Decode
+// reports as the pair's PairView.Raw.
+func AppendPair(dst []byte, p record.Pair) []byte {
+	return appendRecord(appendRecord(dst, p.Left), p.Right)
+}
+
+func appendRecord(dst []byte, r record.Record) []byte {
+	dst = appendString(dst, r.ID)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
+	for _, v := range r.Values {
+		dst = appendString(dst, v)
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// RequestHeaderRoom is the most bytes a request frame puts before its
+// pairs: the frame header, the payload length, the deadline and the pair
+// count. A sender that gathers pairs behind this much room can frame them
+// in place with FrameRequest.
+const RequestHeaderRoom = headerLen + 3*binary.MaxVarintLen64
+
+// FrameRequest completes a request frame in place. buf holds
+// RequestHeaderRoom bytes of room followed by npairs encoded pairs
+// (AppendPair output or PairView.Raw spans); FrameRequest writes the
+// header at the end of the room and returns the frame, a suffix of buf.
+// It never allocates, and calling it again on the same buf rewrites the
+// header, so one gathered batch can go out under a new deadline.
+func FrameRequest(buf []byte, deadlineMs, npairs int) []byte {
+	var pre [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(pre[:], uint64(deadlineMs))
+	n += binary.PutUvarint(pre[n:], uint64(npairs))
+	var size [binary.MaxVarintLen64]byte
+	ns := binary.PutUvarint(size[:], uint64(n+len(buf)-RequestHeaderRoom))
+	start := RequestHeaderRoom - n - ns - headerLen
+	h := buf[start:RequestHeaderRoom]
+	h[0], h[1], h[2], h[3] = 'E', 'W', Version, TReq
+	copy(h[headerLen:], size[:ns])
+	copy(h[headerLen+ns:], pre[:n])
+	return buf[start:]
 }
 
 // AppendResponsePayload encodes a TResp payload into e (which the caller

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/record"
@@ -49,6 +50,9 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d pairs, want %d", len(req.Pairs), len(pairs))
 	}
 	for i, v := range req.Pairs {
+		if !bytes.Equal(v.Raw, AppendPair(nil, pairs[i])) {
+			t.Fatalf("pair %d: Raw %q, want its AppendPair encoding", i, v.Raw)
+		}
 		got := v.Materialize()
 		want := pairs[i]
 		// Materialize returns nil value slices as empty; normalise.
@@ -248,7 +252,9 @@ func TestRequestDecodeCorrupt(t *testing.T) {
 
 // FuzzRequestDecode drives ParseFrame + Request.Decode with arbitrary
 // bytes: any input must produce a typed error or a valid decode — never a
-// panic, never unbounded allocation.
+// panic, never unbounded allocation. A clean decode must also survive the
+// relay: re-framing any ordered subset of its PairView.Raw spans decodes
+// to the same IDs and values, which is what the fleet front rests on.
 func FuzzRequestDecode(f *testing.F) {
 	valid := AppendRequest(nil, testPairs(), 100)
 	f.Add(valid)
@@ -271,6 +277,32 @@ func FuzzRequestDecode(f *testing.F) {
 		// A clean decode must yield self-consistent views.
 		for _, v := range req.Pairs {
 			_ = v.Materialize()
+		}
+		// The subset is a pure function of the input: pair i is kept when
+		// bit i%8 of byte i%len(data) is set.
+		buf := make([]byte, RequestHeaderRoom)
+		var kept []int
+		for i, v := range req.Pairs {
+			if data[i%len(data)]>>(i%8)&1 == 1 {
+				buf = append(buf, v.Raw...)
+				kept = append(kept, i)
+			}
+		}
+		typ, payload, err = ParseFrame(FrameRequest(buf, req.DeadlineMs, len(kept)))
+		if err != nil || typ != TReq {
+			t.Fatalf("re-framed subset: type %d, %v", typ, err)
+		}
+		var sub Request
+		if err := sub.Decode(payload); err != nil {
+			t.Fatalf("re-framed subset does not decode: %v", err)
+		}
+		if sub.DeadlineMs != req.DeadlineMs || len(sub.Pairs) != len(kept) {
+			t.Fatalf("re-framed subset: deadline %d, %d pairs; want %d, %d", sub.DeadlineMs, len(sub.Pairs), req.DeadlineMs, len(kept))
+		}
+		for j, i := range kept {
+			if !reflect.DeepEqual(sub.Pairs[j].Materialize(), req.Pairs[i].Materialize()) {
+				t.Fatalf("re-framed pair %d differs from pair %d", j, i)
+			}
 		}
 	})
 }
