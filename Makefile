@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The repository's one performance suite (benchmark/README.md): the four
 # BENCHMARK.json workloads, end-to-end metrics. `-trace 1` on one workload

@@ -113,8 +113,9 @@ func BenchmarkTable3FineTunedMatcher(b *testing.B) {
 // --- Parallel evaluation engine ----------------------------------------
 
 // BenchmarkEvaluateAllParallel measures the engine's scaling on one
-// prompted matcher across all 11 targets. The 1-worker variant is the
-// sequential baseline; higher worker counts produce identical results.
+// prompted matcher across all 11 targets. The 1-worker variant runs the
+// cells inline and is the baseline; higher worker counts produce identical
+// results.
 func BenchmarkEvaluateAllParallel(b *testing.B) {
 	h := benchHarness()
 	defer h.SetParallelism(0)
@@ -122,14 +123,14 @@ func BenchmarkEvaluateAllParallel(b *testing.B) {
 	// Warm the shared serialization cache so every worker count measures
 	// the same steady state (otherwise the first variant pays all misses).
 	h.SetParallelism(1)
-	if _, err := h.EvaluateAllParallel(factory); err != nil {
+	if _, err := h.EvaluateAll(factory); err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			h.SetParallelism(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := h.EvaluateAllParallel(factory); err != nil {
+				if _, err := h.EvaluateAll(factory); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,8 +32,8 @@
 // look.
 //
 // Evaluation runs on one worker per CPU by default; -parallel N pins the
-// worker count (1 forces the sequential engine). Parallel runs produce
-// output identical to sequential runs — every (matcher, target, seed)
+// worker count (1 runs the cells inline, in table order). Every worker
+// count produces identical output — every (matcher, target, seed)
 // cell derives its randomness from its own seeded stream, and results
 // merge back in table order.
 package main
@@ -98,7 +98,7 @@ func parseFlags(args []string) (config, error) {
 	cfg := config{cmd: args[0]}
 	fs := flag.NewFlagSet(cfg.cmd, flag.ContinueOnError)
 	nSeeds := fs.Int("seeds", 5, "number of repetition seeds (the paper uses 5)")
-	fs.IntVar(&cfg.parallel, "parallel", 0, "evaluation workers: 0 = one per CPU, 1 = sequential (results are identical either way)")
+	fs.IntVar(&cfg.parallel, "parallel", 0, "evaluation workers: 0 = one per CPU, 1 = inline in table order (results are identical either way)")
 	fs.StringVar(&cfg.tracePath, "trace", "", "write a JSONL span trace of the evaluation to this file")
 	fs.BoolVar(&cfg.metricsDump, "metrics-dump", false, "dump the worker-pool metrics registry as JSON to stderr on exit")
 	fs.StringVar(&cfg.journalPath, "journal", "", "record completed evaluation cells into this JSONL run journal (default emstudy-<cmd>.journal)")
@@ -177,7 +177,7 @@ func run(cmd string, seeds []uint64, parallel int, arg string) error {
 	case "ablation":
 		return runAblations(seeds, parallel)
 	case "budget":
-		h := core.NewHarnessParallel(seeds[:1], parallel)
+		h := eval.NewHarness(eval.Config{Seeds: seeds[:1], Parallelism: parallel})
 		sets := make(map[string][]record.Pair)
 		for _, d := range h.Datasets() {
 			var pairs []record.Pair
@@ -197,14 +197,14 @@ func run(cmd string, seeds []uint64, parallel int, arg string) error {
 		if target == "" {
 			target = "AMGO"
 		}
-		h := core.NewHarnessParallel(seeds[:1], parallel)
+		h := eval.NewHarness(eval.Config{Seeds: seeds[:1], Parallelism: parallel})
 		report, err := core.AnalyzeErrors(h, lm.GPT4, target, 5)
 		if err != nil {
 			return err
 		}
 		fmt.Println(report.Render())
 	case "cascade":
-		h := core.NewHarnessParallel(seeds[:1], parallel)
+		h := eval.NewHarness(eval.Config{Seeds: seeds[:1], Parallelism: parallel})
 		results, err := core.RunCascadeStudy(h, []string{"ABT", "DBAC", "FOZA", "AMGO", "WAAM"})
 		if err != nil {
 			return err
@@ -297,7 +297,7 @@ func installJournal(h *eval.Harness, seeds []uint64) error {
 }
 
 func runQuality(specs []core.MatcherSpec, seeds []uint64, parallel int) (*core.QualityResults, error) {
-	h := core.NewHarnessParallel(seeds, parallel)
+	h := eval.NewHarness(eval.Config{Seeds: seeds, Parallelism: parallel})
 	h.SetTracer(tracer)
 	if err := installJournal(h, seeds); err != nil {
 		return nil, err
@@ -348,7 +348,7 @@ func runStages(seeds []uint64, parallel int) error {
 	if tr == nil {
 		tr = obs.NewTracer()
 	}
-	h := core.NewHarnessParallel(seeds, parallel)
+	h := eval.NewHarness(eval.Config{Seeds: seeds, Parallelism: parallel})
 	h.SetTracer(tr)
 	factories := []eval.MatcherFactory{
 		func() matchers.Matcher { return matchers.NewStringSim() },
@@ -400,7 +400,7 @@ func runAblations(seeds []uint64, parallel int) error {
 	if len(seeds) > 2 {
 		seeds = seeds[:2] // ablations are about deltas; two seeds suffice
 	}
-	h := core.NewHarnessParallel(seeds, parallel)
+	h := eval.NewHarness(eval.Config{Seeds: seeds, Parallelism: parallel})
 	studies := []func(*eval.Harness, []string) (*ablation.Study, error){
 		ablation.PromptEngine,
 		ablation.AnyMatchPipeline,

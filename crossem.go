@@ -108,17 +108,17 @@ func GenerateDataset(name string, seed uint64) (*Dataset, error) {
 
 // NewHarness builds the leave-one-dataset-out harness. Pass nil seeds for
 // the paper's five-seed protocol, or fewer seeds for quicker runs.
-// Evaluation runs on one worker per CPU; parallel and sequential runs
-// produce identical results (see NewHarnessParallel to pin the count).
+// Evaluation runs on one worker per CPU; every worker count produces
+// identical results (see NewHarnessParallel to pin the count).
 func NewHarness(seeds []uint64) *Harness {
 	return NewHarnessParallel(seeds, 0)
 }
 
 // NewHarnessParallel is NewHarness with an explicit evaluation worker
-// count: 0 means one worker per CPU, 1 forces the sequential engine, and
-// any other positive value runs that many workers. The worker count never
-// changes results — every (matcher, target, seed) cell is independently
-// seeded and results merge back in table order.
+// count: 0 means one worker per CPU, and a positive value runs that many
+// workers (1 runs the cells inline, in table order). The worker count
+// never changes results — every (matcher, target, seed) cell is
+// independently seeded and results merge back in table order.
 func NewHarnessParallel(seeds []uint64, parallelism int) *Harness {
 	cfg := eval.DefaultConfig()
 	if len(seeds) > 0 {

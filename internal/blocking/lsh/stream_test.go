@@ -1,31 +1,19 @@
-package lsh
+package lsh_test
 
 import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/record"
 	"repro/internal/stream"
-	"repro/internal/textsim"
 )
 
-// jaccardPairScorer mirrors the dedup pipeline's stream scorer.
-var jaccardPairScorer = stream.ScorerFunc(func(a, b record.Record) float64 {
-	return textsim.JaccardHashes(RecordHashes(a, nil), RecordHashes(b, nil))
-})
-
-// TestStreamSourcePlugsIntoIngestor checks the structural CandidateSource
-// contract end to end: an ingestor running on the LSH source must merge
-// duplicate views of the same entity and expose the index's bucket count
-// through Stats.
+// TestStreamSourcePlugsIntoIngestor checks the index as the stream
+// ingestor's candidate source end to end: an ingestor running on it must
+// merge duplicate views of the same entity and expose the index's bucket
+// count through Stats.
 func TestStreamSourcePlugsIntoIngestor(t *testing.T) {
 	corpus := datasets.GenerateDedupCorpus(1500, 13, 0)
-	src := NewStreamSource(Config{})
-	ing := stream.NewIngestor(jaccardPairScorer, stream.Config{
-		MatchThreshold: 0.5,
-		MaxCandidates:  10,
-		Candidates:     src,
-	})
+	ing := stream.NewIngestor(stream.Config{MatchThreshold: 0.5})
 	for _, r := range corpus.Records {
 		ing.Ingest(r)
 	}
@@ -40,34 +28,7 @@ func TestStreamSourcePlugsIntoIngestor(t *testing.T) {
 	if st.Merged < dupRecords/2 {
 		t.Fatalf("only %d merges for %d duplicate records", st.Merged, dupRecords)
 	}
-	if ix := src.Index(); ix.Len() != 1500 {
+	if ix := ing.Index(); ix.Len() != 1500 {
 		t.Fatalf("index holds %d records", ix.Len())
 	}
-}
-
-// TestStreamSourceProbesBeforeAdd pins the Candidates-before-Add ordering:
-// a record must never be offered as its own candidate.
-func TestStreamSourceProbesBeforeAdd(t *testing.T) {
-	src := NewStreamSource(Config{})
-	r := record.Record{ID: "x", Values: []string{"acme turbo widget tx-100"}}
-	if got := src.AppendCandidates(nil, r, 10); len(got) != 0 {
-		t.Fatalf("empty index produced candidates %v", got)
-	}
-	src.Add(r, 0)
-	// The same record probed again is now a (perfect) candidate.
-	got := src.AppendCandidates(nil, r, 10)
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("after Add, probe returned %v", got)
-	}
-}
-
-// TestStreamSourceOutOfSyncPanics pins the sequential-index contract.
-func TestStreamSourceOutOfSyncPanics(t *testing.T) {
-	src := NewStreamSource(Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Add did not panic")
-		}
-	}()
-	src.Add(record.Record{ID: "a", Values: []string{"first"}}, 3)
 }

@@ -119,45 +119,27 @@ type QualityResults struct {
 }
 
 // RunQuality evaluates every spec on every target dataset under the
-// harness's protocol. Progress callbacks (may be nil) fire per completed
-// spec, since full runs take minutes.
-//
-// When the harness's parallelism resolves to more than one worker, the
-// (spec, target, seed) cells of all specs are scheduled on one shared
-// worker pool; the results are identical to the sequential path, and the
-// progress callback still fires once per spec, in spec order, from a
-// single goroutine.
+// harness's protocol. The (spec, target, seed) cells of all specs are
+// scheduled on the harness's one worker pool; the results are identical
+// at any worker count. Progress callbacks (may be nil) fire once per
+// completed spec, in spec order, from a single goroutine, since full runs
+// take minutes.
 func RunQuality(h *eval.Harness, specs []MatcherSpec, progress func(label string)) (*QualityResults, error) {
-	out := &QualityResults{Specs: specs}
-	if h.Parallelism() > 1 {
-		factories := make([]eval.MatcherFactory, len(specs))
-		labels := make([]string, len(specs))
-		for i, spec := range specs {
-			factories[i] = spec.Factory
-			labels[i] = spec.Label
-		}
-		var notify func(int)
-		if progress != nil {
-			notify = func(spec int) { progress(specs[spec].Label) }
-		}
-		results, err := h.EvaluateSpecsLabeled(factories, labels, notify)
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating quality table: %w", err)
-		}
-		out.Results = results
-		return out, nil
+	factories := make([]eval.MatcherFactory, len(specs))
+	labels := make([]string, len(specs))
+	for i, spec := range specs {
+		factories[i] = spec.Factory
+		labels[i] = spec.Label
 	}
-	for _, spec := range specs {
-		results, err := h.EvaluateAllLabeled(spec.Factory, spec.Label)
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating %s: %w", spec.Label, err)
-		}
-		out.Results = append(out.Results, results)
-		if progress != nil {
-			progress(spec.Label)
-		}
+	var notify func(int)
+	if progress != nil {
+		notify = func(spec int) { progress(specs[spec].Label) }
 	}
-	return out, nil
+	results, err := h.EvaluateSpecsLabeled(factories, labels, notify)
+	if err != nil {
+		return nil, fmt.Errorf("core: evaluating quality table: %w", err)
+	}
+	return &QualityResults{Specs: specs, Results: results}, nil
 }
 
 // MacroMeanUncontaminated computes the mean column for a spec, excluding

@@ -10,8 +10,8 @@ import (
 
 // TestRunQualityParallelMatchesSequential asserts the user-facing
 // determinism contract: RunQuality yields identical QualityResults — and
-// an identical progress-label sequence — whether the harness runs
-// sequentially or fans cells across workers.
+// an identical progress-label sequence — whether the harness runs one
+// worker (cells inline, in table order) or fans cells across four.
 func TestRunQualityParallelMatchesSequential(t *testing.T) {
 	specs := []MatcherSpec{
 		{Label: "StringSim", Factory: func() matchers.Matcher { return matchers.NewStringSim() }, Bracketed: never},
@@ -34,10 +34,10 @@ func TestRunQualityParallelMatchesSequential(t *testing.T) {
 	}
 
 	if !reflect.DeepEqual(seq.Results, par.Results) {
-		t.Fatal("parallel RunQuality results differ from sequential")
+		t.Fatal("4-worker RunQuality results differ from the one-worker run")
 	}
 	if !reflect.DeepEqual(seqLabels, parLabels) {
-		t.Fatalf("progress labels differ: sequential %v, parallel %v", seqLabels, parLabels)
+		t.Fatalf("progress labels differ: one worker %v, four %v", seqLabels, parLabels)
 	}
 	if !reflect.DeepEqual(seqLabels, []string{"StringSim", "ZeroER"}) {
 		t.Fatalf("progress labels out of spec order: %v", seqLabels)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/datasets"
-	"repro/internal/eval"
 	"repro/internal/report"
 )
 
@@ -149,23 +148,4 @@ func modelNameForSpec(label string) string {
 	default:
 		return ""
 	}
-}
-
-// NewHarness constructs the study harness with the paper's protocol, or a
-// reduced-seed variant for quick runs. Evaluation parallelism defaults to
-// one worker per CPU (safe because parallel and sequential runs produce
-// identical results); use NewHarnessParallel to pin a worker count.
-func NewHarness(seeds []uint64) *eval.Harness {
-	return NewHarnessParallel(seeds, 0)
-}
-
-// NewHarnessParallel is NewHarness with an evaluation worker count (see
-// eval.Config.Parallelism: 0 means one worker per CPU, 1 sequential).
-func NewHarnessParallel(seeds []uint64, parallelism int) *eval.Harness {
-	cfg := eval.DefaultConfig()
-	if len(seeds) > 0 {
-		cfg.Seeds = seeds
-	}
-	cfg.Parallelism = parallelism
-	return eval.NewHarness(cfg)
 }

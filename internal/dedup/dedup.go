@@ -26,7 +26,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/record"
 	"repro/internal/stream"
-	"repro/internal/textsim"
 )
 
 // Config parameterises one dedup run.
@@ -43,15 +42,15 @@ type Config struct {
 	// Matcher scores candidate pairs: "jaccard" (the verified token-set
 	// Jaccard from the index, thresholded — the dataset-scale default)
 	// or any matchers.ByName name dispatched through the study's
-	// matcher registry.
+	// matcher registry. Stream mode accepts only "jaccard".
 	Matcher string
 	// Threshold is the edge-acceptance score for clustering (and the
 	// match threshold in -stream mode).
 	Threshold float64
 	// MaxClusterSize re-splits oversized clusters (0 = no cap).
 	MaxClusterSize int
-	// Stream ingests incrementally through stream.Ingestor with an LSH
-	// candidate source instead of bulk build + probe.
+	// Stream ingests incrementally through stream.Ingestor, which merges
+	// on the LSH index's verified Jaccard, instead of bulk build + probe.
 	Stream bool
 }
 
@@ -113,6 +112,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Matcher == "" {
 		cfg.Matcher = "jaccard"
+	}
+	if cfg.Stream && cfg.Matcher != "jaccard" {
+		return nil, fmt.Errorf("dedup: stream mode merges on the index's verified Jaccard; matcher %q needs the bulk pipeline", cfg.Matcher)
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = DefaultConfig().Threshold
@@ -307,23 +309,17 @@ func matchCandidates(ctx context.Context, cfg Config, corpus *datasets.DedupCorp
 }
 
 // runStream is the incremental path: records flow one at a time through
-// stream.Ingestor with an LSH candidate source; the resulting entities are
-// converted to clusters for the same quality report.
+// stream.Ingestor, which probes and files each one in its LSH index; the
+// resulting entities are converted to clusters for the same quality report.
 func runStream(ctx context.Context, cfg Config, corpus *datasets.DedupCorpus, res *Result) (*Result, error) {
 	_, span := obs.Start(ctx, "dedup.stream")
 	t0 := time.Now()
-	src := lsh.NewStreamSource(cfg.LSH)
-	scorer := newJaccardScorer()
-	ing := stream.NewIngestor(scorer, stream.Config{
-		MatchThreshold: cfg.Threshold,
-		MaxCandidates:  src.Index().Config().TopK,
-		Candidates:     src,
-	})
+	ing := stream.NewIngestor(stream.Config{MatchThreshold: cfg.Threshold, LSH: cfg.LSH})
 	for _, r := range corpus.Records {
 		ing.Ingest(r)
 	}
 	res.Times.Build = time.Since(t0)
-	res.Index = src.Index().Stats()
+	res.Index = ing.Index().Stats()
 	res.CandidatePairs = res.Index.Emitted
 
 	t0 = time.Now()
@@ -349,20 +345,4 @@ func runStream(ctx context.Context, cfg Config, corpus *datasets.DedupCorpus, re
 	span.SetFloat("f1", res.Metrics.F1)
 	span.End()
 	return res, nil
-}
-
-// jaccardScorer scores a pair by token-set Jaccard over token
-// fingerprints, reusing two buffers across calls (single-goroutine, like
-// the ingestor).
-type jaccardScorer struct {
-	bufA, bufB []uint64
-}
-
-func newJaccardScorer() *jaccardScorer { return &jaccardScorer{} }
-
-// ScorePair implements stream.PairScorer.
-func (s *jaccardScorer) ScorePair(a, b record.Record) float64 {
-	s.bufA = lsh.RecordHashes(a, s.bufA[:0])
-	s.bufB = lsh.RecordHashes(b, s.bufB[:0])
-	return textsim.JaccardHashes(s.bufA, s.bufB)
 }

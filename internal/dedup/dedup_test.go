@@ -2,6 +2,10 @@ package dedup
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -182,5 +186,36 @@ func TestCompareExtrapolates(t *testing.T) {
 	direct := Compare(cfg, res, 6000)
 	if cr.TokenComparisons < direct.TokenComparisons/2 {
 		t.Fatalf("extrapolated %d comparisons vs %d direct — fit collapsed", cr.TokenComparisons, direct.TokenComparisons)
+	}
+}
+
+// TestRunStreamPartitionPinned pins stream mode's entity partition of a
+// small corpus: a change to which arriving records merge, or into which
+// entity, changes the hash.
+func TestRunStreamPartitionPinned(t *testing.T) {
+	cfg := testConfig(2000)
+	cfg.Stream = true
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range res.Clusters {
+		fmt.Fprintln(h, strings.Join(c.Members, ","))
+	}
+	const want = "c551c64aedc66c5c66e6bff8db14e12064e505de9181a81f31da2f9efccec22b"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("stream partition of %d clusters hashes to %s, want %s", len(res.Clusters), got, want)
+	}
+}
+
+// TestRunStreamRejectsRegistryMatcher: stream mode merges on the index's
+// verified Jaccard alone, so a registry matcher would be silently ignored.
+func TestRunStreamRejectsRegistryMatcher(t *testing.T) {
+	cfg := testConfig(200)
+	cfg.Stream = true
+	cfg.Matcher = "stringsim"
+	if _, err := Run(context.Background(), cfg); err == nil {
+		t.Fatal("stream mode accepted a registry matcher it cannot apply")
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/matchers"
@@ -130,25 +131,33 @@ func (m *recordingMatcher) Predict(task matchers.Task) []bool {
 
 func TestEvaluateTargetProtocol(t *testing.T) {
 	h := newTestHarness()
-	var last *recordingMatcher
+	// The engine calls the factory from its workers, once per seed.
+	var mu sync.Mutex
+	var made []*recordingMatcher
 	factory := func() matchers.Matcher {
-		last = &recordingMatcher{}
-		return last
+		m := &recordingMatcher{}
+		mu.Lock()
+		made = append(made, m)
+		mu.Unlock()
+		return m
 	}
 	res, err := h.EvaluateTarget(factory, "FOZA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.F1s) != 2 {
-		t.Fatalf("expected one F1 per seed, got %d", len(res.F1s))
+	if len(res.F1s) != 2 || len(made) != 2 {
+		t.Fatalf("expected one F1 and one fresh matcher per seed, got %d and %d", len(res.F1s), len(made))
 	}
-	for _, name := range last.transferNames {
-		if name == "FOZA" {
-			t.Fatal("matcher saw target in transfer data")
+	for _, m := range made {
+		for _, name := range m.transferNames {
+			if name == "FOZA" {
+				t.Fatal("matcher saw target in transfer data")
+			}
 		}
-	}
-	if len(last.transferNames) != 10 {
-		t.Fatalf("matcher saw %d transfer datasets", len(last.transferNames))
+		if len(m.transferNames) != 10 || m.predictCalls != 1 || !m.sawSchema {
+			t.Fatalf("matcher saw %d transfer datasets, %d predict calls, schema %v",
+				len(m.transferNames), m.predictCalls, m.sawSchema)
+		}
 	}
 	if res.Target != "FOZA" || res.Matcher != "recorder" {
 		t.Fatalf("result metadata wrong: %+v", res)

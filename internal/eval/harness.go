@@ -33,12 +33,13 @@ type Config struct {
 	Seeds []uint64
 	// MaxTest caps the test-set size (0 means MaxTestSamples).
 	MaxTest int
-	// Parallelism is the worker count of the parallel evaluation engine:
-	// n > 0 runs n workers, 1 forces the sequential path, and anything
-	// else (the zero value included) means one worker per available CPU.
-	// Parallel and sequential runs produce identical results — every
-	// (matcher, target, seed) cell is independently seeded and results
-	// merge back in table order — so this knob trades nothing but heat.
+	// Parallelism is the worker count of the evaluation engine: n > 0
+	// runs n workers (1 runs the cells inline, in table order), and
+	// anything else (the zero value included) means one worker per
+	// available CPU. Every worker count produces identical results —
+	// every (matcher, target, seed) cell is independently seeded and
+	// results merge back in table order — so this knob trades nothing but
+	// heat.
 	Parallelism int
 	// Tracer, when non-nil, records per-cell spans (cell → train /
 	// predict / score, with matcher stage spans under predict) into the
@@ -72,7 +73,8 @@ func (r Result) Mean() float64 { return stats.Mean(r.F1s) }
 func (r Result) Std() float64 { return stats.StdDev(r.F1s) }
 
 // MatcherFactory constructs a fresh matcher instance per run, so runs
-// never share trained state.
+// never share trained state. The engine calls it from its worker
+// goroutines, several at once when Parallelism allows.
 type MatcherFactory func() matchers.Matcher
 
 // Harness runs the leave-one-dataset-out protocol. It owns the generated
@@ -89,7 +91,7 @@ type Harness struct {
 	// profcache is the shared text-profile cache behind every similarity
 	// kernel the matchers invoke. It is the process-wide textsim cache —
 	// profiles key on exact strings, so distinct harnesses can safely share
-	// it — held here so the parallel engine's workers and cache-stats
+	// it — held here so the evaluation engine's workers and cache-stats
 	// reporting reach the same instance the kernels use.
 	profcache *textsim.ProfileCache
 	// tctx is the tracing context every cell starts its spans under:
@@ -247,7 +249,7 @@ func (h *Harness) targetInputs(target string) (*targetInputs, error) {
 }
 
 // cell is the outcome of one (matcher, target, seed) evaluation — the
-// atomic unit the parallel engine schedules.
+// atomic unit the evaluation engine schedules.
 type cell struct {
 	name string
 	conf Confusion
@@ -319,49 +321,6 @@ func mergeCells(target string, cells []cell) Result {
 		res.F1s = append(res.F1s, c.conf.F1())
 	}
 	return res
-}
-
-// EvaluateTarget runs one matcher on one target dataset across all seeds.
-func (h *Harness) EvaluateTarget(factory MatcherFactory, target string) (Result, error) {
-	return h.EvaluateTargetLabeled(factory, "", target)
-}
-
-// EvaluateTargetLabeled is EvaluateTarget with a journal label: when a
-// run journal is installed and label is non-empty, completed cells are
-// replayed from the journal and fresh cells are recorded into it.
-func (h *Harness) EvaluateTargetLabeled(factory MatcherFactory, label, target string) (Result, error) {
-	in, err := h.targetInputs(target)
-	if err != nil {
-		return Result{}, err
-	}
-	cells := make([]cell, len(h.cfg.Seeds))
-	for i, seed := range h.cfg.Seeds {
-		if cells[i], err = h.runCellJournaled(factory, label, in, seed); err != nil {
-			return Result{}, err
-		}
-	}
-	return mergeCells(target, cells), nil
-}
-
-// EvaluateAll runs one matcher across every target dataset
-// (leave-one-dataset-out over the full benchmark). Results come back in
-// Table 1 dataset order.
-func (h *Harness) EvaluateAll(factory MatcherFactory) ([]Result, error) {
-	return h.EvaluateAllLabeled(factory, "")
-}
-
-// EvaluateAllLabeled is EvaluateAll with a journal label (see
-// EvaluateTargetLabeled).
-func (h *Harness) EvaluateAllLabeled(factory MatcherFactory, label string) ([]Result, error) {
-	var out []Result
-	for _, d := range h.all {
-		r, err := h.EvaluateTargetLabeled(factory, label, d.Name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // MacroMean computes the per-seed macro-averaged F1 across targets, then

@@ -7,55 +7,39 @@ import (
 	"repro/internal/par"
 )
 
-// This file is the parallel evaluation engine. The leave-one-dataset-out
-// protocol decomposes into (matcher, target, seed) cells that share only
-// read-only inputs — the generated benchmark, the fixed test partitions
-// and the serialization cache — and derive all randomness from their own
-// seeded RNG stream. The engine therefore fans cells across a worker pool
-// and merges them back through indexed slots, making parallel output
-// byte-identical to the sequential path at every worker count.
+// This file is the evaluation engine. The leave-one-dataset-out protocol
+// decomposes into (matcher, target, seed) cells that share only read-only
+// inputs — the generated benchmark, the fixed test partitions and the
+// serialization cache — and derive all randomness from their own seeded
+// RNG stream. The engine therefore fans cells across a worker pool and
+// merges them back through indexed slots, making the output byte-identical
+// at every worker count; with one worker the cells run inline in table
+// order. Every Evaluate* method is a call into evaluate.
 
-// EvaluateTargets runs one matcher over the given targets, fanning the
-// (target, seed) cells across the harness's configured workers. The
-// results come back in the order of the targets argument, identical to
-// calling EvaluateTarget per target sequentially.
-func (h *Harness) EvaluateTargets(factory MatcherFactory, targets []string) ([]Result, error) {
-	// Resolve inputs up front so an unknown target name surfaces as the
-	// same deterministic error the sequential path reports, before any
-	// cell runs.
-	inputs := make([]*targetInputs, len(targets))
-	for i, t := range targets {
-		in, err := h.targetInputs(t)
-		if err != nil {
-			return nil, err
-		}
-		inputs[i] = in
+// EvaluateTarget runs one matcher on one target dataset across all seeds.
+func (h *Harness) EvaluateTarget(factory MatcherFactory, target string) (Result, error) {
+	rs, err := h.EvaluateTargets(factory, []string{target})
+	if err != nil {
+		return Result{}, err
 	}
-	nSeeds := len(h.cfg.Seeds)
-	cells := make([]cell, len(targets)*nSeeds)
-	if err := par.Do(len(cells), h.Parallelism(), func(i int) error {
-		t, k := i/nSeeds, i%nSeeds
-		cells[i] = h.runCell(factory, inputs[t], h.cfg.Seeds[k])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(targets))
-	for t, name := range targets {
-		out[t] = mergeCells(name, cells[t*nSeeds:(t+1)*nSeeds])
-	}
-	return out, nil
+	return rs[0], nil
 }
 
-// EvaluateAllParallel is EvaluateAll with the (target, seed) cells fanned
-// across the harness's workers; results are byte-identical to EvaluateAll
-// and come back in Table 1 dataset order.
-func (h *Harness) EvaluateAllParallel(factory MatcherFactory) ([]Result, error) {
-	names := make([]string, len(h.all))
-	for i, d := range h.all {
-		names[i] = d.Name
+// EvaluateAll runs one matcher across every target dataset
+// (leave-one-dataset-out over the full benchmark). Results come back in
+// Table 1 dataset order.
+func (h *Harness) EvaluateAll(factory MatcherFactory) ([]Result, error) {
+	return h.EvaluateTargets(factory, h.targetNames())
+}
+
+// EvaluateTargets runs one matcher over the given targets. The results
+// come back in the order of the targets argument.
+func (h *Harness) EvaluateTargets(factory MatcherFactory, targets []string) ([]Result, error) {
+	out, err := h.evaluate([]MatcherFactory{factory}, nil, targets, nil)
+	if err != nil {
+		return nil, err
 	}
-	return h.EvaluateTargets(factory, names)
+	return out[0], nil
 }
 
 // EvaluateSpecs runs several matcher configurations over the full
@@ -65,9 +49,8 @@ func (h *Harness) EvaluateAllParallel(factory MatcherFactory) ([]Result, error) 
 // expensive one finishes its row.
 //
 // progress (may be nil) fires once per fully completed configuration,
-// always from a single goroutine and always in spec order, exactly as a
-// sequential run would report it — even when a later spec's cells finish
-// first.
+// always from a single goroutine and always in spec order — even when a
+// later spec's cells finish first.
 func (h *Harness) EvaluateSpecs(factories []MatcherFactory, progress func(spec int)) ([][]Result, error) {
 	return h.EvaluateSpecsLabeled(factories, nil, progress)
 }
@@ -82,13 +65,31 @@ func (h *Harness) EvaluateSpecsLabeled(factories []MatcherFactory, labels []stri
 	if labels != nil && len(labels) != len(factories) {
 		return nil, fmt.Errorf("eval: %d factories but %d labels", len(factories), len(labels))
 	}
-	inputs := make([]*targetInputs, len(h.all))
-	for t, d := range h.all {
-		in, err := h.targetInputs(d.Name)
+	return h.evaluate(factories, labels, h.targetNames(), progress)
+}
+
+// targetNames returns every dataset name in Table 1 order.
+func (h *Harness) targetNames() []string {
+	names := make([]string, len(h.all))
+	for i, d := range h.all {
+		names[i] = d.Name
+	}
+	return names
+}
+
+// evaluate runs every (spec, target, seed) cell on the harness's workers
+// and returns one result row per spec, in targets order. Inputs resolve
+// up front, so an unknown target name errors before any cell runs; a
+// failing cell reports the lowest-indexed failure (par.Do), independent
+// of scheduling. labels may be nil (no journaling).
+func (h *Harness) evaluate(factories []MatcherFactory, labels, targets []string, progress func(spec int)) ([][]Result, error) {
+	inputs := make([]*targetInputs, len(targets))
+	for i, t := range targets {
+		in, err := h.targetInputs(t)
 		if err != nil {
 			return nil, err
 		}
-		inputs[t] = in
+		inputs[i] = in
 	}
 	nSeeds := len(h.cfg.Seeds)
 	perSpec := len(inputs) * nSeeds
@@ -96,7 +97,7 @@ func (h *Harness) EvaluateSpecsLabeled(factories []MatcherFactory, labels []stri
 
 	// Per-spec countdowns feed the ordered notifier: the last cell of a
 	// spec to finish reports it, and the notifier re-orders those reports
-	// into sequential-looking progress callbacks.
+	// into in-order progress callbacks.
 	remaining := make([]atomic.Int64, len(factories))
 	for s := range remaining {
 		remaining[s].Store(int64(perSpec))

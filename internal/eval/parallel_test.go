@@ -9,8 +9,8 @@ import (
 )
 
 // TestEvaluateAllParallelMatchesSequential is the engine's core guarantee:
-// at any worker count, the parallel path reproduces the sequential results
-// exactly — not approximately.
+// at any worker count, the results equal the one-worker run (cells inline,
+// in table order) exactly — not approximately.
 func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	h := newTestHarness()
 	factory := func() matchers.Matcher { return matchers.NewStringSim() }
@@ -22,12 +22,12 @@ func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4} {
 		h.SetParallelism(workers)
-		par, err := h.EvaluateAllParallel(factory)
+		par, err := h.EvaluateAll(factory)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel results differ from sequential", workers)
+			t.Fatalf("workers=%d: results differ from the one-worker run", workers)
 		}
 	}
 }
@@ -44,12 +44,13 @@ func TestEvaluateTargetsSubsetAndOrder(t *testing.T) {
 	if len(rs) != 2 || rs[0].Target != "DBGO" || rs[1].Target != "ABT" {
 		t.Fatalf("results not in requested target order: %+v", rs)
 	}
+	h.SetParallelism(1)
 	want, err := h.EvaluateTarget(factory, "ABT")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rs[1], want) {
-		t.Fatal("parallel per-target result differs from EvaluateTarget")
+		t.Fatal("4-worker per-target result differs from the one-worker EvaluateTarget")
 	}
 }
 
@@ -62,9 +63,9 @@ func TestEvaluateTargetsUnknownTarget(t *testing.T) {
 	}
 }
 
-// TestEvaluateSpecsMatchesSequential checks the multi-spec engine against
-// per-spec sequential evaluation, and that progress fires once per spec in
-// spec order even though cells complete out of order.
+// TestEvaluateSpecsMatchesSequential checks the multi-spec schedule at 4
+// workers against per-spec one-worker evaluation, and that progress fires
+// once per spec in spec order even though cells complete out of order.
 func TestEvaluateSpecsMatchesSequential(t *testing.T) {
 	h := newTestHarness()
 	factories := []MatcherFactory{
@@ -94,7 +95,7 @@ func TestEvaluateSpecsMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("EvaluateSpecs results differ from sequential per-spec runs")
+		t.Fatal("EvaluateSpecs results differ from one-worker per-spec runs")
 	}
 	if len(fired) != len(factories) {
 		t.Fatalf("progress fired %d times, want %d", len(fired), len(factories))

@@ -125,22 +125,28 @@ func TestJournalDisplayNameRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.SetJournal(j)
-	factory := func() matchers.Matcher { return matchers.NewStringSim() }
-	live, err := h.EvaluateTargetLabeled(factory, "label-1", "ABT")
+	factories := []MatcherFactory{func() matchers.Matcher { return matchers.NewStringSim() }}
+	labels := []string{"label-1"}
+	live, err := h.EvaluateSpecsLabeled(factories, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second evaluation replays from the journal (same label).
-	replay, err := h.EvaluateTargetLabeled(factory, "label-1", "ABT")
+	replay, err := h.EvaluateSpecsLabeled(factories, labels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if live.Matcher != "StringSim" || replay.Matcher != "StringSim" {
-		t.Fatalf("display names: live %q, replay %q", live.Matcher, replay.Matcher)
+	if j.Len() != len(h.Datasets()) {
+		t.Fatalf("journal holds %d cells, want one per target (%d)", j.Len(), len(h.Datasets()))
+	}
+	for _, r := range append(live[0], replay[0]...) {
+		if r.Matcher != "StringSim" {
+			t.Fatalf("display name on %s: %q", r.Target, r.Matcher)
+		}
 	}
 	if !reflect.DeepEqual(live, replay) {
-		t.Fatal("replayed target result differs")
+		t.Fatal("replayed results differ")
 	}
 }
 

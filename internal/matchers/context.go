@@ -2,18 +2,6 @@ package matchers
 
 import "context"
 
-// ContextMatcher is the optional context-aware extension of Matcher. A
-// matcher that can observe cancellation mid-batch (for example by checking
-// the context between pairs) implements PredictContext and gets fine-grained
-// cancellation; every other matcher is driven through PredictCtx, which
-// wraps the plain batch call.
-type ContextMatcher interface {
-	Matcher
-	// PredictContext classifies the task's pairs, returning early with the
-	// context's error if ctx is cancelled before the batch completes.
-	PredictContext(ctx context.Context, task Task) ([]bool, error)
-}
-
 // PredictCtx is the single cancellation path shared by the CLIs and the
 // serving subsystem: it runs m.Predict under the context's deadline.
 //
@@ -30,9 +18,6 @@ func PredictCtx(ctx context.Context, m Matcher, task Task) ([]bool, error) {
 		// Thread the caller's context into the task so matchers can
 		// attribute stage timings to it (see Task.Ctx).
 		task.Ctx = ctx
-	}
-	if cm, ok := m.(ContextMatcher); ok {
-		return cm.PredictContext(ctx, task)
 	}
 	if ctx == nil || ctx.Done() == nil {
 		return m.Predict(task), nil

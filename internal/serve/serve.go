@@ -123,9 +123,6 @@ type Config struct {
 	// MatcherName is the registry name the matcher was built from; it
 	// selects serving semantics and the pricing model. Required.
 	MatcherName string
-	// Semantics overrides SemanticsFor(MatcherName) when non-nil (tests
-	// inject stub matchers with explicit semantics).
-	Semantics *Semantics
 
 	// Workers is the scoring pool size; <=0 means one per CPU
 	// (par.Workers).
@@ -299,9 +296,6 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	sem := SemanticsFor(cfg.MatcherName)
-	if cfg.Semantics != nil {
-		sem = *cfg.Semantics
-	}
 	if cfg.Router != nil {
 		// Routed pairs are decided independently, so the grouping provably
 		// cannot change decisions: batch-invariant by construction.

@@ -109,28 +109,27 @@ type Config struct {
 	WarnFraction float64
 }
 
-// maxBurn caps reported burn rates so JSON output stays finite when a
-// floor objective observes a zero value.
+// maxBurn caps reported burn rates so a burst far past a tight limit
+// reads as a bounded number.
 const maxBurn = 1e6
 
-// sample is one cumulative observation: scalar readings a/b/c for
-// ratio/cost/f1 objectives, a bucket-count snapshot for latency ones.
+// sample is one cumulative observation: scalar readings a/b for
+// ratio/cost objectives, a bucket-count snapshot for latency ones.
 type sample struct {
 	at      time.Duration
-	a, b, c float64
+	a, b    float64
 	buckets []int64
 }
 
 // objective is one Spec bound to its cumulative sources plus the
 // rolling sample ring.
 type objective struct {
-	spec Spec
-	hist *obs.Histogram  // latency
-	fnA  func() float64  // ratio: bad; cost: dollars; f1: tp
-	fnB  func() float64  // ratio: total; cost: pairs; f1: fp
-	fnC  func() float64  // f1: fn
-	ring []sample
-	n    int // samples pushed; ring index n-1 is newest
+	spec  Spec
+	hist  *obs.Histogram // latency
+	fnA   func() float64 // ratio: bad; cost: dollars
+	fnB   func() float64 // ratio: total; cost: pairs
+	ring  []sample
+	n     int     // samples pushed; ring index n-1 is newest
 	delta []int64 // scratch for windowed bucket deltas
 
 	state       State
@@ -232,16 +231,6 @@ func (e *Engine) AddCost(sp Spec, dollars, pairs func() float64) error {
 	return e.add(&objective{spec: sp, fnA: dollars, fnB: pairs})
 }
 
-// AddF1 binds an F1 floor to cumulative confusion counts; the windowed
-// value is F1 of the deltas. Windows with no labeled traffic read as
-// "no data" and burn 0.
-func (e *Engine) AddF1(sp Spec, tp, fp, fn func() float64) error {
-	if sp.Kind != KindF1 {
-		return fmt.Errorf("slo: %s is not an f1 objective", sp)
-	}
-	return e.add(&objective{spec: sp, fnA: tp, fnB: fp, fnC: fn})
-}
-
 // Objectives returns the number of bound objectives.
 func (e *Engine) Objectives() int {
 	if e == nil {
@@ -317,8 +306,6 @@ func (e *Engine) evaluate(o *objective, now time.Duration) Status {
 	switch o.spec.Kind {
 	case KindLatency:
 		s.buckets = o.hist.BucketCountsInto(s.buckets[:0])
-	case KindF1:
-		s.a, s.b, s.c = o.fnA(), o.fnB(), o.fnC()
 	default: // ratio, cost
 		s.a, s.b = o.fnA(), o.fnB()
 	}
@@ -363,10 +350,11 @@ func (o *objective) sampleAt(cut time.Duration) *sample {
 }
 
 // windowValue computes the objective's value over the delta between
-// two cumulative samples. Negative return means "no data in window".
+// two cumulative samples; an empty window reads 0 (nothing observed,
+// nothing burned).
 func (o *objective) windowValue(cur, old *sample) float64 {
 	if old == nil || old == cur {
-		return noData(o.spec.Kind)
+		return 0
 	}
 	switch o.spec.Kind {
 	case KindLatency:
@@ -396,48 +384,14 @@ func (o *objective) windowValue(cur, old *sample) float64 {
 			dollars = 0
 		}
 		return dollars * 1000 / pairs
-	case KindF1:
-		tp, fp, fn := cur.a-old.a, cur.b-old.b, cur.c-old.c
-		if tp+fp+fn <= 0 {
-			return -1 // no labeled traffic in window
-		}
-		denom := 2*tp + fp + fn
-		if denom <= 0 {
-			return 0
-		}
-		return 2 * tp / denom
-	}
-	return 0
-}
-
-// noData is the empty-window value: 0 for ceilings (nothing observed,
-// nothing burned), -1 ("no data", burn 0) for floors — a floor must
-// not breach just because no labeled traffic arrived.
-func noData(k Kind) float64 {
-	if k == KindF1 {
-		return -1
 	}
 	return 0
 }
 
 // burn maps a windowed value to a burn rate: fraction of the budget
-// consumed, ≥1 meaning the objective is violated in that window.
+// consumed, ≥1 meaning the objective is violated in that window. The
+// engine binds ceilings only; F1 floors belong to the one-shot Check.
 func (sp Spec) burn(v float64) float64 {
-	if v < 0 {
-		return 0 // no data
-	}
-	if sp.Floor {
-		if sp.Limit <= 0 {
-			return 0
-		}
-		if v <= 0 {
-			return maxBurn
-		}
-		if b := sp.Limit / v; b < maxBurn {
-			return b
-		}
-		return maxBurn
-	}
 	if sp.Limit <= 0 {
 		return 0
 	}
@@ -545,7 +499,7 @@ func sanitizeMetric(s string) string {
 // FormatStatus renders one status as a fixed-width dashboard line —
 // shared by emserve's loadgen report and emtool watch.
 func FormatStatus(st Status) string {
-	sp := Spec{Kind: kindFromString(st.Kind), Floor: st.Kind == "f1"}
+	sp := Spec{Kind: kindFromString(st.Kind)}
 	return fmt.Sprintf("%-28s %-6s long %s (burn %.2f)  short %s (burn %.2f)",
 		st.Spec, st.State, sp.FormatValue(st.ValueLong), st.BurnLong,
 		sp.FormatValue(st.ValueShort), st.BurnShort)
@@ -559,8 +513,6 @@ func kindFromString(s string) Kind {
 		return KindRatio
 	case "cost":
 		return KindCost
-	case "f1":
-		return KindF1
 	}
 	return KindRatio
 }

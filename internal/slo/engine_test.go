@@ -128,51 +128,6 @@ func TestEngineLatencyWindowing(t *testing.T) {
 	}
 }
 
-// F1 floors burn only on labeled traffic: empty windows are "no data",
-// not a breach.
-func TestEngineF1Floor(t *testing.T) {
-	vc := &clock.Virtual{}
-	e := NewEngine(Config{Clock: vc, Resolution: time.Second})
-	var tp, fp, fn atomic.Int64
-	load := func(c *atomic.Int64) func() float64 {
-		return func() float64 { return float64(c.Load()) }
-	}
-	if err := e.AddF1(mustSpec(t, "f1>=0.8@10s/2s"), load(&tp), load(&fp), load(&fn)); err != nil {
-		t.Fatal(err)
-	}
-	// No labels at all: stays OK.
-	for i := 0; i < 5; i++ {
-		vc.Sleep(time.Second)
-		if st := e.Tick()[0]; st.State != OK || st.BurnLong != 0 {
-			t.Fatalf("unlabeled tick: %+v", st)
-		}
-	}
-	// Good labels: F1 = 1, OK.
-	tp.Add(80)
-	vc.Sleep(time.Second)
-	if st := e.Tick()[0]; st.State != OK || st.ValueShort != 1 {
-		t.Fatalf("good labels: %+v", st)
-	}
-	// Quality collapse: all false positives.
-	fp.Add(500)
-	vc.Sleep(time.Second)
-	st := e.Tick()[0]
-	if st.BurnShort < 1 {
-		t.Fatalf("collapse not burning: %+v", st)
-	}
-	for i := 0; st.State != Breach && i < 10; i++ {
-		fp.Add(500)
-		vc.Sleep(time.Second)
-		st = e.Tick()[0]
-	}
-	if st.State != Breach {
-		t.Fatal("quality collapse never breached")
-	}
-	if st.BurnShort > maxBurn {
-		t.Fatalf("burn uncapped: %v", st.BurnShort)
-	}
-}
-
 // Determinism pin (acceptance criterion): two engines fed the same
 // scripted traffic on virtual clocks produce byte-identical status
 // sequences.

@@ -4,75 +4,34 @@
 // and each new record must be checked against everything already ingested
 // without re-blocking the whole corpus.
 //
-// The Ingestor maintains an incremental rare-token inverted index; each
-// arriving record retrieves its candidates, has them scored by any
-// per-pair matcher, and is either merged into an existing entity or
-// registered as a new one.
+// The Ingestor files every record in a MinHash/LSH index
+// (internal/blocking/lsh). Each arriving record is fingerprinted once,
+// probes the index with those fingerprints, merges into the entity of its
+// best candidate when that candidate's verified token-set Jaccard reaches
+// the match threshold, and is then filed under the same fingerprints.
 package stream
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/blocking/lsh"
 	"repro/internal/record"
-	"repro/internal/textsim"
 )
-
-// PairScorer scores one candidate pair; implementations wrap any per-pair
-// matcher (the crossem.PairMatcher, a trained head, a similarity rule).
-type PairScorer interface {
-	// ScorePair returns the match probability for (a, b).
-	ScorePair(a, b record.Record) float64
-}
-
-// ScorerFunc adapts a function to PairScorer.
-type ScorerFunc func(a, b record.Record) float64
-
-// ScorePair implements PairScorer.
-func (f ScorerFunc) ScorePair(a, b record.Record) float64 { return f(a, b) }
-
-// CandidateSource is a pluggable incremental candidate index for the
-// ingestor. The built-in source is the rare-token inverted index below;
-// the MinHash/LSH index (internal/blocking/lsh.StreamSource) plugs in the
-// sublinear alternative for high-volume feeds. Implementations see records
-// in arrival order: Candidates for record i is always called before Add(i).
-type CandidateSource interface {
-	// Add indexes r under the ingestor-assigned record index idx.
-	// Indices arrive strictly sequentially from zero.
-	Add(r record.Record, idx int)
-	// AppendCandidates appends the indices of at most max candidate
-	// records for r (best first) to dst and returns it.
-	AppendCandidates(dst []int, r record.Record, max int) []int
-}
 
 // Config tunes the ingestor.
 type Config struct {
-	// MatchThreshold is the probability above which an arriving record
-	// merges into an existing entity.
+	// MatchThreshold is the verified Jaccard at or above which an arriving
+	// record merges into its best candidate's entity.
 	MatchThreshold float64
-	// MaxCandidates bounds how many indexed records are scored per
-	// arrival.
-	MaxCandidates int
-	// MinSharedTokens is the minimum number of shared index tokens for a
-	// candidate to be scored at all (built-in source only).
-	MinSharedTokens int
-	// MaxIndexedPerToken caps a token's posting list; hotter tokens stop
-	// indexing new postings (they no longer discriminate; built-in
-	// source only).
-	MaxIndexedPerToken int
-	// Candidates, when non-nil, replaces the built-in rare-token
-	// inverted index as the candidate source.
-	Candidates CandidateSource
+	// LSH configures the candidate index (zero fields take lsh defaults);
+	// its TopK bounds the candidates considered per arrival.
+	LSH lsh.Config
 }
 
 // DefaultConfig returns ingestion defaults tuned for product-style feeds.
 func DefaultConfig() Config {
-	return Config{
-		MatchThreshold:     0.5,
-		MaxCandidates:      20,
-		MinSharedTokens:    1,
-		MaxIndexedPerToken: 256,
-	}
+	return Config{MatchThreshold: 0.5}
 }
 
 // Entity is one resolved entity in the ingestor's state.
@@ -92,9 +51,9 @@ type Arrival struct {
 	// MergedInto reports whether the record joined an existing entity
 	// (false = it founded a new one).
 	MergedInto bool
-	// Score is the best candidate score observed.
+	// Score is the best candidate's verified Jaccard (0 without one).
 	Score float64
-	// CandidatesScored is how many candidates the scorer saw.
+	// CandidatesScored is how many candidates the probe verified and kept.
 	CandidatesScored int
 }
 
@@ -102,76 +61,58 @@ type Arrival struct {
 // wrap with a mutex for multi-goroutine feeds.
 type Ingestor struct {
 	cfg    Config
-	scorer PairScorer
-	src    CandidateSource
+	ix     *lsh.Index
+	prober *lsh.Prober
 
-	records  []record.Record
 	entityOf []int // record index -> entity index
 	entities []*Entity
 	arrivals int
 
-	candBuf []int // reused candidate-index scratch
+	ids   []uint64        // the arriving record's token fingerprints
+	cands []lsh.Candidate // reused probe output
 }
 
-// NewIngestor returns an empty ingestor over the given scorer.
-func NewIngestor(scorer PairScorer, cfg Config) *Ingestor {
+// NewIngestor returns an empty ingestor over a fresh LSH index.
+func NewIngestor(cfg Config) *Ingestor {
 	if cfg.MatchThreshold <= 0 {
 		cfg.MatchThreshold = DefaultConfig().MatchThreshold
 	}
-	if cfg.MaxCandidates <= 0 {
-		cfg.MaxCandidates = DefaultConfig().MaxCandidates
-	}
-	if cfg.MaxIndexedPerToken <= 0 {
-		cfg.MaxIndexedPerToken = DefaultConfig().MaxIndexedPerToken
-	}
-	src := cfg.Candidates
-	if src == nil {
-		src = &tokenSource{
-			cfg:   cfg,
-			index: make(map[string][]int),
-		}
-	}
-	return &Ingestor{
-		cfg:    cfg,
-		scorer: scorer,
-		src:    src,
-	}
+	ix := lsh.NewIndex(cfg.LSH)
+	return &Ingestor{cfg: cfg, ix: ix, prober: ix.NewProber()}
 }
 
-// Ingest processes one arriving record: candidate retrieval, scoring, and
-// merge-or-create.
+// Index exposes the candidate index (stats, direct probes).
+func (g *Ingestor) Index() *lsh.Index { return g.ix }
+
+// Ingest processes one arriving record: probe, merge-or-create, then file
+// the record in the index.
 func (g *Ingestor) Ingest(r record.Record) Arrival {
 	g.arrivals++
 	if r.ID == "" {
 		r.ID = fmt.Sprintf("stream-%d", g.arrivals)
 	}
 
-	g.candBuf = g.src.AppendCandidates(g.candBuf[:0], r, g.cfg.MaxCandidates)
-	cands := g.candBuf
-
-	// Score candidates; best match wins.
-	arrival := Arrival{RecordID: r.ID, CandidatesScored: len(cands)}
-	bestEntity := -1
-	for _, c := range cands {
-		score := g.scorer.ScorePair(g.records[c], r)
-		if score > arrival.Score {
-			arrival.Score = score
-			if score >= g.cfg.MatchThreshold {
-				bestEntity = g.entityOf[c]
-			}
+	// The record is probed before it is filed, so it is never its own
+	// candidate. Candidates come sorted by (-Jaccard, index): the first
+	// is the best, and the earliest-filed record wins a tie.
+	g.ids = lsh.RecordHashes(r, g.ids[:0])
+	g.cands = g.prober.ProbeHashes(g.ids, g.cands[:0])
+	arrival := Arrival{RecordID: r.ID, CandidatesScored: len(g.cands)}
+	best := -1
+	if len(g.cands) > 0 {
+		c := g.cands[0]
+		arrival.Score = c.Jaccard
+		if c.Jaccard >= g.cfg.MatchThreshold {
+			best = g.entityOf[c.Index]
 		}
 	}
+	g.ix.AddHashes(g.ids)
 
-	// Register the record.
-	recIdx := len(g.records)
-	g.records = append(g.records, r)
-	g.src.Add(r, recIdx)
-
-	if bestEntity >= 0 {
-		g.entities[bestEntity].Records = append(g.entities[bestEntity].Records, r)
-		g.entityOf = append(g.entityOf, bestEntity)
+	if best >= 0 {
+		g.entities[best].Records = append(g.entities[best].Records, r)
+		g.entityOf = append(g.entityOf, best)
 		arrival.MergedInto = true
-		arrival.EntityID = g.entities[bestEntity].ID
+		arrival.EntityID = g.entities[best].ID
 		return arrival
 	}
 	e := &Entity{ID: r.ID, Records: []record.Record{r}}
@@ -198,88 +139,16 @@ type Stats struct {
 	Records   int
 	Entities  int
 	Merged    int // records that joined an existing entity
-	IndexKeys int
+	IndexKeys int // occupied LSH buckets across all bands
 }
 
 // Stats returns the current counters.
 func (g *Ingestor) Stats() Stats {
-	keys := 0
-	if ks, ok := g.src.(interface{ Keys() int }); ok {
-		keys = ks.Keys()
-	}
+	n := g.ix.Len()
 	return Stats{
-		Records:   len(g.records),
+		Records:   n,
 		Entities:  len(g.entities),
-		Merged:    len(g.records) - len(g.entities),
-		IndexKeys: keys,
+		Merged:    n - len(g.entities),
+		IndexKeys: g.ix.Stats().Buckets,
 	}
-}
-
-// tokenSource is the built-in CandidateSource: the incremental rare-token
-// inverted index the ingestor has always used, ranking candidates by
-// shared-token count (ties by arrival order).
-type tokenSource struct {
-	cfg   Config
-	index map[string][]int // token -> record indices
-}
-
-// Keys reports the number of distinct indexed tokens (Stats.IndexKeys).
-func (s *tokenSource) Keys() int { return len(s.index) }
-
-// Add implements CandidateSource.
-func (s *tokenSource) Add(r record.Record, idx int) {
-	for _, t := range indexTokens(r) {
-		if len(s.index[t]) < s.cfg.MaxIndexedPerToken {
-			s.index[t] = append(s.index[t], idx)
-		}
-	}
-}
-
-// AppendCandidates implements CandidateSource.
-func (s *tokenSource) AppendCandidates(dst []int, r record.Record, max int) []int {
-	counts := make(map[int]int)
-	for _, t := range indexTokens(r) {
-		for _, idx := range s.index[t] {
-			counts[idx]++
-		}
-	}
-	type cand struct {
-		idx    int
-		shared int
-	}
-	var cands []cand
-	for idx, n := range counts {
-		if n >= s.cfg.MinSharedTokens {
-			cands = append(cands, cand{idx, n})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].shared != cands[b].shared {
-			return cands[a].shared > cands[b].shared
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	for _, c := range cands {
-		dst = append(dst, c.idx)
-	}
-	return dst
-}
-
-// indexTokens selects the tokens worth indexing for a record: deduplicated
-// word tokens of the serialized values, skipping single characters. The
-// shared profile cache supplies the deduplicated token list (streams
-// re-serialize the same indexed records on every candidate scoring pass).
-func indexTokens(r record.Record) []string {
-	p := textsim.Shared().Get(record.SerializeRecord(r, record.SerializeOptions{}))
-	var out []string
-	for _, t := range p.Uniq {
-		if len(t) < 2 {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
 }

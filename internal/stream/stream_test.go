@@ -6,19 +6,10 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/record"
-	"repro/internal/textsim"
 )
 
-// jaccardScorer is a simple deterministic scorer for tests.
-var jaccardScorer = ScorerFunc(func(a, b record.Record) float64 {
-	return textsim.TokenJaccard(
-		record.SerializeRecord(a, record.SerializeOptions{}),
-		record.SerializeRecord(b, record.SerializeOptions{}),
-	)
-})
-
 func TestIngestMergesDuplicates(t *testing.T) {
-	g := NewIngestor(jaccardScorer, DefaultConfig())
+	g := NewIngestor(DefaultConfig())
 	a := record.Record{ID: "a", Values: []string{"golden dragon palace restaurant", "main street"}}
 	dup := record.Record{ID: "a2", Values: []string{"golden dragon palace restaurant", "main street"}}
 	other := record.Record{ID: "b", Values: []string{"iron horse tavern", "oak avenue"}}
@@ -28,7 +19,7 @@ func TestIngestMergesDuplicates(t *testing.T) {
 		t.Fatal("first record cannot merge")
 	}
 	second := g.Ingest(dup)
-	if !second.MergedInto || second.EntityID != "a" {
+	if !second.MergedInto || second.EntityID != "a" || second.Score != 1 {
 		t.Fatalf("duplicate did not merge: %+v", second)
 	}
 	third := g.Ingest(other)
@@ -40,10 +31,13 @@ func TestIngestMergesDuplicates(t *testing.T) {
 	if st.Records != 3 || st.Entities != 2 || st.Merged != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+	if st.IndexKeys != g.Index().Stats().Buckets || st.IndexKeys == 0 {
+		t.Fatalf("IndexKeys %d, index reports %d buckets", st.IndexKeys, g.Index().Stats().Buckets)
+	}
 }
 
 func TestIngestTransitiveGrowth(t *testing.T) {
-	g := NewIngestor(jaccardScorer, DefaultConfig())
+	g := NewIngestor(DefaultConfig())
 	for i := 0; i < 5; i++ {
 		r := record.Record{ID: fmt.Sprintf("r%d", i), Values: []string{"stone creek brewery amber ale", "portland"}}
 		g.Ingest(r)
@@ -55,10 +49,25 @@ func TestIngestTransitiveGrowth(t *testing.T) {
 }
 
 func TestIngestAssignsIDs(t *testing.T) {
-	g := NewIngestor(jaccardScorer, DefaultConfig())
+	g := NewIngestor(DefaultConfig())
 	arr := g.Ingest(record.Record{Values: []string{"nameless record"}})
 	if arr.RecordID == "" || arr.EntityID == "" {
 		t.Fatalf("missing ids: %+v", arr)
+	}
+}
+
+// TestIngestProbesBeforeFiling: an arriving record is probed before it is
+// filed, so it is never its own candidate; once filed, the same record
+// probes back as a perfect candidate.
+func TestIngestProbesBeforeFiling(t *testing.T) {
+	g := NewIngestor(DefaultConfig())
+	r := record.Record{ID: "x", Values: []string{"acme turbo widget tx-100"}}
+	if arr := g.Ingest(r); arr.CandidatesScored != 0 || arr.MergedInto {
+		t.Fatalf("first arrival saw candidates: %+v", arr)
+	}
+	got := g.Index().NewProber().ProbeRecord(r, nil)
+	if len(got) != 1 || got[0].Index != 0 || got[0].Jaccard != 1 {
+		t.Fatalf("after filing, probe returned %+v", got)
 	}
 }
 
@@ -67,7 +76,7 @@ func TestIngestBenchmarkFeed(t *testing.T) {
 	// right views. The right views should predominantly merge into their
 	// left twins.
 	d := datasets.MustGenerate("FOZA", 42)
-	g := NewIngestor(jaccardScorer, Config{MatchThreshold: 0.35, MaxCandidates: 10})
+	g := NewIngestor(Config{MatchThreshold: 0.35})
 	var positives []record.LabeledPair
 	for _, p := range d.Pairs {
 		if p.Match {
@@ -93,23 +102,8 @@ func TestIngestBenchmarkFeed(t *testing.T) {
 	}
 }
 
-func TestIndexHotTokenCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxIndexedPerToken = 4
-	cfg.MatchThreshold = 0.99 // keep everything separate
-	g := NewIngestor(jaccardScorer, cfg)
-	for i := 0; i < 20; i++ {
-		g.Ingest(record.Record{ID: fmt.Sprintf("x%d", i), Values: []string{fmt.Sprintf("common brand product %d", i)}})
-	}
-	for token, postings := range g.src.(*tokenSource).index {
-		if len(postings) > 4 {
-			t.Fatalf("token %q posting list grew past the cap: %d", token, len(postings))
-		}
-	}
-}
-
 func TestEntitiesSortedBySize(t *testing.T) {
-	g := NewIngestor(jaccardScorer, DefaultConfig())
+	g := NewIngestor(DefaultConfig())
 	for i := 0; i < 3; i++ {
 		g.Ingest(record.Record{ID: fmt.Sprintf("big%d", i), Values: []string{"twin pines brewing lager", "salem"}})
 	}
