@@ -78,7 +78,8 @@ smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDec$$' -fuzztime=5s; \
-	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzRatcliffEquivalence$$' -fuzztime=5s
+	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzRatcliffEquivalence$$' -fuzztime=5s; \
+	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzTrigramSet$$' -fuzztime=5s
 
 # Determinism/concurrency gate: vet, the allocation gate, the smoke gate,
 # then the race detector over every internal/ and cmd/ package. The root

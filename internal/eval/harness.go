@@ -11,7 +11,6 @@ import (
 	"repro/internal/record"
 	"repro/internal/snap"
 	"repro/internal/stats"
-	"repro/internal/textsim"
 )
 
 // DatasetSeed fixes the benchmark data: the datasets themselves are
@@ -88,12 +87,6 @@ type Harness struct {
 	// task's SerializeOptions; the benchmark records are immutable, so all
 	// runs — sequential or parallel — share one read-mostly cache.
 	sercache *record.SerializeCache
-	// profcache is the shared text-profile cache behind every similarity
-	// kernel the matchers invoke. It is the process-wide textsim cache —
-	// profiles key on exact strings, so distinct harnesses can safely share
-	// it — held here so the evaluation engine's workers and cache-stats
-	// reporting reach the same instance the kernels use.
-	profcache *textsim.ProfileCache
 	// tctx is the tracing context every cell starts its spans under:
 	// context.Background() when tracing is off (the nil fast path of
 	// obs.Start) or an obs.WithTracer context when on.
@@ -119,12 +112,11 @@ func NewHarness(cfg Config) *Harness {
 		cfg.MaxTest = MaxTestSamples
 	}
 	h := &Harness{
-		cfg:       cfg,
-		all:       datasets.GenerateAllParallel(DatasetSeed, par.Workers(cfg.Parallelism)),
-		test:      make(map[string][]int),
-		sercache:  record.NewSerializeCache(),
-		profcache: textsim.Shared(),
-		tctx:      obs.WithTracer(context.Background(), cfg.Tracer),
+		cfg:      cfg,
+		all:      datasets.GenerateAllParallel(DatasetSeed, par.Workers(cfg.Parallelism)),
+		test:     make(map[string][]int),
+		sercache: record.NewSerializeCache(),
+		tctx:     obs.WithTracer(context.Background(), cfg.Tracer),
 	}
 	for _, d := range h.all {
 		h.test[d.Name] = sampleTest(d, cfg.MaxTest)
@@ -168,10 +160,6 @@ func (h *Harness) Parallelism() int { return par.Workers(h.cfg.Parallelism) }
 // SerializationCache exposes the harness's shared cache, for benchmarks
 // and cache-effectiveness reporting.
 func (h *Harness) SerializationCache() *record.SerializeCache { return h.sercache }
-
-// ProfileCache exposes the shared text-profile cache the similarity
-// kernels run over, for benchmarks and cache-effectiveness reporting.
-func (h *Harness) ProfileCache() *textsim.ProfileCache { return h.profcache }
 
 // sampleTest draws the fixed ≤cap test indices for a dataset. The draw is
 // stratified-free uniform (as in the MatchGPT protocol) but deterministic,

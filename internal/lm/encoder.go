@@ -90,7 +90,7 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	pr := textsim.Shared().Get(right)
 	el := normEntryFor(left, caps)
 	er := normEntryFor(right, caps)
-	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + minInt(len(pl.Grams), len(pr.Grams)))
+	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + minInt(pl.NumGrams(), pr.NumGrams()))
 	ev := extractEvidence(p, Capabilities{
 		Normalization: caps.Normalization,
 		Semantics:     caps.Semantics,
@@ -158,16 +158,17 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	// Character n-gram agreement features (subword sensitivity): shared
 	// trigrams via a merge join over the profiles' sorted gram slices.
 	if e.capacity.CharGrams {
-		gl, gr := pl.Grams, pr.Grams
+		nl, nr := pl.NumGrams(), pr.NumGrams()
 		i, j := 0, 0
-		for i < len(gl) && j < len(gr) {
+		for i < nl && j < nr {
+			gl, gr := pl.Gram(i), pr.Gram(j)
 			switch {
-			case gl[i] < gr[j]:
+			case gl < gr:
 				i++
-			case gl[i] > gr[j]:
+			case gl > gr:
 				j++
 			default:
-				e.addHashedPrefixed(vec, "g:", gl[i], 0.25)
+				e.addHashedPrefixed(vec, "g:", gl, 0.25)
 				i++
 				j++
 			}

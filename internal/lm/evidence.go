@@ -166,7 +166,7 @@ func attrSimilarityE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter)
 	tokSim := weightedOverlap(la, lb, caps.Attention, idf)
 
 	// Character-level similarity catches typos that token matching misses.
-	charSim := textsim.QGramJaccardP(la.joined, lb.joined)
+	charSim := textsim.QGramJaccardP(la.joinedProfile(), lb.joinedProfile())
 
 	sim := 0.65*tokSim + 0.35*charSim
 

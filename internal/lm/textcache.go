@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/textsim"
 )
@@ -19,8 +20,8 @@ import (
 // valEntry caches the capability-independent derivations of one raw
 // attribute value.
 type valEntry struct {
-	// prof is the textsim profile of the raw value (token lists, sorted
-	// IDs, trigrams, parsed number).
+	// prof is the textsim profile of the raw value; the evidence path
+	// reads its tokens and sorted IDs, never its trigrams.
 	prof *textsim.Profile
 	// trimmed is strings.TrimSpace of the value; attrSimilarity's
 	// missing-value checks run on it.
@@ -113,9 +114,22 @@ type normEntry struct {
 	// sorted holds the unique tokens in lexicographic order; overlap
 	// scores and the encoder's both/only features merge-join over it.
 	sorted []string
-	// joined is the profile of strings.Join(toks, " "), the input of the
-	// character-gram comparison in attrSimilarity.
-	joined *textsim.Profile
+	// joined memoises joinedProfile.
+	joined atomic.Pointer[textsim.Profile]
+}
+
+// joinedProfile returns the profile of strings.Join(toks, " "), the input
+// of the character-gram comparison in attrSimilarity and read nowhere
+// else, so it is built on first use: the encoder's normalised view of a
+// whole serialised record never needs it. Racing first users store the
+// same pointer, because the shared cache returns one profile per string.
+func (e *normEntry) joinedProfile() *textsim.Profile {
+	if p := e.joined.Load(); p != nil {
+		return p
+	}
+	p := textsim.Shared().Get(strings.Join(e.toks, " "))
+	e.joined.Store(p)
+	return p
 }
 
 var normCache = struct {
@@ -137,7 +151,6 @@ func normEntryFor(text string, caps Capabilities) *normEntry {
 	e = &normEntry{
 		toks:   toks,
 		sorted: sortedUniqueTokens(toks),
-		joined: textsim.Shared().Get(strings.Join(toks, " ")),
 	}
 	normCache.Lock()
 	if q, ok := normCache.m[key]; ok {

@@ -67,7 +67,6 @@ import (
 	"repro/internal/record"
 	"repro/internal/route"
 	"repro/internal/slo"
-	"repro/internal/textsim"
 	"repro/internal/wire"
 )
 
@@ -255,7 +254,6 @@ type Server struct {
 
 	cache    *PredCache
 	sercache *record.SerializeCache
-	profiles *textsim.ProfileCache
 	opts     record.SerializeOptions
 
 	queue chan *request
@@ -308,7 +306,6 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 		router:    cfg.Router,
 		cache:     NewPredCache(cfg.CacheCapacity, defaultCacheShards),
 		sercache:  record.NewSerializeCache(),
-		profiles:  textsim.Shared(),
 		queue:     make(chan *request, cfg.QueueDepth),
 		started:   time.Now(),
 	}

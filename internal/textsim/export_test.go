@@ -4,3 +4,25 @@ package textsim
 // behind it, to the external textsim_test package, which can import the
 // dataset generator without an import cycle.
 var CheckRatcliff = checkRatcliff
+
+// TrigramsRunes returns the rune-path trigram set of an already-lowercased
+// string as its grams in order and its ascending hashes: the reference
+// the byte kernel and lazily built profile gram sets are held to.
+func TrigramsRunes(lower string) ([]string, []uint64) {
+	return gramsOf(trigramSetRunes(lower))
+}
+
+// IsASCII reports whether s takes the byte trigram kernel.
+var IsASCII = isASCII
+
+// GramSetsBuilt returns how many profile trigram sets the process has
+// built so far.
+func GramSetsBuilt() int64 { return gramSetsBuilt.Load() }
+
+func gramsOf(g *gramSet) ([]string, []uint64) {
+	grams := make([]string, g.len())
+	for i := range grams {
+		grams[i] = g.gram(i)
+	}
+	return grams, g.hashes
+}

@@ -2,6 +2,7 @@ package textsim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,8 +17,11 @@ import (
 // sorted slices — no lowercasing, tokenizing, map building or sorting on
 // the hot path.
 //
-// Profiles are immutable after construction and therefore safe to share
-// across goroutines.
+// The exported fields are immutable after construction. The trigram set
+// is not built with them: most profiles are read only for their tokens,
+// so NumGrams, Gram and GramHashes build it on first use and publish it
+// with a compare-and-swap. Every accessor is safe for concurrent use, and
+// a profile whose trigrams nobody reads never pays for them.
 type Profile struct {
 	// Raw is the original string the profile was built from.
 	Raw string
@@ -28,24 +32,72 @@ type Profile struct {
 	Tokens []string
 	// Uniq holds Tokens deduplicated in first-occurrence order — the order
 	// legacy map-free dedup loops produced, preserved for callers whose
-	// float accumulation order matters (blocking, corpus observation).
+	// float accumulation order matters (blocking).
 	Uniq []string
 	// SortedIDs holds the unique token IDs (shared interner), ascending.
 	// Set-intersection kernels merge-join over this slice.
 	SortedIDs []uint32
 	// TF holds the term frequency of each token, aligned with SortedIDs.
 	TF []float64
-	// Grams holds the unique padded trigrams of Lower in lexicographic
-	// order (the iteration order the encoder's character-gram features
-	// require).
-	Grams []string
-	// GramHashes holds the FNV-1a hashes of the unique trigrams in
-	// ascending order; the q-gram Jaccard kernel merge-joins over it.
-	GramHashes []uint64
 	// Num is the parsed numeric value of Raw and IsNum whether Raw parses
 	// as a number (currency symbols and thousands separators tolerated).
 	Num   float64
 	IsNum bool
+
+	grams atomic.Pointer[gramSet]
+}
+
+// NumGrams returns the number of unique padded trigrams of Lower.
+func (p *Profile) NumGrams() int { return p.gramSet().len() }
+
+// Gram returns the i-th unique padded trigram of Lower in lexicographic
+// order (the iteration order the encoder's character-gram features
+// require). It is a substring of one shared buffer and never allocates.
+func (p *Profile) Gram(i int) string { return p.gramSet().gram(i) }
+
+// GramHashes returns the FNV-1a hashes of the unique trigrams in
+// ascending order; the q-gram Jaccard kernel merge-joins over it. The
+// slice is shared and must not be modified.
+func (p *Profile) GramHashes() []uint64 { return p.gramSet().hashes }
+
+// gramSet returns the profile's trigram set, building it on first use.
+// Racing first users may each build one; the first to publish wins and
+// the rest adopt it, so every caller sees the same set.
+func (p *Profile) gramSet() *gramSet {
+	if g := p.grams.Load(); g != nil {
+		return g
+	}
+	gramSetsBuilt.Add(1)
+	g := trigramSet(p.Lower)
+	if p.grams.CompareAndSwap(nil, g) {
+		return g
+	}
+	return p.grams.Load()
+}
+
+// gramSetsBuilt counts trigram-set constructions, so tests can check
+// that a token-only caller builds none.
+var gramSetsBuilt atomic.Int64
+
+// gramSet is the unique padded trigram set of one lowercased string,
+// held without a pointer per gram: the grams in lexicographic order are
+// concatenated into one string, and hashes holds their FNV-1a hashes in
+// ascending order.
+type gramSet struct {
+	codes string
+	// offs holds the start of each gram in codes plus the end of the
+	// last; nil when every gram is 3 bytes (ASCII text).
+	offs   []uint32
+	hashes []uint64
+}
+
+func (g *gramSet) len() int { return len(g.hashes) }
+
+func (g *gramSet) gram(i int) string {
+	if g.offs == nil {
+		return g.codes[3*i : 3*i+3]
+	}
+	return g.codes[g.offs[i]:g.offs[i+1]]
 }
 
 // HasToken reports whether the profile's token set contains the token
@@ -79,7 +131,7 @@ func newProfile(s string, in *Interner) *Profile {
 			ids[i] = in.ID(t)
 		}
 		sorted := append([]uint32(nil), ids...)
-		sortUint32(sorted)
+		slices.Sort(sorted)
 		uniqIDs := sorted[:0]
 		tf := make([]float64, 0, n)
 		for i := 0; i < len(sorted); {
@@ -104,7 +156,6 @@ func newProfile(s string, in *Interner) *Profile {
 		}
 		p.Uniq = uniq
 	}
-	p.Grams, p.GramHashes = trigramProfile(p.Lower)
 	p.Num, p.IsNum = parseNumberProfile(s)
 	return p
 }
@@ -122,10 +173,57 @@ func lowerString(s string) string {
 	return s
 }
 
-// trigramProfile computes the unique padded trigrams of an
-// already-lowercased string, both as lexicographically sorted strings and
-// as ascending FNV-1a hashes.
-func trigramProfile(lower string) ([]string, []uint64) {
+// trigramSet computes the unique padded trigrams of an already-lowercased
+// string. ASCII text takes the byte kernel; text with any byte >= 0x80
+// takes the rune path, which defines the result.
+func trigramSet(lower string) *gramSet {
+	if isASCII(lower) {
+		return trigramSetASCII(lower)
+	}
+	return trigramSetRunes(lower)
+}
+
+// trigramSetASCII is the byte kernel: each 3-byte window of
+// "##"+lower+"##" packs big-endian into a uint32, so sorting and
+// de-duplicating the integers yields the grams in lexicographic order,
+// and each hash is FNV-1a straight over the window's three bytes.
+func trigramSetASCII(lower string) *gramSet {
+	n := len(lower) + 2 // windows over the padded string
+	var stack [256]uint32
+	codes := stack[:0]
+	if n > len(stack) {
+		codes = make([]uint32, 0, n)
+	}
+	at := func(i int) uint32 {
+		if i < 2 || i >= len(lower)+2 {
+			return '#'
+		}
+		return uint32(lower[i-2])
+	}
+	for i := 0; i < n; i++ {
+		codes = append(codes, at(i)<<16|at(i+1)<<8|at(i+2))
+	}
+	slices.Sort(codes)
+	codes = slices.Compact(codes)
+	var b strings.Builder
+	b.Grow(3 * len(codes))
+	hashes := make([]uint64, len(codes))
+	for i, c := range codes {
+		h := uint64(fnvOffset)
+		for _, x := range [3]byte{byte(c >> 16), byte(c >> 8), byte(c)} {
+			b.WriteByte(x)
+			h ^= uint64(x)
+			h *= fnvPrime
+		}
+		hashes[i] = h
+	}
+	slices.Sort(hashes)
+	return &gramSet{codes: b.String(), hashes: hashes}
+}
+
+// trigramSetRunes is the rune path: the trigrams of the rune slice of
+// the padded string, de-duplicated through a map and sorted as strings.
+func trigramSetRunes(lower string) *gramSet {
 	padded := "##" + lower + "##"
 	rs := []rune(padded)
 	set := make(map[string]struct{}, len(rs))
@@ -137,12 +235,17 @@ func trigramProfile(lower string) ([]string, []uint64) {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
+	var b strings.Builder
+	offs := make([]uint32, len(grams)+1)
 	hashes := make([]uint64, len(grams))
 	for i, g := range grams {
+		offs[i] = uint32(b.Len())
+		b.WriteString(g)
 		hashes[i] = fnv64a(g)
 	}
-	sortUint64(hashes)
-	return grams, hashes
+	offs[len(grams)] = uint32(b.Len())
+	slices.Sort(hashes)
+	return &gramSet{codes: b.String(), offs: offs, hashes: hashes}
 }
 
 func parseNumberProfile(s string) (float64, bool) {
@@ -150,27 +253,26 @@ func parseNumberProfile(s string) (float64, bool) {
 	return v, err == nil
 }
 
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 1469598103934665603
+	fnvPrime  = 1099511628211
+)
+
 // fnv64a is the 64-bit FNV-1a hash of s.
 func fnv64a(s string) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
 
-func sortUint32(xs []uint32) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-func sortUint64(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
 // ProfileCache memoises text profiles, keyed by the exact string. Like
-// record.SerializeCache it is read-mostly: a profile is built once under
-// the write lock and then only read, which fits the parallel evaluation
+// record.SerializeCache it is read-mostly: a profile is built outside the
+// lock, published under the write lock and then only read (its trigram
+// set aside, which publishes itself), which fits the parallel evaluation
 // engine's access pattern. All caches share the process-wide interner, so
 // profiles from different caches remain comparable.
 type ProfileCache struct {
@@ -221,12 +323,19 @@ func (c *ProfileCache) Stats() (hits, misses int64) {
 }
 
 // sharedProfiles is the process-wide cache behind the string-based kernel
-// wrappers; its memory is bounded by the distinct strings observed, the
-// same contract as record.SerializeCache.
+// wrappers.
 var sharedProfiles = NewProfileCache()
 
 // Shared returns the process-wide profile cache used by the string-based
-// similarity wrappers.
+// similarity wrappers and the matchers.
+//
+// Memory contract: the cache never evicts, so it holds one profile per
+// distinct string any caller resolved through it, for the life of the
+// process — the same contract as record.SerializeCache. A profile carries
+// its trigram set only once a caller has read it, and Weighter.Observe
+// resolves nothing here, so corpus text seen once (the fine-tuning corpora
+// under shuffled column orders) costs the cache nothing. Callers that need
+// a profile only briefly should build it with NewProfile instead.
 func Shared() *ProfileCache { return sharedProfiles }
 
 // intersectIDs returns |a ∩ b| for two ascending unique ID slices.
@@ -294,10 +403,10 @@ func TokenHash(tok string) uint64 { return fnv64a(tok) }
 // The fleet router keys its consistent-hash ring on it, straight off the
 // pooled cache-key scratch — no string materialisation on the hot path.
 func TokenHashBytes(tok []byte) uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(tok); i++ {
 		h ^= uint64(tok[i])
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }
@@ -352,14 +461,15 @@ func TokenOverlapP(a, b *Profile) float64 {
 // similarity of the padded trigram sets, via a merge join over the sorted
 // trigram hashes.
 func QGramJaccardP(a, b *Profile) float64 {
-	na, nb := len(a.GramHashes), len(b.GramHashes)
+	ha, hb := a.GramHashes(), b.GramHashes()
+	na, nb := len(ha), len(hb)
 	if na == 0 && nb == 0 {
 		return 1
 	}
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	inter := intersectHashes(a.GramHashes, b.GramHashes)
+	inter := intersectHashes(ha, hb)
 	return float64(inter) / float64(na+nb-inter)
 }
 

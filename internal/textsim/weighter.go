@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -51,14 +52,26 @@ func (w *Weighter) ensureOwned() {
 	w.shared = false
 }
 
-// Observe adds one document's tokens to the corpus statistics.
+// Observe adds one document's tokens to the corpus statistics; each
+// distinct token counts once per document. It tokenizes the text itself
+// and caches nothing: corpus text is mostly seen once (shuffled column
+// orders make every serialisation new), so a cached profile of it would
+// be memory nobody reads again. docFreq holds integer counts, so the
+// order of counting cannot change the result.
 func (w *Weighter) Observe(text string) {
-	w.ObserveProfile(sharedProfiles.Get(text))
+	w.ensureOwned()
+	w.docCount++
+	toks := Tokens(lowerString(text))
+	slices.Sort(toks)
+	for i, t := range toks {
+		if i == 0 || t != toks[i-1] {
+			w.docFreq[t]++
+		}
+	}
 }
 
-// ObserveProfile adds one document's tokens to the corpus statistics from
-// its precomputed profile; each distinct token counts once per document,
-// exactly as Observe deduplicates.
+// ObserveProfile is Observe for a caller that already holds the
+// document's profile.
 func (w *Weighter) ObserveProfile(p *Profile) {
 	w.ensureOwned()
 	w.docCount++
