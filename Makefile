@@ -28,12 +28,14 @@ bench:
 # protocol-error paths of ServeWire, the hash ring (Owner, Successors,
 # KeyHash), the all-cheap cascade route, the LSH probe of a stored record,
 # the flight-ring write, the nil SLO engine, both forms of the
-# Ratcliff/Obershelp kernel and a 64-pair StringSim batch; a ceiling of 3
+# Ratcliff/Obershelp kernel, the q-gram Jaccard kernel on warm profiles,
+# the symmetric Monge-Elkan kernel, the lm knowledge draw and a 64-pair
+# StringSim batch; a ceiling of 3
 # for an all-hit Submit and the measured ceiling for an all-hit wire
 # request through the fleet front.
 alloc-gate:
 	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/blocking/lsh/ ./internal/slo/ ./internal/flight/ \
-		./internal/textsim/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
+		./internal/textsim/ ./internal/lm/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
 
 # End-to-end gate of every binary, in stages that share one throwaway
 # directory. Each stage's command exits non-zero on a violated assertion
@@ -79,7 +81,8 @@ smoke:
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDec$$' -fuzztime=5s; \
 	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzRatcliffEquivalence$$' -fuzztime=5s; \
-	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzTrigramSet$$' -fuzztime=5s
+	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzTrigramSet$$' -fuzztime=5s; \
+	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzMongeElkanSym$$' -fuzztime=5s
 
 # Determinism/concurrency gate: vet, the allocation gate, the smoke gate,
 # then the race detector over every internal/ and cmd/ package. The root

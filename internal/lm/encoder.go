@@ -51,8 +51,13 @@ func (e *Encoder) Dim() int { return numDenseFeatures + e.capacity.HashWidth }
 // ObserveCorpus absorbs token statistics from fine-tuning text, improving
 // the IDF weighting of the dense similarity features (fine-tuning data is
 // in-reach for trained matchers, unlike for zero-shot prompting).
+//
+// It counts the tokens of text's shared profile. Every text a matcher
+// observes is a serialisation it encodes next with the same options, so
+// the profile is the one Encode looks up: the text is tokenised once, and
+// the shared cache gains no entry Encode would not add.
 func (e *Encoder) ObserveCorpus(text string) {
-	e.idf.Observe(text)
+	e.idf.ObserveProfile(textsim.Shared().Get(text))
 }
 
 // normCaps derives the normalisation capabilities implied by pretraining

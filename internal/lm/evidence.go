@@ -426,11 +426,11 @@ func isIdentifierToken(t string) bool {
 	return digits >= 4
 }
 
-// versionTokens extracts version-shaped tokens ("4.0", "2.5.1") from a
-// mixed text value.
-func versionTokens(v string) []string {
+// versionTokens extracts version-shaped tokens ("4.0", "2.5.1") from the
+// fields of a mixed text value, strings.Fields of its lowercased form.
+func versionTokens(fields []string) []string {
 	var out []string
-	for _, f := range strings.Fields(strings.ToLower(v)) {
+	for _, f := range fields {
 		t := strings.Trim(f, ",;:!?\"'()[]$")
 		digits, dots, other := 0, 0, 0
 		for _, r := range t {
@@ -506,6 +506,9 @@ func parseLooseNumber(s string) (float64, bool) {
 	// numerate reader performs between m:ss and raw-second listings.
 	if mins, secs, ok := parseDuration(clean); ok {
 		return float64(mins*60 + secs), true
+	}
+	if !textsim.MayStartFloat(clean) {
+		return 0, false // spares ParseFloat's error allocation
 	}
 	v, err := strconv.ParseFloat(clean, 64)
 	if err != nil {

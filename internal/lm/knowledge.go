@@ -2,7 +2,6 @@ package lm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 
@@ -265,17 +264,24 @@ func knows(entry string, coverage float64) bool {
 	return knowsU(entry) < coverage
 }
 
-// knowsU returns the deterministic uniform draw in [0, 1) behind knows;
-// callers that gate the same entry repeatedly (identifier attention,
+// knowsU returns the deterministic uniform draw in [0, 1) behind knows,
+// for the entry given as the concatenation of parts: FNV-1a over the
+// parts in order equals FNV-1a over their concatenation, so a caller
+// drawing for "norm:"+tok passes the two parts and builds no string.
+// Callers that gate the same entry repeatedly (identifier attention,
 // contrast families) precompute it once and compare against coverage per
 // call.
-func knowsU(entry string) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(entry))
+func knowsU(parts ...string) float64 {
+	z := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, s := range parts {
+		for i := 0; i < len(s); i++ {
+			z ^= uint64(s[i])
+			z *= 1099511628211 // FNV-1a 64-bit prime
+		}
+	}
 	// FNV-1a mixes trailing-byte differences poorly into the high bits;
 	// run the sum through a SplitMix64 finaliser so that similar entries
 	// ("p13715" vs "p13716") decorrelate before the uniform mapping.
-	z := h.Sum64()
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -308,7 +314,7 @@ func normalizeText(text string, caps Capabilities) []string {
 		if tok == "" {
 			continue
 		}
-		if !knows("norm:"+tok, caps.Normalization) {
+		if knowsU("norm:", tok) >= caps.Normalization {
 			// Model fails to normalise this token: keep the raw field,
 			// punctuation and all, so it won't match its clean twin.
 			out = append(out, f)
@@ -327,32 +333,34 @@ func normalizeText(text string, caps Capabilities) []string {
 	return out
 }
 
-// splitAlnum splits a token into homogeneous runs of letters or digits,
-// dropping punctuation. Pure-punctuation tokens yield nothing.
+// splitAlnum splits a token into homogeneous runs of lowercase ASCII
+// letters or digits, dropping everything else. Pure-punctuation tokens
+// yield nothing. The runs are substrings of tok: every byte of a
+// multi-byte rune is >= 0x80, so it ends a run exactly as the rune does.
 func splitAlnum(tok string) []string {
 	var out []string
-	var cur strings.Builder
-	curDigit := false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range tok {
-		isLetter := r >= 'a' && r <= 'z'
-		isDigit := r >= '0' && r <= '9'
-		switch {
-		case isLetter || isDigit:
-			if cur.Len() > 0 && isDigit != curDigit {
-				flush()
+	start, curDigit := -1, false
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		isDigit := '0' <= c && c <= '9'
+		if !isDigit && !('a' <= c && c <= 'z') {
+			if start >= 0 {
+				out = append(out, tok[start:i])
+				start = -1
 			}
-			curDigit = isDigit
-			cur.WriteRune(r)
-		default:
-			flush()
+			continue
 		}
+		if start >= 0 && isDigit != curDigit {
+			out = append(out, tok[start:i])
+			start = -1
+		}
+		if start < 0 {
+			start = i
+		}
+		curDigit = isDigit
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, tok[start:])
+	}
 	return out
 }

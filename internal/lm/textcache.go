@@ -76,24 +76,25 @@ func valEntryFor(v string) *valEntry {
 
 func buildValEntry(v string) *valEntry {
 	trimmed := strings.TrimSpace(v)
+	fields := strings.Fields(strings.ToLower(v))
 	e := &valEntry{
 		prof:        textsim.Shared().Get(v),
 		trimmed:     trimmed,
 		lowerTrim:   strings.ToLower(trimmed),
-		versionToks: versionTokens(v),
+		versionToks: versionTokens(fields),
 	}
 	e.looseNum, e.looseOK = parseLooseNumber(v)
 	// Identifier candidates: the split/trim/shape part of rareTokens,
 	// which does not depend on capabilities or corpus statistics.
-	for _, f := range strings.Fields(strings.ToLower(v)) {
+	for _, f := range fields {
 		t := strings.Trim(f, ",;:!?\"'()[]$€£")
 		if t == "" || !isIdentifierToken(t) {
 			continue
 		}
 		e.identCands = append(e.identCands, identCand{
 			tok: t,
-			uA:  knowsU("rare:" + t + "#a"),
-			uB:  knowsU("rare:" + t + "#b"),
+			uA:  knowsU("rare:", t, "#a"),
+			uB:  knowsU("rare:", t, "#b"),
 		})
 	}
 	return e

@@ -58,8 +58,7 @@ func (m *Ditto) ParamsMillions() float64 { return m.profile.ParamsMillions }
 // Train implements Matcher: fine-tune the head on the transfer datasets.
 func (m *Ditto) Train(transfer []*record.Dataset, rng *stats.RNG) {
 	m.enc = lm.NewEncoder(m.profile.Capacity)
-	pool := collectTransfer(transfer)
-	sample := samplePairs(pool, m.TrainCap, rng.Split("ditto:sample"))
+	sample := sampleTransfer(transfer, m.TrainCap, rng.Split("ditto:sample"))
 
 	// Summarisation: truncate long values before featurisation.
 	for i := range sample {

@@ -1,6 +1,8 @@
 package matchers
 
 import (
+	"sort"
+
 	"repro/internal/mlcore"
 	"repro/internal/record"
 	"repro/internal/stats"
@@ -34,6 +36,28 @@ func samplePairs(pool []transferPair, n int, rng *stats.RNG) []transferPair {
 	out := make([]transferPair, len(idx))
 	for i, j := range idx {
 		out[i] = pool[j]
+	}
+	return out
+}
+
+// sampleTransfer is samplePairs(collectTransfer(transfer), n, rng)
+// without the flattened pool: it draws the same indices over the
+// datasets' concatenation and copies only the chosen pairs.
+func sampleTransfer(transfer []*record.Dataset, n int, rng *stats.RNG) []transferPair {
+	// starts[k] is the index of transfer[k]'s first pair in the
+	// concatenation; the last entry is the total.
+	starts := make([]int, len(transfer)+1)
+	for k, d := range transfer {
+		starts[k+1] = starts[k] + len(d.Pairs)
+	}
+	if starts[len(transfer)] <= n {
+		return collectTransfer(transfer)
+	}
+	idx := rng.Sample(starts[len(transfer)], n)
+	out := make([]transferPair, len(idx))
+	for i, j := range idx {
+		k := sort.SearchInts(starts, j+1) - 1
+		out[i] = transferPair{pair: transfer[k].Pairs[j-starts[k]], dataset: transfer[k].Name}
 	}
 	return out
 }

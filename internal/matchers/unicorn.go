@@ -47,8 +47,7 @@ func (m *Unicorn) ParamsMillions() float64 { return m.profile.ParamsMillions }
 // Train implements Matcher.
 func (m *Unicorn) Train(transfer []*record.Dataset, rng *stats.RNG) {
 	m.enc = lm.NewEncoder(m.profile.Capacity)
-	pool := collectTransfer(transfer)
-	sample := samplePairs(pool, m.TrainCap, rng.Split("unicorn:sample"))
+	sample := sampleTransfer(transfer, m.TrainCap, rng.Split("unicorn:sample"))
 	examples := encodePairs(m.enc, sample, record.SerializeOptions{})
 
 	// Auxiliary multi-task data: weakly labeled attribute-value matching

@@ -28,3 +28,36 @@ func TestRatcliffZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestQGramJaccardPZeroAlloc gates the q-gram Jaccard kernel on warm
+// profiles, ASCII and non-ASCII: the merge join over the built trigram
+// sets allocates nothing.
+func TestQGramJaccardPZeroAlloc(t *testing.T) {
+	for _, in := range [][2]string{
+		{longRecords[0], longRecords[1]},
+		{"naïve résumé — déjà vu 北京大学", "Café Au Lait, résumé naive — 北京 大学"},
+		{longRecords[0], "Café Au Lait, résumé naive"},
+	} {
+		a, b := NewProfile(in[0]), NewProfile(in[1])
+		QGramJaccardP(a, b) // build both trigram sets
+		if allocs := testing.AllocsPerRun(100, func() { QGramJaccardP(a, b) }); allocs != 0 {
+			t.Errorf("QGramJaccardP on %q: %v allocs per pair, want 0", in[0], allocs)
+		}
+	}
+}
+
+// TestMongeElkanSymZeroAlloc gates the symmetric Monge-Elkan kernel over
+// cached token slices, ASCII and non-ASCII, once the pooled scratch has
+// grown to the input.
+func TestMongeElkanSymZeroAlloc(t *testing.T) {
+	for _, in := range [][2]string{
+		{longRecords[0], longRecords[1]},
+		{"naïve résumé — déjà vu 北京大学", "Café Au Lait, résumé naive — 北京 大学"},
+	} {
+		ta, tb := Tokens(in[0]), Tokens(in[1])
+		MongeElkanSymTokens(ta, tb) // grow the scratch
+		if allocs := testing.AllocsPerRun(100, func() { MongeElkanSymTokens(ta, tb) }); allocs != 0 {
+			t.Errorf("MongeElkanSymTokens on %q: %v allocs per pair, want 0", in[0], allocs)
+		}
+	}
+}

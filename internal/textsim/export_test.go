@@ -6,9 +6,9 @@ package textsim
 var CheckRatcliff = checkRatcliff
 
 // TrigramsRunes returns the rune-path trigram set of an already-lowercased
-// string as its grams in order and its ascending hashes: the reference
-// the byte kernel and lazily built profile gram sets are held to.
-func TrigramsRunes(lower string) ([]string, []uint64) {
+// string as its grams in order: the reference the byte kernel and lazily
+// built profile gram sets are held to.
+func TrigramsRunes(lower string) []string {
 	return gramsOf(trigramSetRunes(lower))
 }
 
@@ -19,10 +19,10 @@ var IsASCII = isASCII
 // built so far.
 func GramSetsBuilt() int64 { return gramSetsBuilt.Load() }
 
-func gramsOf(g *gramSet) ([]string, []uint64) {
+func gramsOf(g *gramSet) []string {
 	grams := make([]string, g.len())
 	for i := range grams {
 		grams[i] = g.gram(i)
 	}
-	return grams, g.hashes
+	return grams
 }

@@ -19,9 +19,9 @@ import (
 //
 // The exported fields are immutable after construction. The trigram set
 // is not built with them: most profiles are read only for their tokens,
-// so NumGrams, Gram and GramHashes build it on first use and publish it
-// with a compare-and-swap. Every accessor is safe for concurrent use, and
-// a profile whose trigrams nobody reads never pays for them.
+// so NumGrams, Gram and QGramJaccardP build it on first use and publish
+// it with a compare-and-swap. Every accessor is safe for concurrent use,
+// and a profile whose trigrams nobody reads never pays for them.
 type Profile struct {
 	// Raw is the original string the profile was built from.
 	Raw string
@@ -55,11 +55,6 @@ func (p *Profile) NumGrams() int { return p.gramSet().len() }
 // require). It is a substring of one shared buffer and never allocates.
 func (p *Profile) Gram(i int) string { return p.gramSet().gram(i) }
 
-// GramHashes returns the FNV-1a hashes of the unique trigrams in
-// ascending order; the q-gram Jaccard kernel merge-joins over it. The
-// slice is shared and must not be modified.
-func (p *Profile) GramHashes() []uint64 { return p.gramSet().hashes }
-
 // gramSet returns the profile's trigram set, building it on first use.
 // Racing first users may each build one; the first to publish wins and
 // the rest adopt it, so every caller sees the same set.
@@ -80,18 +75,21 @@ func (p *Profile) gramSet() *gramSet {
 var gramSetsBuilt atomic.Int64
 
 // gramSet is the unique padded trigram set of one lowercased string,
-// held without a pointer per gram: the grams in lexicographic order are
-// concatenated into one string, and hashes holds their FNV-1a hashes in
-// ascending order.
+// held without a pointer per gram: the grams in byte-lexicographic order
+// are concatenated into one string.
 type gramSet struct {
 	codes string
 	// offs holds the start of each gram in codes plus the end of the
 	// last; nil when every gram is 3 bytes (ASCII text).
-	offs   []uint32
-	hashes []uint64
+	offs []uint32
 }
 
-func (g *gramSet) len() int { return len(g.hashes) }
+func (g *gramSet) len() int {
+	if g.offs == nil {
+		return len(g.codes) / 3
+	}
+	return len(g.offs) - 1
+}
 
 func (g *gramSet) gram(i int) string {
 	if g.offs == nil {
@@ -145,18 +143,25 @@ func newProfile(s string, in *Interner) *Profile {
 		}
 		p.SortedIDs = uniqIDs
 		p.TF = tf
-		seen := make(map[uint32]struct{}, len(uniqIDs))
+		// A token is a first occurrence when its slot in SortedIDs is
+		// still unmarked.
+		var stack [64]bool
+		seen := stack[:]
+		if len(uniqIDs) > len(stack) {
+			seen = make([]bool, len(uniqIDs))
+		}
 		uniq := make([]string, 0, len(uniqIDs))
 		for i, t := range p.Tokens {
-			if _, ok := seen[ids[i]]; ok {
+			k, _ := slices.BinarySearch(uniqIDs, ids[i])
+			if seen[k] {
 				continue
 			}
-			seen[ids[i]] = struct{}{}
+			seen[k] = true
 			uniq = append(uniq, t)
 		}
 		p.Uniq = uniq
 	}
-	p.Num, p.IsNum = parseNumberProfile(s)
+	p.Num, p.IsNum = parseNumber(s)
 	return p
 }
 
@@ -185,14 +190,13 @@ func trigramSet(lower string) *gramSet {
 
 // trigramSetASCII is the byte kernel: each 3-byte window of
 // "##"+lower+"##" packs big-endian into a uint32, so sorting and
-// de-duplicating the integers yields the grams in lexicographic order,
-// and each hash is FNV-1a straight over the window's three bytes.
+// de-duplicating the integers yields the grams in lexicographic order.
 func trigramSetASCII(lower string) *gramSet {
 	n := len(lower) + 2 // windows over the padded string
-	var stack [256]uint32
-	codes := stack[:0]
+	var stack, spare [256]uint32
+	codes, tmp := stack[:0], spare[:]
 	if n > len(stack) {
-		codes = make([]uint32, 0, n)
+		codes, tmp = make([]uint32, 0, n), make([]uint32, n)
 	}
 	at := func(i int) uint32 {
 		if i < 2 || i >= len(lower)+2 {
@@ -203,22 +207,49 @@ func trigramSetASCII(lower string) *gramSet {
 	for i := 0; i < n; i++ {
 		codes = append(codes, at(i)<<16|at(i+1)<<8|at(i+2))
 	}
-	slices.Sort(codes)
+	if n < radixMinCodes {
+		slices.Sort(codes)
+	} else {
+		codes = radixSortCodes(codes, tmp[:n])
+	}
 	codes = slices.Compact(codes)
 	var b strings.Builder
 	b.Grow(3 * len(codes))
-	hashes := make([]uint64, len(codes))
-	for i, c := range codes {
-		h := uint64(fnvOffset)
-		for _, x := range [3]byte{byte(c >> 16), byte(c >> 8), byte(c)} {
-			b.WriteByte(x)
-			h ^= uint64(x)
-			h *= fnvPrime
-		}
-		hashes[i] = h
+	for _, c := range codes {
+		b.WriteByte(byte(c >> 16))
+		b.WriteByte(byte(c >> 8))
+		b.WriteByte(byte(c))
 	}
-	slices.Sort(hashes)
-	return &gramSet{codes: b.String(), hashes: hashes}
+	return &gramSet{codes: b.String()}
+}
+
+// radixMinCodes is the window count from which radixSortCodes beats
+// slices.Sort on trigram codes: measured at about 40 on a 2-vCPU Xeon,
+// 1.6x faster at 60 windows and 5x at 300.
+const radixMinCodes = 48
+
+// radixSortCodes sorts ASCII trigram codes, three 7-bit digits at bits 0,
+// 8 and 16, by an LSD radix sort through tmp (len(codes) long), and
+// returns whichever of the two buffers holds the sorted codes.
+func radixSortCodes(codes, tmp []uint32) []uint32 {
+	for shift := 0; shift < 24; shift += 8 {
+		var start [128]int32
+		for _, c := range codes {
+			start[c>>shift&0x7f]++
+		}
+		var sum int32
+		for d, k := range start {
+			start[d] = sum
+			sum += k
+		}
+		for _, c := range codes {
+			d := c >> shift & 0x7f
+			tmp[start[d]] = c
+			start[d]++
+		}
+		codes, tmp = tmp, codes
+	}
+	return codes
 }
 
 // trigramSetRunes is the rune path: the trigrams of the rune slice of
@@ -237,20 +268,12 @@ func trigramSetRunes(lower string) *gramSet {
 	sort.Strings(grams)
 	var b strings.Builder
 	offs := make([]uint32, len(grams)+1)
-	hashes := make([]uint64, len(grams))
 	for i, g := range grams {
 		offs[i] = uint32(b.Len())
 		b.WriteString(g)
-		hashes[i] = fnv64a(g)
 	}
 	offs[len(grams)] = uint32(b.Len())
-	slices.Sort(hashes)
-	return &gramSet{codes: b.String(), offs: offs, hashes: hashes}
-}
-
-func parseNumberProfile(s string) (float64, bool) {
-	v, err := parseNumber(s)
-	return v, err == nil
+	return &gramSet{codes: b.String(), offs: offs}
 }
 
 // The 64-bit FNV-1a parameters.
@@ -333,9 +356,11 @@ var sharedProfiles = NewProfileCache()
 // distinct string any caller resolved through it, for the life of the
 // process — the same contract as record.SerializeCache. A profile carries
 // its trigram set only once a caller has read it, and Weighter.Observe
-// resolves nothing here, so corpus text seen once (the fine-tuning corpora
-// under shuffled column orders) costs the cache nothing. Callers that need
-// a profile only briefly should build it with NewProfile instead.
+// resolves nothing here, so corpus text a caller only counts (a prompted
+// model's batch under shuffled column orders) costs the cache nothing;
+// lm's fine-tuning encoder observes through this cache, but only text it
+// encodes next. Callers that need a profile only briefly should build it
+// with NewProfile instead.
 func Shared() *ProfileCache { return sharedProfiles }
 
 // intersectIDs returns |a ∩ b| for two ascending unique ID slices.
@@ -354,6 +379,68 @@ func intersectIDs(a, b []uint32) int {
 		}
 	}
 	return n
+}
+
+// intersectGrams returns |a ∩ b| for two trigram sets. Both hold their
+// grams in byte-lexicographic order, so the merge join compares packed
+// 3-byte integers when both are ASCII and gram strings otherwise.
+func intersectGrams(a, b *gramSet) int {
+	if a.offs == nil && b.offs == nil {
+		return intersectCodes3(a.codes, b.codes)
+	}
+	na, nb := a.len(), b.len()
+	n, i, j := 0, 0, 0
+	for i < na && j < nb {
+		ga, gb := a.gram(i), b.gram(j)
+		switch {
+		case ga < gb:
+			i++
+		case ga > gb:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// intersectCodes3 returns |a ∩ b| for two ascending runs of unique 3-byte
+// codes, each read as a big-endian integer. Each side's current code is
+// decoded once, when that side advances.
+func intersectCodes3(a, b string) int {
+	code := func(s string, i int) uint32 {
+		g := s[i : i+3]
+		return uint32(g[0])<<16 | uint32(g[1])<<8 | uint32(g[2])
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	n, i, j := 0, 0, 0
+	ca, cb := code(a, 0), code(b, 0)
+	for {
+		switch {
+		case ca < cb:
+			if i += 3; i == len(a) {
+				return n
+			}
+			ca = code(a, i)
+		case ca > cb:
+			if j += 3; j == len(b) {
+				return n
+			}
+			cb = code(b, j)
+		default:
+			n++
+			i += 3
+			j += 3
+			if i == len(a) || j == len(b) {
+				return n
+			}
+			ca, cb = code(a, i), code(b, j)
+		}
+	}
 }
 
 // intersectHashes returns |a ∩ b| for two ascending unique hash slices.
@@ -390,12 +477,12 @@ func JaccardIDs(a, b []uint32) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// TokenHash is the stable 64-bit fingerprint of one token (FNV-1a, the
-// same hash the trigram profiles use). Unlike interner IDs — which are
-// assigned in first-encounter order and therefore depend on process
-// history and goroutine scheduling — a token's fingerprint is a pure
-// function of its bytes, so structures keyed on it (the LSH blocker's
-// MinHash signatures) are reproducible across runs and worker counts.
+// TokenHash is the stable 64-bit fingerprint of one token (FNV-1a).
+// Unlike interner IDs — which are assigned in first-encounter order and
+// therefore depend on process history and goroutine scheduling — a
+// token's fingerprint is a pure function of its bytes, so structures
+// keyed on it (the LSH blocker's MinHash signatures) are reproducible
+// across runs and worker counts.
 func TokenHash(tok string) uint64 { return fnv64a(tok) }
 
 // TokenHashBytes is TokenHash over a byte slice: the identical FNV-1a
@@ -458,18 +545,18 @@ func TokenOverlapP(a, b *Profile) float64 {
 }
 
 // QGramJaccardP is the profile form of QGramJaccard (q = 3): Jaccard
-// similarity of the padded trigram sets, via a merge join over the sorted
-// trigram hashes.
+// similarity of the padded trigram sets, via a merge join over the
+// sorted grams themselves.
 func QGramJaccardP(a, b *Profile) float64 {
-	ha, hb := a.GramHashes(), b.GramHashes()
-	na, nb := len(ha), len(hb)
+	ga, gb := a.gramSet(), b.gramSet()
+	na, nb := ga.len(), gb.len()
 	if na == 0 && nb == 0 {
 		return 1
 	}
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	inter := intersectHashes(ha, hb)
+	inter := intersectGrams(ga, gb)
 	return float64(inter) / float64(na+nb-inter)
 }
 
@@ -536,6 +623,8 @@ func MongeElkanTokens(ta, tb []string) float64 {
 	if len(tb) == 0 {
 		return 0
 	}
+	sc := seqPool.Get().(*seqScratch)
+	defer seqPool.Put(sc)
 	sum := 0.0
 	for _, x := range ta {
 		best := 0.0
@@ -552,7 +641,7 @@ func MongeElkanTokens(ta, tb []string) float64 {
 			if jwUpperBound(x, y) < best-1e-9 {
 				continue
 			}
-			if s := JaroWinkler(x, y); s > best {
+			if s := jaroWinkler(x, y, sc); s > best {
 				best = s
 			}
 		}
@@ -563,12 +652,56 @@ func MongeElkanTokens(ta, tb []string) float64 {
 
 // MongeElkanSymP is the profile form of MongeElkanSym.
 func MongeElkanSymP(a, b *Profile) float64 {
-	return (MongeElkanP(a, b) + MongeElkanP(b, a)) / 2
+	return MongeElkanSymTokens(a.Tokens, b.Tokens)
 }
 
-// MongeElkanSymTokens is MongeElkanSym over already-tokenized input.
+// MongeElkanSymTokens is MongeElkanSym over already-tokenized input: the
+// mean of MongeElkanTokens(ta, tb) and MongeElkanTokens(tb, ta), bit for
+// bit, in one pass. JaroWinkler is symmetric, so each token pair is
+// scored once and the score feeds both its row's best (the best match in
+// tb of a token of ta) and its column's best. Each best is an exact
+// maximum whatever the visiting order, a pair is skipped only when its
+// upper bound can beat neither best, and both means sum in token order.
 func MongeElkanSymTokens(ta, tb []string) float64 {
-	return (MongeElkanTokens(ta, tb) + MongeElkanTokens(tb, ta)) / 2
+	if len(ta) == 0 || len(tb) == 0 {
+		return (MongeElkanTokens(ta, tb) + MongeElkanTokens(tb, ta)) / 2
+	}
+	sc := seqPool.Get().(*seqScratch)
+	defer seqPool.Put(sc)
+	n := len(ta) + len(tb)
+	if cap(sc.best) < n {
+		sc.best = make([]float64, n)
+	}
+	rowBest, colBest := sc.best[:len(ta)], sc.best[len(ta):n]
+	clear(rowBest)
+	clear(colBest)
+	for i, x := range ta {
+		for j, y := range tb {
+			if x == y {
+				rowBest[i], colBest[j] = 1, 1
+				continue
+			}
+			// As in MongeElkanTokens: the margin absorbs float rounding.
+			if ub := jwUpperBound(x, y); ub < rowBest[i]-1e-9 && ub < colBest[j]-1e-9 {
+				continue
+			}
+			s := jaroWinkler(x, y, sc)
+			if s > rowBest[i] {
+				rowBest[i] = s
+			}
+			if s > colBest[j] {
+				colBest[j] = s
+			}
+		}
+	}
+	sumA, sumB := 0.0, 0.0
+	for _, v := range rowBest {
+		sumA += v
+	}
+	for _, v := range colBest {
+		sumB += v
+	}
+	return (sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2
 }
 
 // NumericSimP is the profile form of NumericSim, using the parsed numeric

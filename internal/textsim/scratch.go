@@ -19,6 +19,8 @@ type seqScratch struct {
 	rowA, rowB     []int
 	boolA, boolB   []bool
 	runesA, runesB []rune
+	// best holds the symmetric Monge-Elkan kernel's row and column bests.
+	best []float64
 
 	// Ratcliff/Obershelp only: the position index of the second
 	// sequence, the rune renumbering behind it, and the pending spans.
@@ -412,17 +414,19 @@ func levDistRunes(a, b []rune, sc *seqScratch) int {
 
 // Jaro returns the Jaro similarity between a and b.
 func Jaro(a, b string) float64 {
-	if isASCII(a) && isASCII(b) {
-		sc := seqPool.Get().(*seqScratch)
-		s := jaroBytes(a, b, sc)
-		seqPool.Put(sc)
-		return s
-	}
 	sc := seqPool.Get().(*seqScratch)
-	ra, rb := sc.runes(a, b)
-	s := jaroRunes(ra, rb, sc)
+	s := jaro(a, b, sc)
 	seqPool.Put(sc)
 	return s
+}
+
+// jaro is Jaro on a held scratch.
+func jaro(a, b string, sc *seqScratch) float64 {
+	if isASCII(a) && isASCII(b) {
+		return jaroBytes(a, b, sc)
+	}
+	ra, rb := sc.runes(a, b)
+	return jaroRunes(ra, rb, sc)
 }
 
 func jaroBytes(a, b string, sc *seqScratch) float64 {
@@ -544,7 +548,15 @@ func jaroRunes(a, b []rune, sc *seqScratch) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
 // scale of 0.1 and a maximum prefix length of 4.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	sc := seqPool.Get().(*seqScratch)
+	s := jaroWinkler(a, b, sc)
+	seqPool.Put(sc)
+	return s
+}
+
+// jaroWinkler is JaroWinkler on a held scratch.
+func jaroWinkler(a, b string, sc *seqScratch) float64 {
+	j := jaro(a, b, sc)
 	prefix := 0
 	rest := b
 	for _, r := range a {

@@ -178,10 +178,33 @@ func NumericSim(a, b string) float64 {
 }
 
 // parseNumber parses a numeric string, tolerating leading currency symbols
-// and thousands separators as found in the product datasets.
-func parseNumber(s string) (float64, error) {
+// and thousands separators as found in the product datasets, and reports
+// whether it parsed. Text MayStartFloat rejects skips strconv.ParseFloat
+// and the *NumError it would allocate.
+func parseNumber(s string) (float64, bool) {
 	clean := strings.TrimSpace(s)
 	clean = strings.TrimLeft(clean, "$€£ ")
 	clean = strings.ReplaceAll(clean, ",", "")
-	return strconv.ParseFloat(clean, 64)
+	if !MayStartFloat(clean) {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(clean, 64)
+	return v, err == nil
+}
+
+// MayStartFloat reports whether s could be accepted by
+// strconv.ParseFloat judging by its first byte alone: a sign, a digit,
+// '.', or the first letter of "inf", "infinity" or "nan" in either case.
+// Text it rejects never parses, so a caller may skip the parse.
+func MayStartFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9':
+		return true
+	case c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }

@@ -7,7 +7,9 @@ import (
 
 // FuzzTrigramSet holds a profile's lazily built trigram set — the byte
 // kernel on ASCII text — to the rune path on arbitrary input, invalid
-// UTF-8 included: the same grams in the same order, the same hashes.
+// UTF-8 included: the same grams in the same order. It also holds the
+// q-gram Jaccard join of the set, against an ASCII and a non-ASCII
+// partner, to the map-based legacy kernel bit for bit.
 func FuzzTrigramSet(f *testing.F) {
 	for _, s := range equivCorpus {
 		f.Add(s)
@@ -17,13 +19,16 @@ func FuzzTrigramSet(f *testing.F) {
 	f.Add("##\xff#")
 	f.Fuzz(func(t *testing.T, s string) {
 		p := NewProfile(s)
-		wantG, wantH := gramsOf(trigramSetRunes(p.Lower))
-		gotG := make([]string, p.NumGrams())
-		for i := range gotG {
-			gotG[i] = p.Gram(i)
+		want := gramsOf(trigramSetRunes(p.Lower))
+		got := make([]string, p.NumGrams())
+		for i := range got {
+			got[i] = p.Gram(i)
 		}
-		if !slices.Equal(gotG, wantG) || !slices.Equal(p.GramHashes(), wantH) {
-			t.Fatalf("profile of %q: grams %q hashes %x, rune path %q %x", s, gotG, p.GramHashes(), wantG, wantH)
+		if !slices.Equal(got, want) {
+			t.Fatalf("profile of %q: grams %q, rune path %q", s, got, want)
+		}
+		for _, o := range []string{longRecords[0], "Café Au Lait, naïve résumé"} {
+			eq(t, "QGramJaccardP", s, o, QGramJaccardP(p, NewProfile(o)), legacyQGramJaccard(s, o))
 		}
 	})
 }
