@@ -27,12 +27,11 @@ bench:
 # meaningless): zero for the binary cache-hit, key-probe and
 # protocol-error paths of ServeWire, the hash ring (Owner, Successors,
 # KeyHash), the all-cheap cascade route, the LSH probe of a stored record,
-# the flight-ring write, the nil SLO engine, both forms of the
-# Ratcliff/Obershelp kernel, the q-gram Jaccard kernel on warm profiles,
-# the symmetric Monge-Elkan kernel, the lm knowledge draw and a 64-pair
-# StringSim batch; a ceiling of 3
-# for an all-hit Submit and the measured ceiling for an all-hit wire
-# request through the fleet front.
+# the flight-ring write, the nil SLO engine, the Ratcliff/Obershelp ratio
+# and threshold test on a held scratch, the q-gram Jaccard kernel on warm
+# profiles, the symmetric Monge-Elkan kernel, the lm knowledge draw and a
+# 64-pair StringSim batch; a ceiling of 3 for an all-hit Submit and the
+# measured ceiling for an all-hit wire request through the fleet front.
 alloc-gate:
 	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/blocking/lsh/ ./internal/slo/ ./internal/flight/ \
 		./internal/textsim/ ./internal/lm/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
@@ -56,6 +55,8 @@ alloc-gate:
 #   verify   emtool snap verify over everything the stages stored
 #   trace    a traced LODO slice through emstudy, validated and folded per
 #            stage by emtool trace
+#   bench    benchmark/run.sh -quick on each of the four BENCHMARK.json
+#            workloads: it must build, exit 0 and print "correct":true
 #   fuzz     5 s per wire/snap/textsim fuzz target; a failing input lands
 #            in the package's testdata/fuzz/ and fails the stage
 smoke:
@@ -76,6 +77,9 @@ smoke:
 	$(GO) run ./cmd/emtool snap verify -store $$store; \
 	$(GO) run ./cmd/emstudy stages -trace $$tmp/trace.jsonl; \
 	$(GO) run ./cmd/emtool trace -stages $$tmp/trace.jsonl; \
+	for w in replica-hit replica-miss fleet-hit lodo-offline; do \
+		bash benchmark/run.sh -workload $$w -quick > $$tmp/bench.out; cat $$tmp/bench.out; \
+		grep -q '"correct":true' $$tmp/bench.out || { echo "bench $$w: not correct"; exit 1; }; done; \
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime=5s; \

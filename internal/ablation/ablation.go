@@ -32,20 +32,6 @@ type Study struct {
 	Variants []Variant
 }
 
-// Delta returns a variant's F1 delta against the baseline.
-func (s *Study) Delta(name string) float64 {
-	var base, v float64
-	for _, x := range s.Variants {
-		if x.Name == s.Baseline {
-			base = x.Mean
-		}
-		if x.Name == name {
-			v = x.Mean
-		}
-	}
-	return v - base
-}
-
 // evaluate runs a factory over the given targets and aggregates. The
 // (target, seed) cells fan out across the harness's workers; results are
 // identical to a sequential target loop.

@@ -21,7 +21,11 @@ func TestPromptEngineAblation(t *testing.T) {
 		t.Fatalf("%d variants", len(s.Variants))
 	}
 	// The fully ablated engine must not beat the full engine.
-	if d := s.Delta("similarity only"); d > 1.0 {
+	mean := make(map[string]float64)
+	for _, v := range s.Variants {
+		mean[v.Name] = v.Mean
+	}
+	if d := mean["similarity only"] - mean[s.Baseline]; d > 1.0 {
 		t.Errorf("similarity-only beat the full engine by %.1f", d)
 	}
 	out := s.Render()
@@ -70,15 +74,5 @@ func TestEncoderCapacityAblation(t *testing.T) {
 	}
 	if xl < tiny-5 {
 		t.Errorf("xl encoder (%.1f) far below tiny (%.1f)", xl, tiny)
-	}
-}
-
-func TestStudyDelta(t *testing.T) {
-	s := &Study{
-		Baseline: "a",
-		Variants: []Variant{{Name: "a", Mean: 80}, {Name: "b", Mean: 75}},
-	}
-	if d := s.Delta("b"); d != -5 {
-		t.Fatalf("Delta = %v", d)
 	}
 }

@@ -37,12 +37,6 @@ func (b *Sim) Name() string { return b.name }
 // RatePer1K implements Backend.
 func (b *Sim) RatePer1K() float64 { return b.rate }
 
-// Matcher returns the wrapped matcher.
-func (b *Sim) Matcher() matchers.Matcher { return b.matcher }
-
-// Profile returns the failure model in effect.
-func (b *Sim) Profile() Profile { return b.profile }
-
 // Predict implements Backend.
 func (b *Sim) Predict(task matchers.Task, attempt uint64, out []bool, conf []float64) (time.Duration, error) {
 	h := b.callHash(task, attempt)

@@ -14,7 +14,7 @@ func TestProbeStoredZeroAlloc(t *testing.T) {
 	_, ix := benchIndex(t)
 	p := ix.AcquireProber()
 	defer ReleaseProber(p)
-	buf := make([]Candidate, 0, ix.Config().TopK)
+	buf := make([]Candidate, 0, ix.cfg.TopK)
 	p.ProbeStored(0, buf, false) // grow the stamp table before measuring
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -52,7 +52,7 @@ func BenchmarkDedupProbeStored(b *testing.B) {
 	_, ix := benchIndex(b)
 	p := ix.AcquireProber()
 	defer ReleaseProber(p)
-	buf := make([]Candidate, 0, ix.Config().TopK)
+	buf := make([]Candidate, 0, ix.cfg.TopK)
 	p.ProbeStored(0, buf, false) // grow the stamp table before timing
 	emitted := 0
 	b.ReportAllocs()
@@ -71,11 +71,13 @@ func BenchmarkDedupProbeRecord(b *testing.B) {
 	records, ix := benchIndex(b)
 	p := ix.AcquireProber()
 	defer ReleaseProber(p)
-	buf := make([]Candidate, 0, ix.Config().TopK)
+	buf := make([]Candidate, 0, ix.cfg.TopK)
+	var ids []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = p.ProbeRecord(records[i%len(records)], buf[:0])
+		ids = RecordHashes(records[i%len(records)], ids)
+		buf = p.ProbeHashes(ids, buf[:0])
 	}
 }
 

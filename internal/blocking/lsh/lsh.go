@@ -144,9 +144,6 @@ func NewIndex(cfg Config) *Index {
 	return ix
 }
 
-// Config returns the (defaulted) configuration the index was built with.
-func (ix *Index) Config() Config { return ix.cfg }
-
 // Len returns the number of indexed records.
 func (ix *Index) Len() int { return len(ix.offs) - 1 }
 
@@ -173,12 +170,6 @@ func (ix *Index) AddHashes(sorted []uint64) int {
 		ix.insert(b, key, idx)
 	}
 	return int(idx)
-}
-
-// Add indexes one record (serialize → tokenize → fingerprint) and returns
-// its index. Not safe for concurrent use.
-func (ix *Index) Add(r record.Record) int {
-	return ix.AddHashes(RecordHashes(r, nil))
 }
 
 // insert files idx under key in band b, honouring the bucket cap.

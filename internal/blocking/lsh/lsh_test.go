@@ -56,7 +56,7 @@ func TestIncrementalMatchesBulk(t *testing.T) {
 	bulk := BuildRecords(Config{}, corpus.Records, 0)
 	inc := NewIndex(Config{})
 	for i, r := range corpus.Records {
-		if got := inc.Add(r); got != i {
+		if got := inc.AddHashes(RecordHashes(r, nil)); got != i {
 			t.Fatalf("Add returned index %d for record %d", got, i)
 		}
 	}
@@ -140,7 +140,7 @@ func TestRecallVsTokenBlockerOnBenchmark(t *testing.T) {
 	var lshPairs []record.Pair
 	var buf []Candidate
 	for _, l := range left {
-		buf = p.ProbeRecord(l, buf[:0])
+		buf = p.ProbeHashes(RecordHashes(l, nil), buf[:0])
 		for _, c := range buf {
 			lshPairs = append(lshPairs, record.Pair{Left: l, Right: right[c.Index]})
 		}
@@ -195,8 +195,9 @@ func TestRecordHashesMatchProfileJaccard(t *testing.T) {
 	corpus := datasets.GenerateDedupCorpus(120, 9, 0)
 	profiles := make([]*textsim.Profile, len(corpus.Records))
 	hashes := make([][]uint64, len(corpus.Records))
+	profs := textsim.NewProfileCache()
 	for i, r := range corpus.Records {
-		profiles[i] = textsim.NewProfile(record.SerializeRecord(r, record.SerializeOptions{}))
+		profiles[i] = profs.Get(record.SerializeRecord(r, record.SerializeOptions{}))
 		hashes[i] = RecordHashes(r, nil)
 		if len(hashes[i]) != len(profiles[i].SortedIDs) {
 			t.Fatalf("record %s: %d fingerprints vs %d profile tokens", r.ID, len(hashes[i]), len(profiles[i].SortedIDs))
@@ -219,7 +220,7 @@ func TestMaxBucketCap(t *testing.T) {
 	cfg := Config{Bands: 8, Rows: 2, MaxBucket: 16}
 	ix := NewIndex(cfg)
 	for i := 0; i < 300; i++ {
-		ix.Add(record.Record{ID: "r", Values: []string{"identical product title"}})
+		ix.AddHashes(RecordHashes(record.Record{ID: "r", Values: []string{"identical product title"}}, nil))
 	}
 	st := ix.Stats()
 	if st.Postings != 8*16 {
@@ -248,8 +249,8 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	}
 	// A record with no tokens must still index (empty set) and not panic.
 	ix2 := NewIndex(Config{})
-	ix2.Add(record.Record{ID: "a", Values: []string{""}})
-	ix2.Add(record.Record{ID: "b", Values: []string{"real title here"}})
+	ix2.AddHashes(RecordHashes(record.Record{ID: "a", Values: []string{""}}, nil))
+	ix2.AddHashes(RecordHashes(record.Record{ID: "b", Values: []string{"real title here"}}, nil))
 	p2 := ix2.NewProber()
 	_ = p2.ProbeStored(0, nil, false)
 	_ = p2.ProbeStored(1, nil, false)

@@ -3,7 +3,6 @@ package lsh
 import (
 	"sync"
 
-	"repro/internal/record"
 	"repro/internal/textsim"
 )
 
@@ -124,12 +123,4 @@ func (p *Prober) probe(ids []uint64, self, min int32, dst []Candidate) []Candida
 	ix.verifies.Add(verifies)
 	ix.emitted.Add(int64(len(top)))
 	return append(dst, top...)
-}
-
-// ProbeRecord appends the candidates for an un-indexed record to dst: the
-// serialize → tokenize → fingerprint path feeding ProbeHashes, reusing the
-// prober's scratch.
-func (p *Prober) ProbeRecord(r record.Record, dst []Candidate) []Candidate {
-	p.ids = RecordHashes(r, p.ids)
-	return p.ProbeHashes(p.ids, dst)
 }

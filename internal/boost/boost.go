@@ -154,9 +154,6 @@ func (b *Booster) Prob(x []float64) float64 {
 	return sigmoid(logit)
 }
 
-// Rounds returns the number of fitted stumps.
-func (b *Booster) Rounds() int { return len(b.stumps) }
-
 func sigmoid(x float64) float64 {
 	if x >= 0 {
 		z := math.Exp(-x)

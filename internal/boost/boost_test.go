@@ -60,8 +60,8 @@ func TestBoosterLearnsAdditiveNonlinear(t *testing.T) {
 	if acc := float64(correct) / float64(n); acc < 0.90 {
 		t.Fatalf("booster training accuracy %.3f on additive OR data", acc)
 	}
-	if b.Rounds() < 2 {
-		t.Fatalf("OR problem solved with %d stumps, expected several", b.Rounds())
+	if len(b.stumps) < 2 {
+		t.Fatalf("OR problem solved with %d stumps, expected several", len(b.stumps))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestBoosterEmptyTraining(t *testing.T) {
 	if p := b.Prob([]float64{1, 2}); p < 0 || p > 1 {
 		t.Fatalf("empty-trained booster prob = %v", p)
 	}
-	if b.Rounds() != 0 {
+	if len(b.stumps) != 0 {
 		t.Fatal("empty training should fit no stumps")
 	}
 }
@@ -104,8 +104,8 @@ func TestBoosterConfidentOnPureData(t *testing.T) {
 	xs := [][]float64{{0}, {0.1}, {0.9}, {1}}
 	ys := []float64{0, 0, 1, 1}
 	b := Train(xs, ys, Config{Rounds: 200, LearnRate: 0.5})
-	if b.Rounds() > 200 {
-		t.Fatalf("round budget exceeded: %d", b.Rounds())
+	if len(b.stumps) > 200 {
+		t.Fatalf("round budget exceeded: %d", len(b.stumps))
 	}
 	if b.Prob([]float64{0.05}) > 0.05 || b.Prob([]float64{0.95}) < 0.95 {
 		t.Fatalf("not confident on pure data: %v / %v",

@@ -56,6 +56,3 @@ func (c *Virtual) Sleep(d time.Duration) {
 		c.now.Add(int64(d))
 	}
 }
-
-// Set jumps the clock to an absolute elapsed time.
-func (c *Virtual) Set(d time.Duration) { c.now.Store(int64(d)) }

@@ -16,9 +16,6 @@ func TestVirtual(t *testing.T) {
 		{"sleep accumulates", func(c *Virtual) { c.Sleep(time.Second); c.Sleep(500 * time.Millisecond) }, 1500 * time.Millisecond},
 		{"zero sleep is a no-op", func(c *Virtual) { c.Sleep(time.Second); c.Sleep(0) }, time.Second},
 		{"negative sleep is a no-op", func(c *Virtual) { c.Sleep(time.Second); c.Sleep(-time.Minute) }, time.Second},
-		{"set jumps forward", func(c *Virtual) { c.Set(time.Hour) }, time.Hour},
-		{"set jumps back", func(c *Virtual) { c.Sleep(time.Hour); c.Set(time.Second) }, time.Second},
-		{"sleep after set", func(c *Virtual) { c.Set(time.Minute); c.Sleep(time.Second) }, time.Minute + time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,9 +6,23 @@ import (
 	"testing"
 )
 
+// publishedTable5 holds the paper's measured Table 5 values, the
+// reference the simulated throughput table is held to.
+var publishedTable5 = map[string]ThroughputResult{
+	"BERT":         {GPUsNeeded: 1, BatchSize: 8192, TokensPerSec: 862001},
+	"GPT-2":        {GPUsNeeded: 1, BatchSize: 8192, TokensPerSec: 693999},
+	"DeBERTa":      {GPUsNeeded: 1, BatchSize: 4096, TokensPerSec: 216396},
+	"T5":           {GPUsNeeded: 1, BatchSize: 8192, TokensPerSec: 530656},
+	"LLaMA3.2":     {GPUsNeeded: 1, BatchSize: 4096, TokensPerSec: 264952},
+	"LLaMA2-13B":   {GPUsNeeded: 1, BatchSize: 128, TokensPerSec: 26721},
+	"Mixtral-8x7B": {GPUsNeeded: 2, BatchSize: 32, TokensPerSec: 2108},
+	"Beluga2":      {GPUsNeeded: 4, BatchSize: 32, TokensPerSec: 1079},
+	"SOLAR":        {GPUsNeeded: 4, BatchSize: 64, TokensPerSec: 752},
+}
+
 func TestTable5MatchesPublishedShape(t *testing.T) {
 	for _, r := range Table5() {
-		pub, ok := PublishedTable5[r.Model.Name]
+		pub, ok := publishedTable5[r.Model.Name]
 		if !ok {
 			t.Fatalf("no published reference for %s", r.Model.Name)
 		}

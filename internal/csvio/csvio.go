@@ -60,24 +60,6 @@ func ReadRelation(r io.Reader) ([]record.Record, record.Schema, error) {
 	return records, schema, nil
 }
 
-// WriteRelation writes records with the given schema, including an id
-// column.
-func WriteRelation(w io.Writer, records []record.Record, schema record.Schema) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"id"}, schema.Names...)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("csvio: writing relation header: %w", err)
-	}
-	for _, r := range records {
-		row := append([]string{r.ID}, r.Values...)
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("csvio: writing record %s: %w", r.ID, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // ReadPairs parses a pair CSV in the benchmark layout. Columns prefixed
 // "left_"/"right_" hold the two records' attributes (in file order); the
 // optional "label" column holds 0/1 ground truth (absent labels default to

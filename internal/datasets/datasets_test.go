@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -48,9 +49,9 @@ func TestTable1MatchesPaper(t *testing.T) {
 func TestGeneratedCountsMatchTable1(t *testing.T) {
 	for _, want := range publishedStats {
 		d := MustGenerate(want.name, 42)
-		if d.Positives() != want.pos || d.Negatives() != want.neg {
+		if d.Positives() != want.pos || len(d.Pairs)-d.Positives() != want.neg {
 			t.Errorf("%s: %d pos / %d neg, want %d / %d",
-				want.name, d.Positives(), d.Negatives(), want.pos, want.neg)
+				want.name, d.Positives(), len(d.Pairs)-d.Positives(), want.pos, want.neg)
 		}
 		if d.Schema.NumAttrs() != want.attrs {
 			t.Errorf("%s: %d attrs, want %d", want.name, d.Schema.NumAttrs(), want.attrs)
@@ -192,7 +193,7 @@ func TestCorruptValuePreservesNonEmpty(t *testing.T) {
 	rng := stats.NewRNG(1)
 	prof := CorruptionProfile{Abbreviate: 0.5, Typo: 0.3, DropToken: 0.3, CaseFlip: 0.2, Reorder: 0.3}
 	for i := 0; i < 200; i++ {
-		out := corruptValue("golden dragon palace restaurant", prof, rng.SplitN("c", i))
+		out := corruptValue("golden dragon palace restaurant", prof, rng.Split("c"+strconv.Itoa(i)))
 		if strings.TrimSpace(out) == "" {
 			t.Fatal("corruption emptied a value without MissingValue set")
 		}
@@ -219,7 +220,7 @@ func TestApplyTypoSkipsDigits(t *testing.T) {
 func TestReformatNumberPreservesYears(t *testing.T) {
 	rng := stats.NewRNG(4)
 	for i := 0; i < 50; i++ {
-		got := reformatNumber("1999", rng.SplitN("y", i))
+		got := reformatNumber("1999", rng.Split("y"+strconv.Itoa(i)))
 		if got != "1999" {
 			t.Fatalf("year reformatted to %q", got)
 		}

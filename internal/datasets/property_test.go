@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ import (
 func TestGeneratorInvariantsAcrossSeeds(t *testing.T) {
 	if err := quick.Check(func(seed uint16) bool {
 		d := MustGenerate("BEER", uint64(seed))
-		if d.Positives() != 68 || d.Negatives() != 382 {
+		if d.Positives() != 68 || len(d.Pairs)-d.Positives() != 382 {
 			return false
 		}
 		for _, p := range d.Pairs {
@@ -58,8 +59,8 @@ func TestHardNegativesDiffer(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for _, s := range allSpecs() {
 		for i := 0; i < 100; i++ {
-			e := s.gen(rng.SplitN(s.name, i), i+1)
-			m := mutateDistinct(s, clone(e), rng.SplitN(s.name+"-mut", i), i, i+1)
+			e := s.gen(rng.Split(s.name+strconv.Itoa(i)), i+1)
+			m := mutateDistinct(s, clone(e), rng.Split(s.name+"-mut"+strconv.Itoa(i)), i, i+1)
 			if sameEntity(e, m) {
 				t.Errorf("%s: mutation %d produced an identical entity %v", s.name, i, e)
 				break
@@ -88,7 +89,7 @@ func TestImbalanceMatchesTable1(t *testing.T) {
 	for _, s := range Table1() {
 		d := MustGenerate(s.Name, 42)
 		want := float64(s.Neg) / float64(s.Pos+s.Neg)
-		if got := d.ImbalanceRate(); got != want {
+		if got := float64(len(d.Pairs)-d.Positives()) / float64(len(d.Pairs)); got != want {
 			t.Errorf("%s: imbalance %v, want %v", s.Name, got, want)
 		}
 	}

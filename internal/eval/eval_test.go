@@ -33,14 +33,11 @@ func TestConfusionMetrics(t *testing.T) {
 	if got := c.F1(); math.Abs(got-75) > 1e-9 {
 		t.Errorf("F1 = %v (percent scale)", got)
 	}
-	if got := c.Accuracy(); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
 }
 
 func TestConfusionDegenerate(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Fatal("empty confusion should score 0 everywhere")
 	}
 	c.Observe(false, true)

@@ -136,16 +136,10 @@ func (h *Harness) SetTracer(t *obs.Tracer) {
 	h.tctx = obs.WithTracer(context.Background(), t)
 }
 
-// Tracer returns the harness's tracer, or nil when tracing is off.
-func (h *Harness) Tracer() *obs.Tracer { return h.cfg.Tracer }
-
 // SetJournal installs (or, with nil, removes) the run journal consulted
 // and appended by labeled evaluations. Must not be called concurrently
 // with an evaluation.
 func (h *Harness) SetJournal(j *snap.Journal) { h.journal = j }
-
-// Journal returns the installed run journal, or nil.
-func (h *Harness) Journal() *snap.Journal { return h.journal }
 
 // BenchmarkFingerprint returns a content hash of the whole generated
 // benchmark — the fingerprint a run journal header pins, so a journal

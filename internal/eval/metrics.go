@@ -51,15 +51,6 @@ func (c Confusion) F1() float64 {
 	return 100 * 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // Score computes the confusion matrix of predictions against labels. The
 // slices must have equal length.
 func Score(predictions, labels []bool) Confusion {

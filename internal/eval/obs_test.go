@@ -109,7 +109,7 @@ func TestEnablePoolMetrics(t *testing.T) {
 			snap = append(snap, s)
 		}
 	}
-	if len(snap) != 1 || snap[0].HistCount() == 0 {
+	if len(snap) != 1 || snap[0].Count == nil || *snap[0].Count == 0 {
 		t.Fatalf("pool metrics not recorded: %+v", reg.Snapshot())
 	}
 }

@@ -25,13 +25,6 @@ func (h *Harness) EvaluateTarget(factory MatcherFactory, target string) (Result,
 	return rs[0], nil
 }
 
-// EvaluateAll runs one matcher across every target dataset
-// (leave-one-dataset-out over the full benchmark). Results come back in
-// Table 1 dataset order.
-func (h *Harness) EvaluateAll(factory MatcherFactory) ([]Result, error) {
-	return h.EvaluateTargets(factory, h.targetNames())
-}
-
 // EvaluateTargets runs one matcher over the given targets. The results
 // come back in the order of the targets argument.
 func (h *Harness) EvaluateTargets(factory MatcherFactory, targets []string) ([]Result, error) {

@@ -16,13 +16,13 @@ func TestEvaluateAllParallelMatchesSequential(t *testing.T) {
 	factory := func() matchers.Matcher { return matchers.NewStringSim() }
 
 	h.SetParallelism(1)
-	seq, err := h.EvaluateAll(factory)
+	seq, err := h.EvaluateTargets(factory, h.targetNames())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
 		h.SetParallelism(workers)
-		par, err := h.EvaluateAll(factory)
+		par, err := h.EvaluateTargets(factory, h.targetNames())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestEvaluateSpecsMatchesSequential(t *testing.T) {
 	h.SetParallelism(1)
 	var want [][]Result
 	for _, f := range factories {
-		rs, err := h.EvaluateAll(f)
+		rs, err := h.EvaluateTargets(f, h.targetNames())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,8 @@ import (
 //     enough and every compared prediction matched. Cutover swaps the
 //     ring member's URL in place — the ring identity (and therefore the
 //     key placement) does not move — and returns the old URL so the
-//     caller can drain and retire the incumbent process.
-//  4. AbortCanary(): drop the canary (mismatch found, or operator
-//     changed their mind). The incumbent keeps serving.
+//     caller can drain and retire the incumbent process. A canary with
+//     a mismatch is never promoted; the incumbent keeps serving.
 //
 // Bit-identity is the right bar here because replicas are deterministic
 // by construction: same snapshot + same matcher ⇒ same predictions, so
@@ -141,18 +140,6 @@ func (f *Front) PromoteCanary() (oldURL string, err error) {
 	rep.breaker.NoteSuccess()
 	f.canary.Store(nil)
 	return oldURL, nil
-}
-
-// AbortCanary drops the active canary, reporting whether one was
-// running.
-func (f *Front) AbortCanary() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.canary.Load() == nil {
-		return false
-	}
-	f.canary.Store(nil)
-	return true
 }
 
 // MirrorSampled reports whether a key hash falls in the canary mirror

@@ -155,9 +155,6 @@ func (r *Replica) Name() string { return r.name }
 // URL returns the replica's current target URL.
 func (r *Replica) URL() string { return r.url.Load().(string) }
 
-// Breaker returns the replica's ejection breaker.
-func (r *Replica) Breaker() *route.Breaker { return r.breaker }
-
 func (r *Replica) penalizedAt(now time.Duration) bool {
 	return int64(now) < r.shedUntil.Load()
 }
@@ -344,20 +341,12 @@ func (f *Front) shedTotal() int64 {
 	return n
 }
 
-// SLO returns the fleet SLO engine, or nil when no objectives are
-// configured.
-func (f *Front) SLO() *slo.Engine { return f.sloEngine }
-
 // TickSLO runs one evaluation pass (no-op without objectives).
 func (f *Front) TickSLO() {
 	if f.sloEngine != nil {
 		f.sloEngine.Tick()
 	}
 }
-
-// Registry returns the fleet metrics registry backing /metrics and
-// /stats.
-func (f *Front) Registry() *obs.Registry { return f.reg }
 
 // Ring returns the current ring snapshot.
 func (f *Front) Ring() *Ring { return f.place.Load().ring }

@@ -313,7 +313,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 		t.Fatal("no failovers recorded while a replica was down")
 	}
 	// The failures tripped r1's breaker (threshold 3) — it is ejected.
-	if got := f.Replica("r1").Breaker().State(); got != route.Open {
+	if got := f.Replica("r1").breaker.State(); got != route.Open {
 		t.Fatalf("r1 breaker %v after sustained failures, want open", got)
 	}
 	// Ejected: new requests skip r1 entirely.
@@ -328,7 +328,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 	// Recovery is probe-owned: while cooling, ProbeAll does not probe;
 	// after the cooldown a healthy probe re-closes the breaker.
 	f.ProbeAll(context.Background())
-	if got := f.Replica("r1").Breaker().State(); got != route.Open {
+	if got := f.Replica("r1").breaker.State(); got != route.Open {
 		t.Fatalf("breaker %v before cooldown, want open", got)
 	}
 	dead.mu.Lock()
@@ -337,7 +337,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 	dead.mu.Unlock()
 	vc.Sleep(3 * time.Second) // past the 2s fleet cooldown
 	f.ProbeAll(context.Background())
-	if got := f.Replica("r1").Breaker().State(); got != route.Closed {
+	if got := f.Replica("r1").breaker.State(); got != route.Closed {
 		t.Fatalf("breaker %v after healthy probe, want closed", got)
 	}
 	// Re-admitted: r1 serves its keys again.

@@ -133,9 +133,6 @@ func KeyHash(key []byte) uint64 { return mix64(uint64(crc32.Checksum(key, castag
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// VNodes returns the per-member virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
-
 // Owner returns the member owning keyHash: the first virtual node at or
 // clockwise after it. Allocation-free — the front router calls it per
 // pair on the hot path.

@@ -32,10 +32,6 @@ func NewHTTPTransport(timeout time.Duration) *HTTPTransport {
 	}}
 }
 
-// Client exposes the underlying pooled client (emfleet's stats loop and
-// the watcher reuse it).
-func (t *HTTPTransport) Client() *http.Client { return t.client }
-
 // Match implements Transport. It posts a copy of body: net/http may still
 // read a request body after Do returns (the RoundTripper contract), and
 // the front reuses body once Match has returned a status.

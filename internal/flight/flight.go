@@ -284,14 +284,6 @@ func (r *Recorder) SetStragglerUS(us int64) {
 	r.stragglerUS.Store(us)
 }
 
-// StragglerUS returns the current straggler threshold (0 = disabled).
-func (r *Recorder) StragglerUS() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.stragglerUS.Load()
-}
-
 // IsStraggler reports whether a request latency crosses the published
 // threshold. False on a nil recorder or an unset threshold.
 func (r *Recorder) IsStraggler(latencyUS int64) bool {
@@ -352,16 +344,6 @@ func Hash(b []byte) uint64 {
 	h := uint64(fnvOffset)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// HashString is Hash for strings, without conversion allocations.
-func HashString(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
 		h *= fnvPrime
 	}
 	return h

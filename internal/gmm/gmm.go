@@ -156,9 +156,6 @@ func (m *Mixture) MatchProb(x []float64) float64 {
 	return math.Exp(l1 - logSumExp(l0, l1))
 }
 
-// Prior returns the fitted match prior.
-func (m *Mixture) Prior() float64 { return m.prior }
-
 // logDensity computes the diagonal-Gaussian log density of component c.
 func (m *Mixture) logDensity(c int, x []float64) float64 {
 	ll := 0.0

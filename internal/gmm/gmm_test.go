@@ -12,7 +12,7 @@ func twoClusterData(nLow, nHigh, dim int, rng *stats.RNG) (xs [][]float64, label
 	for i := 0; i < nLow; i++ {
 		v := make([]float64, dim)
 		for d := range v {
-			v[d] = stats.Clamp(rng.NormScaled(0.25, 0.08), 0, 1)
+			v[d] = stats.Clamp(0.25+0.08*rng.Norm(), 0, 1)
 		}
 		xs = append(xs, v)
 		labels = append(labels, false)
@@ -20,7 +20,7 @@ func twoClusterData(nLow, nHigh, dim int, rng *stats.RNG) (xs [][]float64, label
 	for i := 0; i < nHigh; i++ {
 		v := make([]float64, dim)
 		for d := range v {
-			v[d] = stats.Clamp(rng.NormScaled(0.85, 0.08), 0, 1)
+			v[d] = stats.Clamp(0.85+0.08*rng.Norm(), 0, 1)
 		}
 		xs = append(xs, v)
 		labels = append(labels, true)
@@ -47,8 +47,8 @@ func TestFitPriorReflectsSkew(t *testing.T) {
 	rng := stats.NewRNG(3)
 	xs, _ := twoClusterData(900, 100, 3, rng)
 	m := Fit(xs, DefaultConfig(), rng.Split("fit"))
-	if m.Prior() < 0.05 || m.Prior() > 0.2 {
-		t.Fatalf("match prior %.3f, want near the true 0.1", m.Prior())
+	if m.prior < 0.05 || m.prior > 0.2 {
+		t.Fatalf("match prior %.3f, want near the true 0.1", m.prior)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestFitPriorCapped(t *testing.T) {
 	xs, _ := twoClusterData(100, 900, 3, rng)
 	cfg := DefaultConfig()
 	m := Fit(xs, cfg, rng.Split("fit"))
-	if m.Prior() > cfg.MaxPrior+1e-9 {
-		t.Fatalf("prior %.3f exceeds cap %.3f", m.Prior(), cfg.MaxPrior)
+	if m.prior > cfg.MaxPrior+1e-9 {
+		t.Fatalf("prior %.3f exceeds cap %.3f", m.prior, cfg.MaxPrior)
 	}
 }
 

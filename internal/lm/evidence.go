@@ -126,13 +126,8 @@ func extractEvidence(p record.Pair, caps Capabilities, idf *textsim.Weighter) Ev
 	return ev
 }
 
-// attrSimilarity compares one aligned attribute value pair under the
-// model's capabilities.
-func attrSimilarity(a, b string, caps Capabilities, idf *textsim.Weighter) float64 {
-	return attrSimilarityE(valEntryFor(a), valEntryFor(b), caps, idf)
-}
-
-// attrSimilarityE is attrSimilarity over cached value entries.
+// attrSimilarityE compares one aligned attribute value pair, given as
+// cached value entries, under the model's capabilities.
 func attrSimilarityE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter) float64 {
 	if va.trimmed == "" && vb.trimmed == "" {
 		return 0.5 // both missing: uninformative
@@ -232,7 +227,8 @@ func weightedOverlap(a, b *normEntry, attention float64, idf *textsim.Weighter) 
 	return inter / union
 }
 
-// attrWeight scores how much one aligned attribute should contribute.
+// attrWeightE scores how much one aligned attribute, given as cached value
+// entries, should contribute.
 //
 // The expert weighting favours short, token-rare values (names, titles,
 // identifiers) and discounts long free text and missing values; the naive
@@ -240,11 +236,6 @@ func weightedOverlap(a, b *normEntry, attention float64, idf *textsim.Weighter) 
 // fields attention proportional to their size). caps.Attention
 // interpolates, and caps.Robustness additionally controls how firmly
 // missing values are discounted.
-func attrWeight(a, b string, caps Capabilities, idf *textsim.Weighter) float64 {
-	return attrWeightE(valEntryFor(a), valEntryFor(b), caps, idf)
-}
-
-// attrWeightE is attrWeight over cached value entries.
 func attrWeightE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter) float64 {
 	ta, tb := va.prof.Tokens, vb.prof.Tokens
 	la, lb := len(ta), len(tb)
@@ -303,13 +294,9 @@ func attrWeightE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter) flo
 	return (1-caps.Attention)*naive + caps.Attention*expert
 }
 
-// presentWeight is the expert informativeness of a single value, used to
-// weight one-side-missing attributes by the evidence they fail to provide.
-func presentWeight(v string, idf *textsim.Weighter) float64 {
-	return presentWeightP(textsim.Shared().Get(v), idf)
-}
-
-// presentWeightP is presentWeight over a cached profile.
+// presentWeightP is the expert informativeness of a single value's
+// profile, used to weight one-side-missing attributes by the evidence they
+// fail to provide.
 func presentWeightP(p *textsim.Profile, idf *textsim.Weighter) float64 {
 	toks := p.Tokens
 	if len(toks) == 0 {
@@ -338,15 +325,12 @@ func presentWeightP(p *textsim.Profile, idf *textsim.Weighter) float64 {
 	return w
 }
 
-// rareTokens returns the discriminative tokens of a value: tokens that are
-// rare under the IDF model and look like identifiers (contain digits or are
-// long alphanumerics). Only attention-capable models extract them reliably:
-// the returned set is filtered through the capability gate.
-func rareTokens(v string, caps Capabilities, idf *textsim.Weighter) []string {
-	return appendRareTokens(nil, valEntryFor(v), caps, idf)
-}
-
-// appendRareTokens appends the rare tokens of a cached value entry to dst.
+// appendRareTokens appends the discriminative tokens of a cached value
+// entry to dst: tokens that are rare under the IDF model and look like
+// identifiers (contain digits or are long alphanumerics). Only
+// attention-capable models extract them reliably: the returned set is
+// filtered through the capability gate.
+//
 // The whitespace split, punctuation trim and identifier-shape filter are
 // precomputed in the entry (they depend only on the value); the IDF-rarity
 // and attention gates run per call because the IDF table mutates as
@@ -358,7 +342,7 @@ func appendRareTokens(dst []string, e *valEntry, caps Capabilities, idf *textsim
 		if idf != nil && idf.IDF(c.tok) < 2.0 {
 			continue // actually a common token
 		}
-		// knowsAttend("rare:"+tok, attention) with the draws precomputed.
+		// The attention gate, on the entry's two precomputed draws.
 		if !(c.uA < caps.Attention || c.uB < caps.Attention) {
 			continue // model fails to attend to this identifier
 		}
@@ -453,12 +437,6 @@ func versionTokens(fields []string) []string {
 // isYearLike reports whether a parsed number looks like a calendar year.
 func isYearLike(v float64) bool {
 	return v == math.Trunc(v) && v >= 1900 && v <= 2035
-}
-
-// isNumberLike reports whether a raw value parses as a loose number.
-func isNumberLike(v string) bool {
-	_, ok := parseLooseNumber(v)
-	return ok
 }
 
 // rareAgreement measures identifier-level agreement between the two

@@ -158,30 +158,6 @@ var contrastSets = [][]string{
 	{"remastered", "explicit", "acoustic", "live"},
 }
 
-// contrastConflict reports whether the two token sets carry different
-// members of a known contrast family, gated by semantic coverage: the
-// model must know the family (one check per family) to use it.
-func contrastConflict(a, b map[string]struct{}, coverage float64) bool {
-	for fi, family := range contrastSets {
-		if !knows(fmt.Sprintf("contrast:%d", fi), coverage) {
-			continue
-		}
-		var inA, inB string
-		for _, m := range family {
-			if _, ok := a[m]; ok {
-				inA = m
-			}
-			if _, ok := b[m]; ok {
-				inB = m
-			}
-		}
-		if inA != "" && inB != "" && inA != inB {
-			return true
-		}
-	}
-	return false
-}
-
 // contrastFam is one contrast family with its member tokens interned in
 // the shared textsim ID space and its coverage draw precomputed.
 type contrastFam struct {
@@ -213,11 +189,12 @@ func contrastFamilies() []contrastFam {
 	return contrastFams
 }
 
-// contrastConflictProfiles is contrastConflict over the token profiles of
-// each side's attribute values: a family member is "present" when any
-// value's token set contains it, which reproduces the union token set the
-// map-based form was called with. As there, the *last* present member of a
-// family represents each side.
+// contrastConflictProfiles reports whether the two sides carry different
+// members of a known contrast family, gated by semantic coverage: the
+// model must know the family (one draw per family) to use it. Each side is
+// the token profiles of its attribute values, and a family member is
+// "present" when any value's token set contains it; the *last* present
+// member of a family represents each side.
 func contrastConflictProfiles(left, right []*textsim.Profile, coverage float64) bool {
 	for _, fam := range contrastFamilies() {
 		if fam.u >= coverage {
@@ -243,16 +220,6 @@ func contrastConflictProfiles(left, right []*textsim.Profile, coverage float64) 
 		}
 	}
 	return false
-}
-
-// knowsAttend is the attention gate for identifier tokens. Real readers
-// get several chances to notice an identifier (title, spec field,
-// description), so the gate passes if either of two independent draws
-// passes — effective coverage 1-(1-c)², which separates the top models
-// (0.9 → 0.99) from the weak ones (0.5 → 0.75) more sharply than a single
-// draw.
-func knowsAttend(entry string, coverage float64) bool {
-	return knows(entry+"#a", coverage) || knows(entry+"#b", coverage)
 }
 
 // knows reports whether a model with semantic coverage c knows a given

@@ -28,9 +28,10 @@ func TestLazyGramsConcurrentFirstUse(t *testing.T) {
 	texts := make([]string, n)
 	profs := make([]*textsim.Profile, n)
 	vals := make([]*valEntry, n)
+	fresh := textsim.NewProfileCache()
 	for i := range texts {
 		texts[i] = fmt.Sprintf("Lazy First-Use %d/%d: Sony WH-%dXM4 St. café, rev %d #%d", run, i, 1000+i%3, i%5, i*7919)
-		profs[i] = textsim.NewProfile(texts[i])
+		profs[i] = fresh.Get(texts[i])
 		vals[i] = valEntryFor(texts[i])
 		if e := normEntryFor(vals[i].trimmed, caps); e.joined.Load() != nil {
 			t.Fatalf("norm entry of %q already holds its joined profile", texts[i])
@@ -69,10 +70,12 @@ func TestLazyGramsConcurrentFirstUse(t *testing.T) {
 			t.Fatalf("goroutine %d saw different results from goroutine 0", w)
 		}
 	}
+	// Profiles built apart from the raced ones must score the same.
+	apart := textsim.NewProfileCache()
 	for i := 0; i < n; i++ {
 		j := (i + 1) % n
-		if got, want := textsim.QGramJaccardP(profs[i], profs[j]), textsim.QGramJaccard(texts[i], texts[j]); got != want {
-			t.Errorf("QGramJaccardP(%d, %d) = %v, string kernel %v", i, j, got, want)
+		if got, want := textsim.QGramJaccardP(profs[i], profs[j]), textsim.QGramJaccardP(apart.Get(texts[i]), apart.Get(texts[j])); got != want {
+			t.Errorf("QGramJaccardP(%d, %d) = %v, on profiles built apart %v", i, j, got, want)
 		}
 	}
 }

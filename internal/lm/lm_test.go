@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/record"
 	"repro/internal/stats"
+	"repro/internal/textsim"
 )
 
 func TestKnowsMonotoneCoverage(t *testing.T) {
@@ -39,21 +40,29 @@ func stringsFromInt(i int) string {
 	return string(rune('0'+i%10)) + string(rune('0'+(i/10)%10)) + string(rune('0'+(i/100)%10))
 }
 
+// TestKnowsAttendBoostsCoverage checks the attention gate on the two
+// draws buildValEntry stores per identifier candidate: either passing
+// gives coverage 1-(1-c)².
 func TestKnowsAttendBoostsCoverage(t *testing.T) {
 	single, double := 0, 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		key := "rare:tok" + stringsFromInt(i) + stringsFromInt(i/1000)
-		if knows(key+"#a", 0.8) {
+		tok := "tok" + stringsFromInt(i) + stringsFromInt(i/1000)
+		e := buildValEntry(tok)
+		if len(e.identCands) != 1 || e.identCands[0].tok != tok {
+			t.Fatalf("%q: identifier candidates %+v", tok, e.identCands)
+		}
+		c := e.identCands[0]
+		if c.uA < 0.8 {
 			single++
 		}
-		if knowsAttend(key, 0.8) {
+		if c.uA < 0.8 || c.uB < 0.8 {
 			double++
 		}
 	}
 	// Double draw: 1-(1-0.8)^2 = 0.96.
 	if rate := float64(double) / n; rate < 0.945 || rate > 0.975 {
-		t.Fatalf("knowsAttend(·, 0.8) pass rate %.3f, want ≈ 0.96", rate)
+		t.Fatalf("attention gate at 0.8: pass rate %.3f, want ≈ 0.96", rate)
 	}
 	if double <= single {
 		t.Fatal("double draw did not boost coverage")
@@ -106,23 +115,23 @@ func TestSplitAlnum(t *testing.T) {
 }
 
 func TestContrastConflict(t *testing.T) {
-	toSet := func(toks ...string) map[string]struct{} {
-		s := make(map[string]struct{})
-		for _, t := range toks {
-			s[t] = struct{}{}
+	profs := func(vals ...string) []*textsim.Profile {
+		out := make([]*textsim.Profile, len(vals))
+		for i, v := range vals {
+			out[i] = textsim.Shared().Get(v)
 		}
-		return s
+		return out
 	}
-	a := toSet("office", "deluxe", "4")
-	b := toSet("office", "premium", "4")
-	if !contrastConflict(a, b, 1.0) {
+	a := profs("office", "deluxe", "4")
+	b := profs("office", "premium", "4")
+	if !contrastConflictProfiles(a, b, 1.0) {
 		t.Fatal("deluxe vs premium should conflict at full coverage")
 	}
-	if contrastConflict(a, b, 0.0) {
+	if contrastConflictProfiles(a, b, 0.0) {
 		t.Fatal("zero coverage should not detect contrast")
 	}
-	same := toSet("office", "deluxe")
-	if contrastConflict(a, same, 1.0) {
+	same := profs("office", "deluxe")
+	if contrastConflictProfiles(a, same, 1.0) {
 		t.Fatal("same edition should not conflict")
 	}
 }
@@ -220,21 +229,21 @@ func TestEvidenceVersionConflict(t *testing.T) {
 
 func TestAttrSimilarityMissingValues(t *testing.T) {
 	caps := GPT4.Zero
-	if got := attrSimilarity("", "", caps, nil); got != 0.5 {
+	if got := attrSimilarityE(valEntryFor(""), valEntryFor(""), caps, nil); got != 0.5 {
 		t.Fatalf("both-missing sim = %v, want 0.5", got)
 	}
-	if got := attrSimilarity("something", "", caps, nil); got != 0.4 {
+	if got := attrSimilarityE(valEntryFor("something"), valEntryFor(""), caps, nil); got != 0.4 {
 		t.Fatalf("one-missing sim = %v, want 0.4", got)
 	}
 }
 
 func TestAttrSimilarityNumeric(t *testing.T) {
 	numerate := Capabilities{Numeracy: 1}
-	if got := attrSimilarity("$99.00", "99 USD", numerate, nil); got < 0.99 {
+	if got := attrSimilarityE(valEntryFor("$99.00"), valEntryFor("99 USD"), numerate, nil); got < 0.99 {
 		t.Fatalf("numerate model should reconcile formats: %v", got)
 	}
 	innumerate := Capabilities{Numeracy: 0}
-	if got := attrSimilarity("$99.00", "99 USD", innumerate, nil); got > 0.6 {
+	if got := attrSimilarityE(valEntryFor("$99.00"), valEntryFor("99 USD"), innumerate, nil); got > 0.6 {
 		t.Fatalf("innumerate model should see format difference: %v", got)
 	}
 }
@@ -257,7 +266,7 @@ func TestEncoderDeterministic(t *testing.T) {
 	}
 	v1 := enc.Encode(p, record.SerializeOptions{})
 	v2 := enc.Encode(p, record.SerializeOptions{})
-	if v1.NNZ() != v2.NNZ() {
+	if len(v1.Idx) != len(v2.Idx) {
 		t.Fatal("encoding not deterministic")
 	}
 	for i := range v1.Idx {
@@ -354,25 +363,6 @@ func TestPromptModelCapabilityLadder(t *testing.T) {
 	}
 }
 
-func TestBuildPromptLayout(t *testing.T) {
-	m := NewPromptModel(GPT4, stats.NewRNG(1))
-	pair := record.Pair{
-		Left:  record.Record{Values: []string{"abc"}},
-		Right: record.Record{Values: []string{"abd"}},
-	}
-	prompt := m.BuildPrompt(pair, record.SerializeOptions{})
-	if !strings.Contains(prompt, "same real-world entity") || !strings.HasSuffix(prompt, "Answer:") {
-		t.Fatalf("prompt layout wrong: %q", prompt)
-	}
-	// With demos: examples appear before the query.
-	demo := Demo{Pair: record.LabeledPair{Pair: pair, Match: true}, Dataset: "X"}
-	m.SetDemos([]Demo{demo}, DemoHandPicked)
-	prompt = m.BuildPrompt(pair, record.SerializeOptions{})
-	if !strings.Contains(prompt, "Example 1:") || !strings.Contains(prompt, "Answer: Yes") {
-		t.Fatalf("demo prompt layout wrong: %q", prompt)
-	}
-}
-
 func TestDemoStrategyStrings(t *testing.T) {
 	if DemoNone.String() != "none" || DemoHandPicked.String() != "hand-picked" || DemoRandom.String() != "random-selected" {
 		t.Fatal("demo strategy names wrong")
@@ -380,11 +370,13 @@ func TestDemoStrategyStrings(t *testing.T) {
 }
 
 func TestProfilesRegistry(t *testing.T) {
-	all := All()
-	if len(all) != 12 {
-		t.Fatalf("All() has %d profiles, want 12", len(all))
+	all := []Profile{
+		BERT, GPT2, DeBERTa, T5, LLaMA32,
+		LLaMA213B, Mixtral8x7B, SOLAR, Beluga2,
+		GPT35Turbo, GPT4oMini, GPT4,
 	}
 	seen := make(map[string]bool)
+	open := 0
 	for _, p := range all {
 		if seen[p.Name] {
 			t.Fatalf("duplicate profile %q", p.Name)
@@ -393,16 +385,12 @@ func TestProfilesRegistry(t *testing.T) {
 		if p.ParamsMillions <= 0 {
 			t.Errorf("%s has no parameter count", p.Name)
 		}
+		if p.OpenWeight {
+			open++
+		}
 	}
-	if _, ok := ByName("GPT-4"); !ok {
-		t.Fatal("ByName(GPT-4) failed")
-	}
-	if _, ok := ByName("nonexistent"); ok {
-		t.Fatal("ByName should fail for unknown model")
-	}
-	open := OpenWeightModels()
-	if len(open) != 9 {
-		t.Fatalf("OpenWeightModels() = %d, want 9 (Table 5 rows)", len(open))
+	if open != 9 {
+		t.Fatalf("%d open-weight profiles, want 9 (Table 5 rows)", open)
 	}
 }
 
@@ -428,13 +416,5 @@ func TestAdaptiveThresholdDegenerate(t *testing.T) {
 	thr := adaptiveThreshold(same)
 	if thr <= 0.4-1e-9 || thr > 0.45 {
 		t.Fatalf("constant scores threshold = %v", thr)
-	}
-}
-
-func TestPromptTokensScales(t *testing.T) {
-	short := PromptTokens("one two three")
-	long := PromptTokens(strings.Repeat("word ", 100))
-	if short <= 0 || long <= short {
-		t.Fatalf("token estimates wrong: %d, %d", short, long)
 	}
 }

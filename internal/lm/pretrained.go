@@ -1,7 +1,6 @@
 package lm
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/textsim"
@@ -59,11 +58,4 @@ func pretrainedWeighter() *textsim.Weighter {
 		pretrainedBase = w.Snapshot()
 	})
 	return pretrainedBase.Snapshot()
-}
-
-// PromptTokens estimates the token length of a serialized pair prompt, the
-// quantity the cost model bills. The estimate uses whitespace fields times
-// the BPE expansion factor observed on entity-matching text.
-func PromptTokens(prompt string) int {
-	return int(float64(len(strings.Fields(prompt))) * 1.3)
 }

@@ -243,34 +243,3 @@ var (
 		},
 	}
 )
-
-// All returns every model profile in the study.
-func All() []Profile {
-	return []Profile{
-		BERT, GPT2, DeBERTa, T5, LLaMA32,
-		LLaMA213B, Mixtral8x7B, SOLAR, Beluga2,
-		GPT35Turbo, GPT4oMini, GPT4,
-	}
-}
-
-// ByName returns the profile with the given name and whether it exists.
-func ByName(name string) (Profile, bool) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
-
-// OpenWeightModels returns the profiles that can be self-hosted (the rows
-// of Table 5).
-func OpenWeightModels() []Profile {
-	var out []Profile
-	for _, p := range All() {
-		if p.OpenWeight {
-			out = append(out, p)
-		}
-	}
-	return out
-}

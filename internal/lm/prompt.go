@@ -1,10 +1,8 @@
 package lm
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/record"
 	"repro/internal/stats"
@@ -92,9 +90,6 @@ func NewPromptModel(p Profile, rng *stats.RNG) *PromptModel {
 	}
 }
 
-// Profile returns the model profile.
-func (m *PromptModel) Profile() Profile { return m.profile }
-
 // SetDemos installs in-context demonstrations selected with the given
 // strategy. Pass nil to prompt without demonstrations.
 func (m *PromptModel) SetDemos(demos []Demo, strategy DemoStrategy) {
@@ -107,29 +102,6 @@ func (m *PromptModel) SetDemos(demos []Demo, strategy DemoStrategy) {
 // weighting improves as rare tokens become identifiable.
 func (m *PromptModel) ObserveCorpus(text string) {
 	m.idf.Observe(text)
-}
-
-// BuildPrompt renders the full prompt for a pair, following MatchGPT's
-// "general-complex-force" format (task framing, forced yes/no answer).
-// The prompt is what the cost model bills by token count.
-func (m *PromptModel) BuildPrompt(p record.Pair, opts record.SerializeOptions) string {
-	var b strings.Builder
-	b.WriteString("Do the two entity descriptions refer to the same real-world entity? ")
-	b.WriteString("Answer with 'Yes' if they do and 'No' if they do not.\n")
-	for i, d := range m.demos {
-		fmt.Fprintf(&b, "Example %d:\n%s\nAnswer: %s\n", i+1,
-			record.SerializePair(d.Pair.Pair, opts), yesNo(d.Pair.Match))
-	}
-	b.WriteString(record.SerializePair(p, opts))
-	b.WriteString("\nAnswer:")
-	return b.String()
-}
-
-func yesNo(match bool) string {
-	if match {
-		return "Yes"
-	}
-	return "No"
 }
 
 // rawScore computes the pre-threshold evidence score for a pair in [0, 1].
@@ -169,14 +141,6 @@ func (m *PromptModel) RawScores(pairs []record.Pair) []float64 {
 		out[i] = m.rawScore(p)
 	}
 	return out
-}
-
-// BatchThreshold returns the label-free adaptive decision threshold the
-// engine would use for the given scores.
-func (m *PromptModel) BatchThreshold(scores []float64) float64 {
-	caps := m.profile.Zero
-	fixed := 0.52 - 0.14*(1-caps.Calibration)
-	return (1-caps.Calibration)*fixed + caps.Calibration*adaptiveThreshold(scores)
 }
 
 // MatchBatch classifies a batch of pairs. Batch scoring is how the study

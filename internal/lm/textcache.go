@@ -23,7 +23,7 @@ type valEntry struct {
 	// prof is the textsim profile of the raw value; the evidence path
 	// reads its tokens and sorted IDs, never its trigrams.
 	prof *textsim.Profile
-	// trimmed is strings.TrimSpace of the value; attrSimilarity's
+	// trimmed is strings.TrimSpace of the value; attrSimilarityE's
 	// missing-value checks run on it.
 	trimmed string
 	// lowerTrim is strings.ToLower(trimmed), the form the innumerate
@@ -35,15 +35,22 @@ type valEntry struct {
 	// versionToks memoises versionTokens of the value.
 	versionToks []string
 	// identCands holds the identifier-shaped rare-token candidates with
-	// their attention-gate draws precomputed; rareTokens filters them per
-	// call against the (mutable) IDF table and the model's Attention.
+	// their attention-gate draws precomputed; appendRareTokens filters
+	// them per call against the (mutable) IDF table and the model's
+	// Attention.
 	identCands []identCand
 }
 
 // identCand is one identifier-shaped token with the two deterministic
-// uniform draws of knowsAttend("rare:"+tok) precomputed, so the per-call
-// gate is two float comparisons instead of two hashes of concatenated
-// strings.
+// uniform draws of its attention gate precomputed, so the per-call gate is
+// two float comparisons instead of two hashes of concatenated strings.
+//
+// Real readers get several chances to notice an identifier (title, spec
+// field, description), so the gate passes if either of two independent
+// draws, knowsU("rare:"+tok+"#a") and knowsU("rare:"+tok+"#b"), falls
+// below the model's coverage: effective coverage 1-(1-c)², which separates
+// the top models (0.9 → 0.99) from the weak ones (0.5 → 0.75) more sharply
+// than a single draw.
 type identCand struct {
 	tok    string
 	uA, uB float64
@@ -84,8 +91,9 @@ func buildValEntry(v string) *valEntry {
 		versionToks: versionTokens(fields),
 	}
 	e.looseNum, e.looseOK = parseLooseNumber(v)
-	// Identifier candidates: the split/trim/shape part of rareTokens,
-	// which does not depend on capabilities or corpus statistics.
+	// Identifier candidates: the split/trim/shape part of
+	// appendRareTokens, which does not depend on capabilities or corpus
+	// statistics.
 	for _, f := range fields {
 		t := strings.Trim(f, ",;:!?\"'()[]$€£")
 		if t == "" || !isIdentifierToken(t) {
@@ -120,7 +128,7 @@ type normEntry struct {
 }
 
 // joinedProfile returns the profile of strings.Join(toks, " "), the input
-// of the character-gram comparison in attrSimilarity and read nowhere
+// of the character-gram comparison in attrSimilarityE and read nowhere
 // else, so it is built on first use: the encoder's normalised view of a
 // whole serialised record never needs it. Racing first users store the
 // same pointer, because the shared cache returns one profile per string.

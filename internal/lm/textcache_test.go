@@ -49,7 +49,7 @@ func TestTextCachesConcurrent(t *testing.T) {
 				// cached entries, plus a fresh encoder per iteration so
 				// concurrent pretrained-weighter snapshots interleave.
 				other := valEntryFor(cacheProbes[i%len(cacheProbes)])
-				_ = attrSimilarity(e.prof.Raw, other.prof.Raw, c, nil)
+				_ = attrSimilarityE(e, other, c, nil)
 				enc := NewEncoder(EncoderCapacity{HashWidth: 1 << 10})
 				enc.ObserveCorpus(fmt.Sprintf("doc %d %d", w, i))
 				_ = enc.Encode(record.Pair{

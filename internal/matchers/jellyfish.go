@@ -75,12 +75,6 @@ func (m *Jellyfish) Predict(task Task) []bool {
 	return out
 }
 
-// Seen reports whether the target dataset was part of Jellyfish's
-// instruction-tuning data (its score must be bracketed in Table 3).
-func (m *Jellyfish) Seen(target string) bool {
-	return JellyfishSeenDatasets[target]
-}
-
 // seenBoost lifts capabilities to the tuned level for seen datasets. Only
 // the capabilities that are monotone in accuracy are lifted: Semantics and
 // Attention also scale the evidence model's conflict penalties and

@@ -150,15 +150,14 @@ func TestMatchGPTDemoSelection(t *testing.T) {
 }
 
 func TestJellyfishSeenDatasets(t *testing.T) {
-	m := NewJellyfish()
 	seen := []string{"DBAC", "DBGO", "FOZA", "AMGO", "BEER", "ITAM"}
 	for _, s := range seen {
-		if !m.Seen(s) {
+		if !JellyfishSeenDatasets[s] {
 			t.Errorf("%s should be marked seen", s)
 		}
 	}
 	for _, s := range []string{"ABT", "WDC", "ZOYE", "ROIM", "WAAM"} {
-		if m.Seen(s) {
+		if JellyfishSeenDatasets[s] {
 			t.Errorf("%s should not be marked seen", s)
 		}
 	}

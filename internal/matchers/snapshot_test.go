@@ -21,15 +21,9 @@ func smallTransfer(target string, cap int) []*record.Dataset {
 		if d.Name == target {
 			continue
 		}
-		n := len(d.Pairs)
-		if n > cap {
-			n = cap
-		}
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		out = append(out, d.Subset(idx))
+		sub := *d
+		sub.Pairs = d.Pairs[:min(cap, len(d.Pairs))]
+		out = append(out, &sub)
 	}
 	return out
 }

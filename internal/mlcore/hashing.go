@@ -1,7 +1,5 @@
 package mlcore
 
-import "hash/fnv"
-
 // Hasher maps textual features into a fixed-width index space (the
 // "hashing trick"). It is the stand-in for a pretrained embedding table:
 // wider spaces collide less and therefore encode more distinctions, which
@@ -17,33 +15,6 @@ func NewHasher(width int) *Hasher {
 		panic("mlcore: NewHasher with non-positive width")
 	}
 	return &Hasher{width: width}
-}
-
-// Width returns the number of buckets.
-func (h *Hasher) Width() int { return h.width }
-
-// Index maps a feature name to a bucket in [0, width).
-func (h *Hasher) Index(feature string) int {
-	f := fnv.New64a()
-	f.Write([]byte(feature))
-	return int(f.Sum64() % uint64(h.width))
-}
-
-// Sign returns a deterministic ±1 for a feature, used for signed hashing to
-// make collisions cancel in expectation rather than accumulate.
-func (h *Hasher) Sign(feature string) float64 {
-	f := fnv.New64a()
-	f.Write([]byte(feature))
-	f.Write([]byte{0x5a})
-	if f.Sum64()&1 == 0 {
-		return 1
-	}
-	return -1
-}
-
-// AddFeature hashes a feature into vec with a signed weight.
-func (h *Hasher) AddFeature(vec *SparseVec, feature string, weight float64) {
-	vec.Add(h.Index(feature), weight*h.Sign(feature))
 }
 
 // FNV-1a constants matching hash/fnv's 64-bit variant, inlined so prefixed
@@ -63,15 +34,16 @@ func fnvAdd(h uint64, s string) uint64 {
 	return h
 }
 
-// IndexPrefixed is Index(prefix + feature) without the concatenation
-// allocation.
+// IndexPrefixed maps the feature name prefix+feature to a bucket in
+// [0, width), without the concatenation allocation.
 func (h *Hasher) IndexPrefixed(prefix, feature string) int {
 	sum := fnvAdd(fnvAdd(fnvOffset64, prefix), feature)
 	return int(sum % uint64(h.width))
 }
 
-// SignPrefixed is Sign(prefix + feature) without the concatenation
-// allocation.
+// SignPrefixed returns a deterministic ±1 for the feature name
+// prefix+feature, without the concatenation allocation. Signed hashing
+// makes collisions cancel in expectation rather than accumulate.
 func (h *Hasher) SignPrefixed(prefix, feature string) float64 {
 	sum := fnvAdd(fnvAdd(fnvOffset64, prefix), feature)
 	sum ^= 0x5a

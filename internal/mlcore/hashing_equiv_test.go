@@ -1,6 +1,31 @@
 package mlcore
 
-import "testing"
+import (
+	"hash/fnv"
+	"testing"
+)
+
+// Index and Sign are the concatenate-then-hash reference, over hash/fnv,
+// that the prefixed hashes are held to.
+
+// Index maps a feature name to a bucket in [0, width).
+func (h *Hasher) Index(feature string) int {
+	f := fnv.New64a()
+	f.Write([]byte(feature))
+	return int(f.Sum64() % uint64(h.width))
+}
+
+// Sign returns a deterministic ±1 for a feature, used for signed hashing to
+// make collisions cancel in expectation rather than accumulate.
+func (h *Hasher) Sign(feature string) float64 {
+	f := fnv.New64a()
+	f.Write([]byte(feature))
+	f.Write([]byte{0x5a})
+	if f.Sum64()&1 == 0 {
+		return 1
+	}
+	return -1
+}
 
 // TestPrefixedHashingEquivalence pins the allocation-free prefixed hash
 // against the straightforward concatenate-then-hash path: the encoder's

@@ -17,26 +17,8 @@ func TestSparseVecDot(t *testing.T) {
 	if got := v.Dot(w); got != 2*10-1*5+1*10 {
 		t.Fatalf("Dot = %v", got)
 	}
-	if v.NNZ() != 3 {
-		t.Fatalf("NNZ = %d", v.NNZ())
-	}
-}
-
-func TestSparseVecL2Normalize(t *testing.T) {
-	var v SparseVec
-	v.Add(1, 3)
-	v.Add(2, 4)
-	v.L2Normalize()
-	norm := math.Hypot(v.Val[0], v.Val[1])
-	if math.Abs(norm-1) > 1e-12 {
-		t.Fatalf("norm after normalize = %v", norm)
-	}
-	// Zero vector stays zero without NaN.
-	var z SparseVec
-	z.Add(0, 0)
-	z.L2Normalize()
-	if math.IsNaN(z.Val[0]) {
-		t.Fatal("zero vector normalization produced NaN")
+	if len(v.Idx) != 3 {
+		t.Fatalf("NNZ = %d", len(v.Idx))
 	}
 }
 
@@ -74,12 +56,12 @@ func TestLogLoss(t *testing.T) {
 
 func TestHasherDeterministicAndInRange(t *testing.T) {
 	h := NewHasher(1024)
-	if h.Width() != 1024 {
+	if h.width != 1024 {
 		t.Fatal("Width mismatch")
 	}
 	if err := quick.Check(func(s string) bool {
-		i1, i2 := h.Index(s), h.Index(s)
-		sg := h.Sign(s)
+		i1, i2 := h.IndexPrefixed("", s), h.IndexPrefixed("", s)
+		sg := h.SignPrefixed("", s)
 		return i1 == i2 && i1 >= 0 && i1 < 1024 && (sg == 1 || sg == -1)
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -93,18 +75,6 @@ func TestHasherPanicsOnBadWidth(t *testing.T) {
 		}
 	}()
 	NewHasher(0)
-}
-
-func TestHasherAddFeature(t *testing.T) {
-	h := NewHasher(64)
-	var v SparseVec
-	h.AddFeature(&v, "token", 2.0)
-	if v.NNZ() != 1 {
-		t.Fatal("AddFeature did not add")
-	}
-	if math.Abs(v.Val[0]) != 2.0 {
-		t.Fatalf("feature magnitude %v, want 2", v.Val[0])
-	}
 }
 
 // syntheticLinearData builds a linearly separable problem: label = 1 iff

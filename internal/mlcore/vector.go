@@ -49,9 +49,6 @@ func (v *SparseVec) Grow(n int) {
 	}
 }
 
-// NNZ returns the number of stored entries.
-func (v *SparseVec) NNZ() int { return len(v.Idx) }
-
 // Dot returns the dot product with a dense weight vector.
 func (v *SparseVec) Dot(w []float64) float64 {
 	s := 0.0
@@ -59,23 +56,6 @@ func (v *SparseVec) Dot(w []float64) float64 {
 		s += w[idx] * v.Val[i]
 	}
 	return s
-}
-
-// L2Normalize scales the vector to unit L2 norm (no-op for a zero vector).
-// Normalisation keeps the optimisation well-conditioned across records of
-// very different lengths (product descriptions vs restaurant names).
-func (v *SparseVec) L2Normalize() {
-	s := 0.0
-	for _, x := range v.Val {
-		s += x * x
-	}
-	if s == 0 {
-		return
-	}
-	inv := 1 / math.Sqrt(s)
-	for i := range v.Val {
-		v.Val[i] *= inv
-	}
 }
 
 // Sigmoid is the logistic function, numerically stable for large |x|.

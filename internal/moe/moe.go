@@ -143,14 +143,6 @@ func (m *Model) Prob(x mlcore.SparseVec) float64 {
 	return st.prob
 }
 
-// GateProbs returns the gate distribution for x; exposed for the ablation
-// study on expert specialisation.
-func (m *Model) GateProbs(x mlcore.SparseVec) []float64 {
-	st := m.newState()
-	m.forward(x, st)
-	return append([]float64(nil), st.gateProbs...)
-}
-
 // Train fits the model on the examples with per-example Adam. As in the
 // MLP trainer, a held-out tenth of the examples drives best-epoch
 // selection, so a diverged final epoch never ships.

@@ -49,7 +49,9 @@ func TestGateProbsSumToOne(t *testing.T) {
 	var x mlcore.SparseVec
 	x.Add(0, 0.5)
 	x.Add(3, 1.0)
-	probs := m.GateProbs(x)
+	st := m.newState()
+	m.forward(x, st)
+	probs := st.gateProbs
 	sum := 0.0
 	for _, p := range probs {
 		if p < 0 || p > 1 {

@@ -36,24 +36,6 @@ type MetricSnapshot struct {
 	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 
-// ScalarValue returns the scalar value of a counter/gauge snapshot, or
-// 0 when absent (histograms).
-func (s MetricSnapshot) ScalarValue() float64 {
-	if s.Value == nil {
-		return 0
-	}
-	return *s.Value
-}
-
-// HistCount returns the observation count of a histogram snapshot, or 0
-// when absent (scalars).
-func (s MetricSnapshot) HistCount() int64 {
-	if s.Count == nil {
-		return 0
-	}
-	return *s.Count
-}
-
 // BucketCount is one non-empty histogram bucket: the inclusive upper
 // bound of the bucket and the (non-cumulative) number of observations in
 // it.

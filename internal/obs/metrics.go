@@ -55,14 +55,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Load returns the current value (0 for a nil gauge).
 func (g *Gauge) Load() int64 {
 	if g == nil {

@@ -14,8 +14,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	g := r.Gauge("depth", "queue depth")
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Load(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
@@ -154,10 +153,10 @@ func TestSnapshotJSON(t *testing.T) {
 	if len(snaps) != 2 {
 		t.Fatalf("got %d snapshots, want 2", len(snaps))
 	}
-	if snaps[0].Name != "a_total" || snaps[0].ScalarValue() != 7 || snaps[0].Type != "counter" {
+	if snaps[0].Name != "a_total" || snaps[0].Value == nil || *snaps[0].Value != 7 || snaps[0].Type != "counter" {
 		t.Fatalf("counter snapshot = %+v", snaps[0])
 	}
-	if snaps[1].HistCount() != 1 || snaps[1].Sum == nil || *snaps[1].Sum != 10 || len(snaps[1].Buckets) != 1 {
+	if snaps[1].Count == nil || *snaps[1].Count != 1 || snaps[1].Sum == nil || *snaps[1].Sum != 10 || len(snaps[1].Buckets) != 1 {
 		t.Fatalf("histogram snapshot = %+v", snaps[1])
 	}
 	var b strings.Builder

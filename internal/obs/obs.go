@@ -48,9 +48,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, ctxKey{}, &Span{t: t})
 }
 
-// Enabled reports whether ctx carries a tracer.
-func Enabled(ctx context.Context) bool { return spanFrom(ctx) != nil }
-
 // spanFrom returns the context's current span, or nil when ctx is nil or
 // carries no tracer.
 func spanFrom(ctx context.Context) *Span {

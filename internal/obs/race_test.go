@@ -23,8 +23,8 @@ func TestConcurrentCountersExactTotals(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				g.Set(1)
+				g.Set(0)
 			}
 		}()
 	}

@@ -10,7 +10,7 @@ import (
 func TestSpanHierarchyAndJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	ctx := WithTracer(context.Background(), tr)
-	if !Enabled(ctx) {
+	if spanFrom(ctx) == nil {
 		t.Fatal("context with tracer must report enabled")
 	}
 
@@ -73,7 +73,7 @@ func TestSpanHierarchyAndJSONLRoundTrip(t *testing.T) {
 func TestDisabledTracingIsInert(t *testing.T) {
 	// nil context, background context, nil span, nil stages: all no-ops.
 	ctx, span := Start(context.Background(), "x")
-	if span != nil || Enabled(ctx) {
+	if span != nil || spanFrom(ctx) != nil {
 		t.Fatal("untraced context must yield a nil span")
 	}
 	span.SetInt("k", 1)

@@ -120,29 +120,6 @@ func (d *Dataset) Positives() int {
 	return n
 }
 
-// Negatives returns the number of non-matching pairs.
-func (d *Dataset) Negatives() int { return len(d.Pairs) - d.Positives() }
-
-// ImbalanceRate returns the share of negative pairs, the skew measure used
-// by the Finding-6 correlation analysis.
-func (d *Dataset) ImbalanceRate() float64 {
-	if len(d.Pairs) == 0 {
-		return 0
-	}
-	return float64(d.Negatives()) / float64(len(d.Pairs))
-}
-
-// Split partitions the dataset's pairs into two datasets by the given
-// indices; used by the evaluation harness for test downsampling.
-func (d *Dataset) Subset(indices []int) *Dataset {
-	sub := &Dataset{Name: d.Name, FullName: d.FullName, Domain: d.Domain, Schema: d.Schema}
-	sub.Pairs = make([]LabeledPair, 0, len(indices))
-	for _, i := range indices {
-		sub.Pairs = append(sub.Pairs, d.Pairs[i])
-	}
-	return sub
-}
-
 // SerializeOptions controls how a record pair is rendered to a string.
 type SerializeOptions struct {
 	// ColumnOrder optionally permutes the attribute order before
@@ -182,16 +159,4 @@ func SerializeRecord(r Record, opts SerializeOptions) string {
 		}
 	}
 	return strings.Join(vals, sep)
-}
-
-// SerializePair renders a candidate pair in the two-entity prompt layout
-// used by the language-model matchers: each record on its own labelled
-// line. Attribute names are never included.
-func SerializePair(p Pair, opts SerializeOptions) string {
-	var b strings.Builder
-	b.WriteString("Entity A: ")
-	b.WriteString(SerializeRecord(p.Left, opts))
-	b.WriteString("\nEntity B: ")
-	b.WriteString(SerializeRecord(p.Right, opts))
-	return b.String()
 }

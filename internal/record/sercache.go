@@ -43,13 +43,6 @@ func (c *SerializeCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len returns the number of cached serializations.
-func (c *SerializeCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // record looks up (or computes and stores) the serialization of r under
 // opts. The compute callback receives opts with the cache stripped so the
 // underlying serializer cannot recurse.

@@ -99,8 +99,8 @@ func TestSerializeCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if cache.Len() != len(recs) {
-		t.Fatalf("cache has %d entries, want %d", cache.Len(), len(recs))
+	if len(cache.m) != len(recs) {
+		t.Fatalf("cache has %d entries, want %d", len(cache.m), len(recs))
 	}
 }
 

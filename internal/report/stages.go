@@ -126,15 +126,6 @@ func (r *StageReport) AddCache(hits, misses int64) {
 	r.hasCache = true
 }
 
-// TotalUSD sums the Table-6 dollars across all rows.
-func (r *StageReport) TotalUSD() float64 {
-	var usd float64
-	for _, row := range r.Rows {
-		usd += row.USD
-	}
-	return usd
-}
-
 // Render draws the per-stage table (and the cache footer when AddCache
 // was called).
 func (r *StageReport) Render() string {

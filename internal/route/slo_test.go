@@ -36,7 +36,7 @@ func TestRouterBindSLOsPerTierError(t *testing.T) {
 	if err := r.BindSLOs(e, []slo.Spec{routeSpec(t, "f1>=0.5")}); err == nil {
 		t.Fatal("BindSLOs accepted an f1 floor")
 	}
-	if got := e.Objectives(); got != 2 {
+	if got := len(e.Snapshot()); got != 2 {
 		t.Fatalf("objectives = %d, want one per tier", got)
 	}
 	e.Tick() // baseline

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/record"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -254,15 +255,9 @@ func postMatchWire(client *http.Client, baseURL string, body []byte) (int, int, 
 }
 
 func latencyQuantiles(lats []time.Duration) (p50, p95, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(len(lats)-1))
-		return float64(lats[i].Microseconds()) / 1000
-	}
-	return at(0.50), at(0.95), at(0.99)
+	ms := func(q float64) float64 { return float64(stats.QuantileDur(lats, q).Microseconds()) / 1000 }
+	return ms(0.50), ms(0.95), ms(0.99)
 }
 
 // Listen serves h on an ephemeral loopback port and returns the base URL

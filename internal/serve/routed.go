@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/matchers"
-	"repro/internal/route"
 )
 
 // scoreRouted is the batch-invariant scoring path when a route.Router is
@@ -48,7 +47,3 @@ func (s *Server) scoreRouted(ctx context.Context, live []*request, npairs int) {
 	sc.outcomes = outcomes[:0]
 	batchPool.Put(sc)
 }
-
-// Router returns the configured routing cascade, or nil when the server
-// scores the matcher directly.
-func (s *Server) Router() *route.Router { return s.router }

@@ -396,21 +396,11 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Matcher returns the served matcher.
-func (s *Server) Matcher() matchers.Matcher { return s.matcher }
-
 // Semantics returns the serving semantics in effect.
 func (s *Server) Semantics() Semantics { return s.semantics }
 
 // Cache returns the prediction cache (for tests and the load generator).
 func (s *Server) Cache() *PredCache { return s.cache }
-
-// Registry returns the server's metrics registry — the backing store of
-// /metrics, /debug/vars and /stats.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Tracer returns the span tracer configured at construction, or nil.
-func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
 // Shutdown drains the admission queue and in-flight batches, then stops
 // the worker pool. New requests are rejected with 503 the moment it is

@@ -155,7 +155,6 @@ type Engine struct {
 	cbs     []func(Transition)
 	scratch []Status
 
-	ticks       atomic.Int64
 	transitions atomic.Int64
 }
 
@@ -231,16 +230,6 @@ func (e *Engine) AddCost(sp Spec, dollars, pairs func() float64) error {
 	return e.add(&objective{spec: sp, fnA: dollars, fnB: pairs})
 }
 
-// Objectives returns the number of bound objectives.
-func (e *Engine) Objectives() int {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.objs)
-}
-
 // OnTransition registers a callback fired on every state change, after
 // the tick that caused it, outside the engine lock.
 func (e *Engine) OnTransition(cb func(Transition)) {
@@ -266,7 +255,6 @@ func (e *Engine) Tick() []Status {
 	// transition tick is irrelevant — steady-state ticks see none.
 	var fired []Transition
 	e.mu.Lock()
-	e.ticks.Add(1)
 	e.scratch = e.scratch[:0]
 	for _, o := range e.objs {
 		st := e.evaluate(o, now)
@@ -430,22 +418,6 @@ func (e *Engine) Worst() State {
 		}
 	}
 	return worst
-}
-
-// Ticks returns how many evaluations have run.
-func (e *Engine) Ticks() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.ticks.Load()
-}
-
-// Transitions returns the total state changes across objectives.
-func (e *Engine) Transitions() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.transitions.Load()
 }
 
 // RegisterMetrics exposes per-objective gauges on reg:

@@ -88,8 +88,8 @@ func TestEngineBurnRateStates(t *testing.T) {
 	if last := trs[len(trs)-1]; last.To != OK {
 		t.Fatalf("last transition = %+v", last)
 	}
-	if e.Transitions() != int64(len(trs)) {
-		t.Fatalf("Transitions() = %d, want %d", e.Transitions(), len(trs))
+	if got := e.transitions.Load(); got != int64(len(trs)) {
+		t.Fatalf("%d transitions counted, want %d", got, len(trs))
 	}
 }
 
@@ -187,7 +187,7 @@ func TestEngineDeterministicOnVirtualClock(t *testing.T) {
 
 func TestEngineNilAndErrors(t *testing.T) {
 	var e *Engine
-	if e.Tick() != nil || e.Snapshot() != nil || e.Worst() != OK || e.Objectives() != 0 {
+	if e.Tick() != nil || e.Snapshot() != nil || e.Worst() != OK {
 		t.Fatal("nil engine must be disabled")
 	}
 	e.RegisterMetrics(obs.NewRegistry())

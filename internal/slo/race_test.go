@@ -62,7 +62,7 @@ func TestEngineConcurrentTickAndRead(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if e.Ticks() == 0 {
+	if snap := e.Snapshot(); len(snap) == 0 || snap[0].Name == "" {
 		t.Fatal("no ticks ran")
 	}
 }

@@ -290,6 +290,3 @@ func (fr *FrameReader) fill(buf []byte) error {
 	}
 	return nil
 }
-
-// Frames returns how many named frames have been read so far.
-func (fr *FrameReader) Frames() uint64 { return fr.frames }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Enc builds a frame payload from typed primitives. The encoding is
@@ -12,8 +11,8 @@ import (
 // values — byte-for-byte deterministic given the same write sequence,
 // which is what the store's content addressing and the round-trip
 // bit-identity tests rely on. Maps are not encoded directly; callers
-// emit sorted key/value slices (see SortedCounts) so iteration order can
-// never leak into the bytes.
+// emit sorted key/value slices so iteration order can never leak into
+// the bytes.
 type Enc struct {
 	buf []byte
 }
@@ -28,9 +27,6 @@ func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
-
-// Len returns the current payload size.
-func (e *Enc) Len() int { return len(e.buf) }
 
 // U64 appends a fixed 8-byte unsigned integer.
 func (e *Enc) U64(v uint64) {
@@ -72,17 +68,6 @@ func (e *Enc) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// BytesField appends a length-prefixed byte slice — the []byte twin of Str,
-// readable by either Str or BytesView.
-func (e *Enc) BytesField(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Raw appends bytes with no length prefix, for callers that frame the
-// payload themselves (the wire protocol's prediction bitsets).
-func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
 // Byte appends a single raw byte.
 func (e *Enc) Byte(b byte) { e.buf = append(e.buf, b) }
 
@@ -107,21 +92,6 @@ func (e *Enc) Strs(vs []string) {
 	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		e.Str(v)
-	}
-}
-
-// SortedCounts appends a string→int map as sorted (key, count) pairs, the
-// deterministic map encoding used for document-frequency tables.
-func (e *Enc) SortedCounts(m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.Str(k)
-		e.I64(int64(m[k]))
 	}
 }
 
@@ -309,24 +279,6 @@ func (d *Dec) Strs() []string {
 		vs[i] = d.Str()
 	}
 	return vs
-}
-
-// Counts reads a map written by Enc.SortedCounts.
-func (d *Dec) Counts() map[string]int {
-	n := d.lenPrefix(2)
-	if d.err != nil {
-		return nil
-	}
-	m := make(map[string]int, n)
-	for i := 0; i < n; i++ {
-		k := d.Str()
-		v := d.Int()
-		if d.err != nil {
-			return nil
-		}
-		m[k] = v
-	}
-	return m
 }
 
 // Tag reads a string and verifies it equals want — the per-matcher state

@@ -6,13 +6,13 @@ import (
 )
 
 // TestEncDecViewHelpers covers the zero-copy codec additions the wire
-// protocol is built on: Reset, BytesField/BytesView, Raw/RawView, Byte.
+// protocol is built on: Reset, BytesView, RawView, Byte.
 func TestEncDecViewHelpers(t *testing.T) {
 	e := NewEnc()
-	e.BytesField([]byte("hello"))
-	e.BytesField(nil)
+	e.Str("hello")
+	e.Str("")
 	e.Byte(0x7F)
-	e.Raw([]byte{1, 2, 3})
+	e.buf = append(e.buf, 1, 2, 3)
 	payload := e.Bytes()
 
 	d := NewDec(payload)
@@ -51,8 +51,8 @@ func TestEncDecViewHelpers(t *testing.T) {
 	// Enc.Reset keeps capacity, empties content.
 	before := cap(e.buf)
 	e.Reset()
-	if e.Len() != 0 || cap(e.buf) != before {
-		t.Fatalf("Reset: len %d cap %d (want 0, %d)", e.Len(), cap(e.buf), before)
+	if len(e.buf) != 0 || cap(e.buf) != before {
+		t.Fatalf("Reset: len %d cap %d (want 0, %d)", len(e.buf), cap(e.buf), before)
 	}
 
 	// Dec.Reset clears a sticky error.

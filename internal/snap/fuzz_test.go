@@ -63,7 +63,6 @@ func FuzzDec(f *testing.F) {
 		_ = d.F64s()
 		_ = d.Strs()
 		_ = d.Bool()
-		_ = d.Counts()
 		_ = d.Finish()
 	})
 }

@@ -54,7 +54,7 @@ const DefaultLockTimeout = 10 * time.Second
 //	<dir>/lock                    writer lock file
 //
 // Reads are lock-free (artifacts are immutable once renamed into
-// place); writes — Save, SetRef, DeleteRef, GC — serialise on the lock
+// place); writes — Save, SetRef, GC — serialise on the lock
 // file, which also guards against concurrent writer processes.
 type Store struct {
 	dir string
@@ -94,9 +94,6 @@ const (
 	lockFile   = "lock"
 	snapExt    = ".snap"
 )
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // objectPath returns the artifact path for a hash.
 func (s *Store) objectPath(hash string) string {
@@ -217,12 +214,6 @@ func (s *Store) LoadHash(hash string, snap Snapshotter) (Meta, error) {
 	return meta, nil
 }
 
-// Has reports whether an artifact exists for key.
-func (s *Store) Has(key Key) bool {
-	_, err := os.Stat(s.objectPath(key.Hash()))
-	return err == nil
-}
-
 // Meta reads the identity of the artifact with the given hash without
 // restoring state.
 func (s *Store) Meta(hash string) (Meta, error) {
@@ -282,23 +273,6 @@ func (s *Store) Ref(name string) (string, error) {
 		return "", err
 	}
 	return strings.TrimSpace(string(b)), nil
-}
-
-// DeleteRef removes a named ref; deleting a missing ref is a no-op.
-func (s *Store) DeleteRef(name string) error {
-	if err := validRefName(name); err != nil {
-		return err
-	}
-	unlock, err := s.lock()
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	err = os.Remove(filepath.Join(s.dir, refsDir, name))
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
 }
 
 // Refs returns every ref name → hash, sorted by name.

@@ -91,7 +91,9 @@ func TestStoreMissAndCounters(t *testing.T) {
 	}
 	counters := map[string]float64{}
 	for _, m := range reg.Snapshot() {
-		counters[m.Name] = m.ScalarValue()
+		if m.Value != nil {
+			counters[m.Name] = *m.Value
+		}
 	}
 	if counters["snap_store_hits_total"] != 1 || counters["snap_store_misses_total"] != 1 || counters["snap_store_saves_total"] != 1 {
 		t.Fatalf("counters = %v", counters)
@@ -143,6 +145,7 @@ func TestStoreRefsAndGC(t *testing.T) {
 		t.Fatal("path-escaping ref name accepted")
 	}
 
+	has := func(k Key) bool { _, err := os.Stat(st.objectPath(k.Hash())); return err == nil }
 	// Dry run reports but removes nothing.
 	removed, err := st.GC(true)
 	if err != nil {
@@ -151,7 +154,7 @@ func TestStoreRefsAndGC(t *testing.T) {
 	if len(removed) != 1 || removed[0] != dropHash {
 		t.Fatalf("dry-run GC = %v", removed)
 	}
-	if !st.Has(drop) {
+	if !has(drop) {
 		t.Fatal("dry-run GC removed an artifact")
 	}
 
@@ -162,7 +165,7 @@ func TestStoreRefsAndGC(t *testing.T) {
 	if len(removed) != 1 || removed[0] != dropHash {
 		t.Fatalf("GC = %v", removed)
 	}
-	if st.Has(drop) || !st.Has(keep) {
+	if has(drop) || !has(keep) {
 		t.Fatal("GC removed the wrong artifact")
 	}
 	// The referenced artifact still loads.
@@ -188,7 +191,7 @@ func TestStoreVerifyAllFlagsCorruption(t *testing.T) {
 		t.Fatalf("verify clean store = %+v", results)
 	}
 	// Flip one byte mid-file; verify must flag it.
-	path := filepath.Join(st.Dir(), "objects", hash+".snap")
+	path := filepath.Join(st.dir, "objects", hash+".snap")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

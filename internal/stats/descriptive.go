@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"time"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -44,34 +45,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return Mean(xs), StdDev(xs)
 }
 
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Median returns the median of xs (average of the two central elements for
 // even lengths). It panics on an empty slice.
 func Median(xs []float64) float64 {
@@ -85,6 +58,16 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// QuantileDur returns the exact q-quantile of an ascending slice of
+// durations: the element at index ⌊q·(n−1)⌋, with no interpolation. It
+// returns 0 for an empty slice.
+func QuantileDur(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // Clamp restricts x to the closed interval [lo, hi].

@@ -53,14 +53,6 @@ func (r *RNG) Split(label string) *RNG {
 	return NewRNG(r.state ^ (h.Sum64() | 1))
 }
 
-// SplitN derives an independent child generator identified by label and an
-// index, convenient for per-seed or per-item streams.
-func (r *RNG) SplitN(label string, n int) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return NewRNG(r.state ^ (h.Sum64() | 1) ^ (uint64(n)+1)*0x9e3779b97f4a7c15)
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -89,12 +81,6 @@ func (r *RNG) Norm() float64 {
 	u1 := 1.0 - r.Float64()
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// NormScaled returns a normal value with the given mean and standard
-// deviation.
-func (r *RNG) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
 }
 
 // Bool returns true with probability p.

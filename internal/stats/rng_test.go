@@ -52,18 +52,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGSplitNDistinct(t *testing.T) {
-	root := NewRNG(3)
-	seen := make(map[uint64]bool)
-	for n := 0; n < 100; n++ {
-		v := root.SplitN("seed", n).Uint64()
-		if seen[v] {
-			t.Fatalf("SplitN collision at n=%d", n)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(11)
 	for i := 0; i < 10000; i++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/blocking/lsh"
 	"repro/internal/datasets"
 	"repro/internal/record"
 )
@@ -65,7 +66,7 @@ func TestIngestProbesBeforeFiling(t *testing.T) {
 	if arr := g.Ingest(r); arr.CandidatesScored != 0 || arr.MergedInto {
 		t.Fatalf("first arrival saw candidates: %+v", arr)
 	}
-	got := g.Index().NewProber().ProbeRecord(r, nil)
+	got := g.Index().NewProber().ProbeHashes(lsh.RecordHashes(r, nil), nil)
 	if len(got) != 1 || got[0].Index != 0 || got[0].Jaccard != 1 {
 		t.Fatalf("after filing, probe returned %+v", got)
 	}

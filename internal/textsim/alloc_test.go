@@ -38,7 +38,7 @@ func TestQGramJaccardPZeroAlloc(t *testing.T) {
 		{"naïve résumé — déjà vu 北京大学", "Café Au Lait, résumé naive — 北京 大学"},
 		{longRecords[0], "Café Au Lait, résumé naive"},
 	} {
-		a, b := NewProfile(in[0]), NewProfile(in[1])
+		a, b := newProfile(in[0], sharedInterner), newProfile(in[1], sharedInterner)
 		QGramJaccardP(a, b) // build both trigram sets
 		if allocs := testing.AllocsPerRun(100, func() { QGramJaccardP(a, b) }); allocs != 0 {
 			t.Errorf("QGramJaccardP on %q: %v allocs per pair, want 0", in[0], allocs)

@@ -101,42 +101,6 @@ func legacyQGramJaccard(a, b string) float64 {
 	return legacySetJaccard(legacyQGrams(a, 3), legacyQGrams(b, 3))
 }
 
-func legacyTermFreq(toks []string) map[string]float64 {
-	f := make(map[string]float64, len(toks))
-	for _, t := range toks {
-		f[t]++
-	}
-	return f
-}
-
-func legacyCosine(fa, fb map[string]float64) float64 {
-	var dot, na, nb float64
-	for t, v := range fa {
-		na += v * v
-		if w, ok := fb[t]; ok {
-			dot += v * w
-		}
-	}
-	for _, v := range fb {
-		nb += v * v
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-func legacyCosineTF(a, b string) float64 {
-	ta, tb := legacyTokens(a), legacyTokens(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		if len(ta) == 0 && len(tb) == 0 {
-			return 1
-		}
-		return 0
-	}
-	return legacyCosine(legacyTermFreq(ta), legacyTermFreq(tb))
-}
-
 func legacyRatcliffObershelp(a, b string) float64 {
 	if a == "" && b == "" {
 		return 1

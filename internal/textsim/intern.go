@@ -43,15 +43,6 @@ func (in *Interner) ID(s string) uint32 {
 	return id
 }
 
-// Lookup returns the ID of s without assigning one, reporting whether s
-// has been interned.
-func (in *Interner) Lookup(s string) (uint32, bool) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	id, ok := in.ids[s]
-	return id, ok
-}
-
 // String returns the token for an ID. It panics on unknown IDs, which can
 // only be produced by using an ID from a different interner.
 func (in *Interner) String(id uint32) string {
@@ -60,20 +51,9 @@ func (in *Interner) String(id uint32) string {
 	return in.strs[id]
 }
 
-// Len returns the number of interned tokens.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.strs)
-}
-
 // sharedInterner is the process-wide token ID space used by all profile
 // caches.
 var sharedInterner = NewInterner()
-
-// SharedInterner returns the process-wide interner backing every
-// ProfileCache.
-func SharedInterner() *Interner { return sharedInterner }
 
 // Intern interns a token in the shared ID space and returns its ID; used
 // by callers that precompute ID sets (e.g. contrast families) to test

@@ -60,6 +60,32 @@ var equivCorpus = []string{
 	"Samsung Galaxy S21 Ultra 5G Factory Unlocked Android Cell Phone 128GB",
 }
 
+// viaShared lifts a profile kernel to strings the way the matchers call
+// it: each argument resolved through the shared profile cache.
+func viaShared(k func(a, b *Profile) float64) func(a, b string) float64 {
+	return func(a, b string) float64 { return k(sharedProfiles.Get(a), sharedProfiles.Get(b)) }
+}
+
+// viaTokens lifts a token-slice kernel to strings over the shared
+// profiles' tokens, as the encoder calls it.
+func viaTokens(k func(ta, tb []string) float64) func(a, b string) float64 {
+	return func(a, b string) float64 { return k(sharedProfiles.Get(a).Tokens, sharedProfiles.Get(b).Tokens) }
+}
+
+// ratcliff is Scratch.RatcliffObershelp on a scratch of its own.
+func ratcliff(a, b string) float64 {
+	sc := AcquireScratch()
+	defer sc.Release()
+	return sc.RatcliffObershelp(a, b)
+}
+
+// jaroPooled is jaro on a pooled scratch.
+func jaroPooled(a, b string) float64 {
+	sc := seqPool.Get().(*seqScratch)
+	defer seqPool.Put(sc)
+	return jaro(a, b, sc)
+}
+
 // eq asserts exact bit equality of two float64s.
 func eq(t *testing.T, name, a, b string, got, want float64) {
 	t.Helper()
@@ -74,12 +100,11 @@ func TestProfileKernelEquivalence(t *testing.T) {
 		name      string
 		got, want func(a, b string) float64
 	}{
-		{"TokenJaccard", TokenJaccard, legacyTokenJaccard},
-		{"TokenOverlap", TokenOverlap, legacyTokenOverlap},
-		{"QGramJaccard", QGramJaccard, legacyQGramJaccard},
-		{"CosineTF", CosineTF, legacyCosineTF},
-		{"MongeElkan", MongeElkan, legacyMongeElkan},
-		{"MongeElkanSym", MongeElkanSym, legacyMongeElkanSym},
+		{"TokenJaccardP", viaShared(TokenJaccardP), legacyTokenJaccard},
+		{"TokenOverlapP", viaShared(TokenOverlapP), legacyTokenOverlap},
+		{"QGramJaccardP", viaShared(QGramJaccardP), legacyQGramJaccard},
+		{"MongeElkanTokens", viaTokens(MongeElkanTokens), legacyMongeElkan},
+		{"MongeElkanSymTokens", viaTokens(MongeElkanSymTokens), legacyMongeElkanSym},
 		{"NumericSim", NumericSim, legacyNumericSim},
 	}
 	for _, a := range equivCorpus {
@@ -96,9 +121,9 @@ func TestSequenceKernelEquivalence(t *testing.T) {
 		name      string
 		got, want func(a, b string) float64
 	}{
-		{"RatcliffObershelp", RatcliffObershelp, legacyRatcliffObershelp},
+		{"RatcliffObershelp", ratcliff, legacyRatcliffObershelp},
 		{"Levenshtein", Levenshtein, legacyLevenshtein},
-		{"Jaro", Jaro, legacyJaro},
+		{"Jaro", jaroPooled, legacyJaro},
 		{"JaroWinkler", JaroWinkler, legacyJaroWinkler},
 	}
 	for _, a := range equivCorpus {
@@ -200,7 +225,7 @@ func TestProfileIdempotent(t *testing.T) {
 	for _, a := range equivCorpus {
 		for _, b := range equivCorpus {
 			got := TokenJaccardP(c.Get(a), other.Get(b))
-			want := TokenJaccard(a, b)
+			want := TokenJaccardP(sharedProfiles.Get(a), sharedProfiles.Get(b))
 			eq(t, "TokenJaccardP(cross-cache)", a, b, got, want)
 		}
 	}
@@ -237,16 +262,16 @@ func TestProfileCacheConcurrent(t *testing.T) {
 					t.Errorf("interner round-trip: ID(%q)=%d -> String=%q", tok, id, got)
 					return
 				}
-				if id2, ok := in.Lookup(tok); !ok || id2 != id {
-					t.Errorf("interner lookup: %q -> (%d,%v), want (%d,true)", tok, id2, ok, id)
+				if id2 := in.ID(tok); id2 != id {
+					t.Errorf("interner re-intern: %q -> %d, want %d", tok, id2, id)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() != len(equivCorpus) {
-		t.Errorf("cache has %d entries, want %d", c.Len(), len(equivCorpus))
+	if len(c.m) != len(equivCorpus) {
+		t.Errorf("cache has %d entries, want %d", len(c.m), len(equivCorpus))
 	}
 }
 

@@ -74,7 +74,7 @@ func TestQGramJaccardMatchesHashJoin(t *testing.T) {
 		stride = 8
 	}
 	check := func(a, b string) {
-		pa, pb := textsim.NewProfile(a), textsim.NewProfile(b)
+		pa, pb := textsim.NewProfileCache().Get(a), textsim.NewProfileCache().Get(b)
 		want := math.Float64bits(hashJoinQGram(pa, pb))
 		if got := math.Float64bits(textsim.QGramJaccardP(pa, pb)); got != want {
 			t.Fatalf("QGramJaccardP(%q, %q) = %x, hash join %x", a, b, got, want)

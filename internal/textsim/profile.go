@@ -37,8 +37,6 @@ type Profile struct {
 	// SortedIDs holds the unique token IDs (shared interner), ascending.
 	// Set-intersection kernels merge-join over this slice.
 	SortedIDs []uint32
-	// TF holds the term frequency of each token, aligned with SortedIDs.
-	TF []float64
 	// Num is the parsed numeric value of Raw and IsNum whether Raw parses
 	// as a number (currency symbols and thousands separators tolerated).
 	Num   float64
@@ -114,12 +112,6 @@ func (p *Profile) HasToken(id uint32) bool {
 	return lo < len(ids) && ids[lo] == id
 }
 
-// NewProfile builds the profile of s against the shared interner. Prefer
-// ProfileCache.Get, which memoises construction.
-func NewProfile(s string) *Profile {
-	return newProfile(s, sharedInterner)
-}
-
 func newProfile(s string, in *Interner) *Profile {
 	p := &Profile{Raw: s, Lower: lowerString(s)}
 	p.Tokens = Tokens(p.Lower)
@@ -130,19 +122,8 @@ func newProfile(s string, in *Interner) *Profile {
 		}
 		sorted := append([]uint32(nil), ids...)
 		slices.Sort(sorted)
-		uniqIDs := sorted[:0]
-		tf := make([]float64, 0, n)
-		for i := 0; i < len(sorted); {
-			j := i + 1
-			for j < len(sorted) && sorted[j] == sorted[i] {
-				j++
-			}
-			uniqIDs = append(uniqIDs, sorted[i])
-			tf = append(tf, float64(j-i))
-			i = j
-		}
+		uniqIDs := slices.Compact(sorted)
 		p.SortedIDs = uniqIDs
-		p.TF = tf
 		// A token is a first occurrence when its slot in SortedIDs is
 		// still unmarked.
 		var stack [64]bool
@@ -332,25 +313,16 @@ func (c *ProfileCache) Get(s string) *Profile {
 	return p
 }
 
-// Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // Stats reports cumulative hit and miss counts, for benchmarks and
 // capacity planning.
 func (c *ProfileCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// sharedProfiles is the process-wide cache behind the string-based kernel
-// wrappers.
+// sharedProfiles is the process-wide cache behind Shared.
 var sharedProfiles = NewProfileCache()
 
-// Shared returns the process-wide profile cache used by the string-based
-// similarity wrappers and the matchers.
+// Shared returns the process-wide profile cache used by the matchers.
 //
 // Memory contract: the cache never evicts, so it holds one profile per
 // distinct string any caller resolved through it, for the life of the
@@ -359,8 +331,8 @@ var sharedProfiles = NewProfileCache()
 // resolves nothing here, so corpus text a caller only counts (a prompted
 // model's batch under shuffled column orders) costs the cache nothing;
 // lm's fine-tuning encoder observes through this cache, but only text it
-// encodes next. Callers that need a profile only briefly should build it
-// with NewProfile instead.
+// encodes next. Callers that need profiles only briefly should resolve
+// them through a ProfileCache of their own instead.
 func Shared() *ProfileCache { return sharedProfiles }
 
 // intersectIDs returns |a ∩ b| for two ascending unique ID slices.
@@ -461,22 +433,6 @@ func intersectHashes(a, b []uint64) int {
 	return n
 }
 
-// JaccardIDs is the raw merge-join Jaccard kernel over two ascending
-// unique interned-ID slices — the verification primitive callers that
-// manage their own ID sets (the LSH blocker's bucket-collision check)
-// apply without materialising full Profiles. TokenJaccardP(a, b) equals
-// JaccardIDs(a.SortedIDs, b.SortedIDs) by construction.
-func JaccardIDs(a, b []uint32) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectIDs(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
 // TokenHash is the stable 64-bit fingerprint of one token (FNV-1a).
 // Unlike interner IDs — which are assigned in first-encounter order and
 // therefore depend on process history and goroutine scheduling — a
@@ -499,8 +455,8 @@ func TokenHashBytes(tok []byte) uint64 {
 }
 
 // JaccardHashes is the merge-join Jaccard kernel over two ascending
-// unique fingerprint slices (see TokenHash) — the same verification
-// primitive as JaccardIDs on the scheduling-independent key space.
+// unique fingerprint slices (see TokenHash) — TokenJaccardP's merge join
+// on the scheduling-independent key space.
 func JaccardHashes(a, b []uint64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -512,8 +468,8 @@ func JaccardHashes(a, b []uint64) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// TokenJaccardP is the profile form of TokenJaccard: Jaccard similarity
-// of the word-token sets, via a merge join over the sorted interned IDs.
+// TokenJaccardP returns the Jaccard similarity between the word-token
+// sets of a and b, via a merge join over the sorted interned IDs.
 func TokenJaccardP(a, b *Profile) float64 {
 	na, nb := len(a.SortedIDs), len(b.SortedIDs)
 	if na == 0 && nb == 0 {
@@ -526,8 +482,8 @@ func TokenJaccardP(a, b *Profile) float64 {
 	return float64(inter) / float64(na+nb-inter)
 }
 
-// TokenOverlapP is the profile form of TokenOverlap: the overlap
-// coefficient |A∩B| / min(|A|, |B|) of the word-token sets.
+// TokenOverlapP returns the overlap coefficient |A∩B| / min(|A|, |B|)
+// between the word-token sets of a and b.
 func TokenOverlapP(a, b *Profile) float64 {
 	na, nb := len(a.SortedIDs), len(b.SortedIDs)
 	if na == 0 && nb == 0 {
@@ -544,9 +500,9 @@ func TokenOverlapP(a, b *Profile) float64 {
 	return float64(inter) / float64(minLen)
 }
 
-// QGramJaccardP is the profile form of QGramJaccard (q = 3): Jaccard
-// similarity of the padded trigram sets, via a merge join over the
-// sorted grams themselves.
+// QGramJaccardP returns the Jaccard similarity between the padded,
+// lower-cased trigram sets of a and b (q = 3, the usual choice for entity
+// matching), via a merge join over the sorted grams themselves.
 func QGramJaccardP(a, b *Profile) float64 {
 	ga, gb := a.gramSet(), b.gramSet()
 	na, nb := ga.len(), gb.len()
@@ -560,59 +516,11 @@ func QGramJaccardP(a, b *Profile) float64 {
 	return float64(inter) / float64(na+nb-inter)
 }
 
-// CosineTFP is the profile form of CosineTF: cosine similarity of the
-// term-frequency vectors, via a merge join over sorted IDs. Exact versus
-// the map-based implementation because term frequencies are integers, so
-// every partial sum is exact in float64 regardless of order.
-func CosineTFP(a, b *Profile) float64 {
-	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
-		if len(a.Tokens) == 0 && len(b.Tokens) == 0 {
-			return 1
-		}
-		return 0
-	}
-	var dot, na, nb float64
-	ia, ib := 0, 0
-	for ia < len(a.SortedIDs) && ib < len(b.SortedIDs) {
-		switch {
-		case a.SortedIDs[ia] < b.SortedIDs[ib]:
-			na += a.TF[ia] * a.TF[ia]
-			ia++
-		case a.SortedIDs[ia] > b.SortedIDs[ib]:
-			nb += b.TF[ib] * b.TF[ib]
-			ib++
-		default:
-			dot += a.TF[ia] * b.TF[ib]
-			na += a.TF[ia] * a.TF[ia]
-			nb += b.TF[ib] * b.TF[ib]
-			ia++
-			ib++
-		}
-	}
-	for ; ia < len(a.SortedIDs); ia++ {
-		na += a.TF[ia] * a.TF[ia]
-	}
-	for ; ib < len(b.SortedIDs); ib++ {
-		nb += b.TF[ib] * b.TF[ib]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// MongeElkanP is the profile form of MongeElkan: the mean, over tokens of
-// a, of the best Jaro-Winkler match in b. The inner loop short-circuits
-// on exact token equality and skips candidates whose length-ratio upper
-// bound cannot beat the current best — both exits provably preserve the
-// exact result.
-func MongeElkanP(a, b *Profile) float64 {
-	return MongeElkanTokens(a.Tokens, b.Tokens)
-}
-
-// MongeElkanTokens is MongeElkan over already-tokenized input; callers
-// with cached token slices (e.g. the encoder's first-N-token feature) skip
-// the join/re-tokenize round trip entirely.
+// MongeElkanTokens returns the Monge-Elkan similarity of ta against tb:
+// the mean, over tokens of ta, of the best Jaro-Winkler match in tb. It is
+// asymmetric; MongeElkanSymTokens is the symmetric mean. Callers pass
+// cached token slices (e.g. the encoder's first-N-token feature), so no
+// text is re-tokenized.
 func MongeElkanTokens(ta, tb []string) float64 {
 	if len(ta) == 0 {
 		if len(tb) == 0 {
@@ -650,12 +558,7 @@ func MongeElkanTokens(ta, tb []string) float64 {
 	return sum / float64(len(ta))
 }
 
-// MongeElkanSymP is the profile form of MongeElkanSym.
-func MongeElkanSymP(a, b *Profile) float64 {
-	return MongeElkanSymTokens(a.Tokens, b.Tokens)
-}
-
-// MongeElkanSymTokens is MongeElkanSym over already-tokenized input: the
+// MongeElkanSymTokens returns the symmetric Monge-Elkan similarity: the
 // mean of MongeElkanTokens(ta, tb) and MongeElkanTokens(tb, ta), bit for
 // bit, in one pass. JaroWinkler is symmetric, so each token pair is
 // scored once and the score feeds both its row's best (the best match in

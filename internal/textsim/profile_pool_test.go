@@ -73,7 +73,7 @@ func TestTrigramKernelMatchesRunes(t *testing.T) {
 	}
 	asciiTexts := 0
 	for _, s := range texts {
-		p := textsim.NewProfile(s)
+		p := textsim.NewProfileCache().Get(s)
 		if textsim.IsASCII(p.Lower) {
 			asciiTexts++
 		}
@@ -95,13 +95,14 @@ func TestTrigramKernelMatchesRunes(t *testing.T) {
 // TestObserveCachesNoProfile checks that corpus observation builds no
 // profile in the shared cache and no trigram set.
 func TestObserveCachesNoProfile(t *testing.T) {
-	before, built := textsim.Shared().Len(), textsim.GramSetsBuilt()
+	_, before := textsim.Shared().Stats()
+	built := textsim.GramSetsBuilt()
 	w := textsim.NewWeighter()
 	for i := 0; i < 100; i++ {
 		w.Observe(fmt.Sprintf("Corpus Document %d, never profiled %d", i, i%7))
 	}
-	if got := textsim.Shared().Len(); got != before {
-		t.Errorf("Observe grew the shared profile cache from %d to %d", before, got)
+	if _, got := textsim.Shared().Stats(); got != before {
+		t.Errorf("Observe built %d profiles in the shared cache, want 0", got-before)
 	}
 	if got := textsim.GramSetsBuilt() - built; got != 0 {
 		t.Errorf("Observe built %d trigram sets, want 0", got)
@@ -135,7 +136,7 @@ func TestObserveMatchesProfile(t *testing.T) {
 	byText, byProfile := textsim.NewWeighter(), textsim.NewWeighter()
 	for _, s := range records {
 		byText.Observe(s)
-		byProfile.ObserveProfile(textsim.NewProfile(s))
+		byProfile.ObserveProfile(textsim.NewProfileCache().Get(s))
 	}
 	if a, b := byText.DocCount(), byProfile.DocCount(); a != b || a != len(records) {
 		t.Fatalf("DocCount: Observe %d, ObserveProfile %d, want %d", a, b, len(records))

@@ -87,25 +87,6 @@ func isASCII(s string) bool {
 	return true
 }
 
-// RatcliffObershelp computes the similarity ratio of Python's
-// difflib.SequenceMatcher(autojunk=False): 2*M / (len(a)+len(b)) where M
-// is the total size of matched blocks found by recursively locating the
-// longest matching substring. This is the algorithm behind the StringSim
-// baseline in the paper (a match is predicted when the ratio exceeds 0.5).
-//
-// difflib's default, autojunk=True, also drops from the index every
-// element that occurs more than 1 + n/100 times in a second sequence of
-// n ≥ 200; that heuristic is not implemented. It is not a corner case
-// here: 12.8 % of the benchmark pool's 85,568 labelled pairs have a
-// serialised right record of 200 bytes or more (the longest is 332), and
-// on those Python's default can return a different, usually lower, ratio.
-// The study's goldens pin the junk-free one.
-func RatcliffObershelp(a, b string) float64 {
-	s := AcquireScratch()
-	defer s.Release()
-	return s.RatcliffObershelp(a, b)
-}
-
 // ratcliffTrivial handles the empty/equal fast cases that need no scratch.
 func ratcliffTrivial(a, b string) (float64, bool) {
 	if a == "" && b == "" {
@@ -136,8 +117,20 @@ func AcquireScratch() Scratch { return Scratch{sc: seqPool.Get().(*seqScratch)} 
 // Release returns the scratch to the pool.
 func (s Scratch) Release() { seqPool.Put(s.sc) }
 
-// RatcliffObershelp is the package-level RatcliffObershelp computed on the
-// held scratch — bit-identical results, no pool traffic.
+// RatcliffObershelp computes, on the held scratch, the similarity ratio
+// of Python's difflib.SequenceMatcher(autojunk=False): 2*M /
+// (len(a)+len(b)) where M is the total size of matched blocks found by
+// recursively locating the longest matching substring. This is the
+// algorithm behind the StringSim baseline in the paper (a match is
+// predicted when the ratio exceeds 0.5).
+//
+// difflib's default, autojunk=True, also drops from the index every
+// element that occurs more than 1 + n/100 times in a second sequence of
+// n ≥ 200; that heuristic is not implemented. It is not a corner case
+// here: 12.8 % of the benchmark pool's 85,568 labelled pairs have a
+// serialised right record of 200 bytes or more (the longest is 332), and
+// on those Python's default can return a different, usually lower, ratio.
+// The study's goldens pin the junk-free one.
 func (s Scratch) RatcliffObershelp(a, b string) float64 {
 	if r, done := ratcliffTrivial(a, b); done {
 		return r
@@ -412,15 +405,7 @@ func levDistRunes(a, b []rune, sc *seqScratch) int {
 	return prev[len(b)]
 }
 
-// Jaro returns the Jaro similarity between a and b.
-func Jaro(a, b string) float64 {
-	sc := seqPool.Get().(*seqScratch)
-	s := jaro(a, b, sc)
-	seqPool.Put(sc)
-	return s
-}
-
-// jaro is Jaro on a held scratch.
+// jaro returns the Jaro similarity between a and b, on a held scratch.
 func jaro(a, b string, sc *seqScratch) float64 {
 	if isASCII(a) && isASCII(b) {
 		return jaroBytes(a, b, sc)

@@ -2,6 +2,7 @@ package textsim
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -10,15 +11,14 @@ import (
 
 // simFuncs enumerates every similarity in the package for property tests.
 var simFuncs = map[string]func(a, b string) float64{
-	"RatcliffObershelp": RatcliffObershelp,
+	"RatcliffObershelp": ratcliff,
 	"Levenshtein":       Levenshtein,
-	"Jaro":              Jaro,
+	"Jaro":              jaroPooled,
 	"JaroWinkler":       JaroWinkler,
-	"TokenJaccard":      TokenJaccard,
-	"TokenOverlap":      TokenOverlap,
-	"QGramJaccard":      QGramJaccard,
-	"CosineTF":          CosineTF,
-	"MongeElkanSym":     MongeElkanSym,
+	"TokenJaccard":      viaShared(TokenJaccardP),
+	"TokenOverlap":      viaShared(TokenOverlapP),
+	"QGramJaccard":      viaShared(QGramJaccardP),
+	"MongeElkanSym":     viaTokens(MongeElkanSymTokens),
 	"NumericSim":        NumericSim,
 }
 
@@ -39,7 +39,7 @@ func TestSimilarityRangeProperty(t *testing.T) {
 	for name, f := range simFuncs {
 		f := f
 		if err := quick.Check(func(seed uint32) bool {
-			r := rng.SplitN(name, int(seed%5000))
+			r := rng.Split(name + strconv.Itoa(int(seed%5000)))
 			a, b := randomString(r), randomString(r)
 			s := f(a, b)
 			return s >= -1e-9 && s <= 1+1e-9 && !math.IsNaN(s)
@@ -54,7 +54,7 @@ func TestSimilarityIdentityProperty(t *testing.T) {
 	for name, f := range simFuncs {
 		f := f
 		if err := quick.Check(func(seed uint32) bool {
-			r := rng.SplitN(name+"-id", int(seed%5000))
+			r := rng.Split(name + "-id" + strconv.Itoa(int(seed%5000)))
 			a := randomString(r)
 			return f(a, a) > 1-1e-9
 		}, &quick.Config{MaxCount: 150}); err != nil {
@@ -68,12 +68,12 @@ func TestSymmetricSimilarities(t *testing.T) {
 	// longest-match tie-breaking depends on argument order, so the ratio is
 	// not symmetric in general.
 	symmetric := []string{"Levenshtein", "Jaro", "JaroWinkler",
-		"TokenJaccard", "TokenOverlap", "QGramJaccard", "CosineTF", "MongeElkanSym", "NumericSim"}
+		"TokenJaccard", "TokenOverlap", "QGramJaccard", "MongeElkanSym", "NumericSim"}
 	rng := stats.NewRNG(101)
 	for _, name := range symmetric {
 		f := simFuncs[name]
 		if err := quick.Check(func(seed uint32) bool {
-			r := rng.SplitN(name+"-sym", int(seed%5000))
+			r := rng.Split(name + "-sym" + strconv.Itoa(int(seed%5000)))
 			a, b := randomString(r), randomString(r)
 			return math.Abs(f(a, b)-f(b, a)) < 1e-9
 		}, &quick.Config{MaxCount: 150}); err != nil {
@@ -95,7 +95,7 @@ func TestRatcliffObershelpKnownValues(t *testing.T) {
 		{"hello world", "hello", 0.625}, // 2*5/16
 	}
 	for _, c := range cases {
-		if got := RatcliffObershelp(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
+		if got := ratcliff(c.a, c.b); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("RatcliffObershelp(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestLevenshteinKnownValues(t *testing.T) {
 }
 
 func TestJaroWinklerPrefixBonus(t *testing.T) {
-	plain := Jaro("martha", "marhta")
+	plain := jaroPooled("martha", "marhta")
 	winkler := JaroWinkler("martha", "marhta")
 	if winkler <= plain {
 		t.Errorf("JaroWinkler (%v) should exceed Jaro (%v) for shared prefixes", winkler, plain)
@@ -140,44 +140,23 @@ func TestTokens(t *testing.T) {
 }
 
 func TestTokenJaccardKnownValues(t *testing.T) {
-	if got := TokenJaccard("a b c", "b c d"); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("TokenJaccard = %v, want 0.5", got)
+	tj := viaShared(TokenJaccardP)
+	if got := tj("a b c", "b c d"); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("TokenJaccardP = %v, want 0.5", got)
 	}
-	if TokenJaccard("", "") != 1 {
+	if tj("", "") != 1 {
 		t.Error("empty vs empty should be 1")
 	}
-	if TokenJaccard("a", "") != 0 {
+	if tj("a", "") != 0 {
 		t.Error("non-empty vs empty should be 0")
 	}
 }
 
 func TestTokenOverlapSubset(t *testing.T) {
 	// A subset scores a full overlap coefficient of 1.
-	if got := TokenOverlap("data base systems", "data base"); got != 1 {
+	if got := viaShared(TokenOverlapP)("data base systems", "data base"); got != 1 {
 		t.Errorf("subset overlap = %v, want 1", got)
 	}
-}
-
-func TestQGrams(t *testing.T) {
-	g := QGrams("ab", 2)
-	// padded "#ab#": grams #a, ab, b#
-	for _, want := range []string{"#a", "ab", "b#"} {
-		if _, ok := g[want]; !ok {
-			t.Errorf("missing q-gram %q in %v", want, g)
-		}
-	}
-	if len(g) != 3 {
-		t.Errorf("QGrams count = %d, want 3", len(g))
-	}
-}
-
-func TestQGramsPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("QGrams(s, 0) should panic")
-		}
-	}()
-	QGrams("abc", 0)
 }
 
 func TestNumericSim(t *testing.T) {
@@ -200,15 +179,15 @@ func TestNumericSim(t *testing.T) {
 }
 
 func TestMongeElkanAsymmetryAndSym(t *testing.T) {
-	a, b := "john smith", "smith"
-	if MongeElkan(b, a) != 1 {
+	a, b := Tokens("john smith"), Tokens("smith")
+	if MongeElkanTokens(b, a) != 1 {
 		t.Error("every token of the subset matches perfectly")
 	}
-	if MongeElkan(a, b) >= 1 {
+	if MongeElkanTokens(a, b) >= 1 {
 		t.Error("superset direction should be below 1")
 	}
-	sym := MongeElkanSym(a, b)
-	if sym <= MongeElkan(a, b)-1e-9 || sym >= MongeElkan(b, a)+1e-9 {
+	sym := MongeElkanSymTokens(a, b)
+	if sym <= MongeElkanTokens(a, b)-1e-9 || sym >= MongeElkanTokens(b, a)+1e-9 {
 		t.Errorf("symmetric mean %v outside directional bounds", sym)
 	}
 }
@@ -227,20 +206,5 @@ func TestWeighterIDF(t *testing.T) {
 	}
 	if w.DocCount() != 101 {
 		t.Errorf("DocCount = %d, want 101", w.DocCount())
-	}
-}
-
-func TestWeighterCosine(t *testing.T) {
-	w := NewWeighter()
-	w.Observe("alpha beta gamma")
-	w.Observe("alpha delta")
-	if got := w.CosineTFIDF("alpha beta", "alpha beta"); math.Abs(got-1) > 1e-9 {
-		t.Errorf("identical docs cosine = %v", got)
-	}
-	if got := w.CosineTFIDF("alpha", "zeta"); got != 0 {
-		t.Errorf("disjoint docs cosine = %v, want 0", got)
-	}
-	if got := w.CosineTFIDF("", ""); got != 1 {
-		t.Errorf("empty docs cosine = %v, want 1", got)
 	}
 }

@@ -18,7 +18,7 @@ func FuzzTrigramSet(f *testing.F) {
 	f.Add("\x00\x7f## #")
 	f.Add("##\xff#")
 	f.Fuzz(func(t *testing.T, s string) {
-		p := NewProfile(s)
+		p := newProfile(s, sharedInterner)
 		want := gramsOf(trigramSetRunes(p.Lower))
 		got := make([]string, p.NumGrams())
 		for i := range got {
@@ -28,7 +28,7 @@ func FuzzTrigramSet(f *testing.F) {
 			t.Fatalf("profile of %q: grams %q, rune path %q", s, got, want)
 		}
 		for _, o := range []string{longRecords[0], "Café Au Lait, naïve résumé"} {
-			eq(t, "QGramJaccardP", s, o, QGramJaccardP(p, NewProfile(o)), legacyQGramJaccard(s, o))
+			eq(t, "QGramJaccardP", s, o, QGramJaccardP(p, newProfile(o, sharedInterner)), legacyQGramJaccard(s, o))
 		}
 	})
 }

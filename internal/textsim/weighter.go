@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// Weighter holds corpus document-frequency statistics and computes
-// IDF-weighted cosine similarity. Fine-tuned matchers build a Weighter over
+// Weighter holds corpus document-frequency statistics and serves inverse
+// document frequencies. Fine-tuned matchers build a Weighter over
 // their transfer-learning corpus; prompted LLM simulations use one built
 // over a generic web-style corpus to model pretraining exposure.
 type Weighter struct {
@@ -121,27 +121,4 @@ func NewWeighterFromCounts(docCount int, tokens []string, counts []int) (*Weight
 		w.docFreq[t] = counts[i]
 	}
 	return w, nil
-}
-
-// CosineTFIDF returns the cosine similarity between the IDF-weighted term
-// frequency vectors of a and b.
-func (w *Weighter) CosineTFIDF(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	fa := w.weighted(ta)
-	fb := w.weighted(tb)
-	return cosine(fa, fb)
-}
-
-func (w *Weighter) weighted(toks []string) map[string]float64 {
-	f := make(map[string]float64, len(toks))
-	for _, t := range toks {
-		f[t] += w.IDF(t)
-	}
-	return f
 }

@@ -115,6 +115,3 @@ var Default = New()
 // Count tokenizes text with the default tokenizer and returns the token
 // count.
 func Count(text string) int { return Default.Count(text) }
-
-// Tokens tokenizes text with the default tokenizer.
-func Tokens(text string) []string { return Default.Tokens(text) }
