@@ -159,14 +159,21 @@ func (r *Record) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// slot is one ring entry: five payload words and a stamp word. The
-// writer zeroes the stamp, stores the payload, then publishes the stamp
-// (seq+1) last; a reader accepts the slot only if the stamp reads the
-// expected value before AND after copying the payload, so torn reads
-// under wrap-around are detected and skipped rather than surfaced.
+// slot is one ring entry: five payload words and a stamp word. A writer
+// claims the slot by swapping the stamp to claimed, stores the payload,
+// then publishes the stamp (seq+1) last; only the claim holder writes the
+// payload, so two writers whose sequence numbers share a slot after the
+// ring wraps never interleave their stores. A reader accepts the slot
+// only if the stamp reads the expected value before AND after copying
+// the payload, so reads torn by a later writer are detected and skipped
+// rather than surfaced.
 type slot struct {
 	w [6]atomic.Uint64
 }
+
+// claimed is the stamp of a slot a writer is filling. It exceeds every
+// published stamp, so no reader accepts it and no writer claims over it.
+const claimed = ^uint64(0)
 
 const (
 	wTime = iota
@@ -174,7 +181,7 @@ const (
 	wQueuePredict // QueueUS<<32 | PredictUS
 	wMisc         // BatchUS<<32 | Pairs<<16 | uint8(Tier)<<8 | Code
 	wCost
-	wStamp // seq+1, stored last
+	wStamp // claimed while written, then seq+1
 )
 
 // Recorder is the lock-free ring. A nil *Recorder is a valid disabled
@@ -218,14 +225,25 @@ func (r *Recorder) Len() int {
 }
 
 // Log appends one record to the ring. Lock-free, 0 allocs/op, safe
-// from any goroutine; rec.Seq is ignored (the recorder assigns it).
+// from any goroutine; rec.Seq is ignored (the recorder assigns it). A
+// record whose slot another writer is filling, or already holds a later
+// record, is dropped: the ring keeps the most recent N requests it could
+// store whole.
 func (r *Recorder) Log(rec Record) {
 	if r == nil {
 		return
 	}
 	i := r.seq.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.w[wStamp].Store(0) // invalidate while rewriting
+	for {
+		old := s.w[wStamp].Load()
+		if old > i { // claimed, or published by a later sequence number
+			return
+		}
+		if s.w[wStamp].CompareAndSwap(old, claimed) {
+			break
+		}
+	}
 	s.w[wTime].Store(uint64(rec.TimeUS))
 	s.w[wKey].Store(rec.Key)
 	s.w[wQueuePredict].Store(uint64(rec.QueueUS)<<32 | uint64(rec.PredictUS))

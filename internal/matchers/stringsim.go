@@ -40,7 +40,9 @@ func (m *StringSim) Predict(task Task) []bool {
 
 // PredictBatchInto implements BatchPredictor: the same per-pair decision
 // as Predict, with one kernel scratch checked out for the whole batch
-// instead of one pool round trip per pair.
+// instead of one pool round trip per pair. Most pairs are decided by the
+// kernel's longest-common-subsequence bound alone, before any matching
+// block is searched.
 func (m *StringSim) PredictBatchInto(task Task, out []bool) {
 	st := obs.StartStages(task.Ctx)
 	sc := textsim.AcquireScratch()
@@ -50,7 +52,8 @@ func (m *StringSim) PredictBatchInto(task Task, out []bool) {
 		right := record.SerializeRecord(p.Right, task.Opts)
 		st.Enter("classify")
 		// Only the decision is needed here, so the kernel stops as soon
-		// as the ratio's side of the threshold is settled.
+		// as the ratio's side of the threshold is settled: by the
+		// subsequence bound, or part-way through the block search.
 		out[i] = sc.RatcliffExceeds(left, right, m.Threshold)
 		st.Exit()
 	}

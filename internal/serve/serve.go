@@ -15,10 +15,11 @@
 //   - A sharded LRU prediction cache (cache.go) keyed by the canonical
 //     serialized pair. A hit skips serialization, text profiling,
 //     featurization and the model call entirely — and costs zero dollars
-//     on prompted matchers. The serialize cache (internal/record) and the
-//     process-wide text-profile cache (internal/textsim) sit underneath
-//     for the misses, so even cold pairs never re-serialize or re-profile
-//     hot records.
+//     on prompted matchers. A miss serializes its two records afresh
+//     (serialization is a pure function of the values, and memoising it
+//     per server would grow without bound under distinct traffic); the
+//     process-wide text-profile cache (internal/textsim) sits underneath
+//     for the matchers that profile text.
 //
 //   - Admission control: a bounded queue that sheds load with 429 when
 //     full, per-request deadlines that fail queued work with 503 instead
@@ -252,9 +253,8 @@ type Server struct {
 	pricingModel string
 	pricingRate  float64
 
-	cache    *PredCache
-	sercache *record.SerializeCache
-	opts     record.SerializeOptions
+	cache *PredCache
+	opts  record.SerializeOptions
 
 	queue chan *request
 	// admit guards the draining flag against the queue close in Shutdown:
@@ -305,14 +305,12 @@ func New(m matchers.Matcher, cfg Config) (*Server, error) {
 		semantics: sem,
 		router:    cfg.Router,
 		cache:     NewPredCache(cfg.CacheCapacity, defaultCacheShards),
-		sercache:  record.NewSerializeCache(),
 		queue:     make(chan *request, cfg.QueueDepth),
 		started:   time.Now(),
 	}
 	// Canonical serialization for serving: schema order, default
-	// separator, memoised through the shared serialize cache so repeated
-	// records never re-serialize.
-	s.opts = CanonicalKeyOptions(s.sercache)
+	// separator, unmemoised.
+	s.opts = CanonicalKeyOptions(nil)
 	// Routed servers skip their own pricing: the router charges every
 	// attempt (retries and hedges included) through cost.RateForMatcher,
 	// and pricing the delivered pair here would double-bill it.

@@ -102,15 +102,21 @@ func legacyQGramJaccard(a, b string) float64 {
 }
 
 func legacyRatcliffObershelp(a, b string) float64 {
+	r, _ := legacyRatcliff(a, b)
+	return r
+}
+
+// legacyRatcliff returns the ratio and the matched total behind it.
+func legacyRatcliff(a, b string) (float64, int) {
 	if a == "" && b == "" {
-		return 1
+		return 1, 0
 	}
 	if a == "" || b == "" {
-		return 0
+		return 0, 0
 	}
 	ra, rb := []rune(a), []rune(b)
 	m := legacyMatchedRunes(ra, rb)
-	return 2 * float64(m) / float64(len(ra)+len(rb))
+	return 2 * float64(m) / float64(len(ra)+len(rb)), m
 }
 
 func legacyMatchedRunes(a, b []rune) int {

@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -153,16 +154,32 @@ func TestTokensEquivalence(t *testing.T) {
 // checkRatcliff compares every Ratcliff/Obershelp entry point against the
 // dense-table reference on one input: the ratio bit for bit, the shared
 // bound (RatcliffExceeds answers from it without searching, so a bound
-// below the ratio anywhere would change predictions), and the decision at
+// below the ratio anywhere would change predictions), the subsequence
+// length behind that bound against a dynamic program and between the
+// matched total and the symbol-multiset intersection, the multiset count
+// the bound falls back to on large input against a map, and the decision at
 // t, at the ratio itself and at its two float64 neighbours — where a
 // matched total derived from anything but the ratio's own expression
 // would disagree.
 func checkRatcliff(t *testing.T, sc Scratch, a, b string, thresholds ...float64) {
 	t.Helper()
-	want := legacyRatcliffObershelp(a, b)
+	want, m := legacyRatcliff(a, b)
 	eq(t, "Scratch.RatcliffObershelp", a, b, sc.RatcliffObershelp(a, b), want)
 	if bound := RatcliffUpperBound(a, b); bound < want {
 		t.Errorf("RatcliffUpperBound(%q, %q) = %v < actual ratio %v", a, b, bound, want)
+	}
+	ra, rb := []rune(a), []rune(b)
+	sa, sb, nsym := sc.sc.symbols(a, b)
+	lcs := sc.sc.subseqLen(sa, sb, nsym)
+	if ref := dpSubseqLen(ra, rb); lcs != ref {
+		t.Errorf("subseqLen(%q, %q) = %d, dynamic program %d", a, b, lcs, ref)
+	}
+	inter := multisetIntersection(ra, rb)
+	if m > lcs || lcs > inter {
+		t.Errorf("(%q, %q): matched %d ≤ subsequence %d ≤ multiset intersection %d fails", a, b, m, lcs, inter)
+	}
+	if got := sc.sc.commonSymbols(sa, sb, nsym); got != inter {
+		t.Errorf("commonSymbols(%q, %q) = %d, multiset intersection %d", a, b, got, inter)
 	}
 	thresholds = append(thresholds, want, math.Nextafter(want, -1), math.Nextafter(want, 2))
 	for _, th := range thresholds {
@@ -170,6 +187,44 @@ func checkRatcliff(t *testing.T, sc Scratch, a, b string, thresholds ...float64)
 			t.Errorf("RatcliffExceeds(%q, %q, %v) = %v, legacy ratio %v", a, b, th, got, want)
 		}
 	}
+}
+
+// dpSubseqLen is the longest common subsequence of a and b by the
+// textbook O(|a|·|b|) dynamic program: the reference subseqLen is held to.
+func dpSubseqLen(a, b []rune) int {
+	// row[j] is the LCS of the prefix of a read so far and b[:j].
+	row := make([]int32, len(b)+1)
+	for _, ca := range a {
+		var diag int32 // row[j] before this symbol of a
+		for j, cb := range b {
+			up := row[j+1]
+			if ca == cb {
+				row[j+1] = diag + 1
+			} else if row[j] > up {
+				row[j+1] = row[j]
+			}
+			diag = up
+		}
+	}
+	return int(row[len(b)])
+}
+
+// multisetIntersection is the size of the intersection of the rune
+// multisets of a and b, which the subsequence never exceeds: the
+// reference commonSymbols is held to.
+func multisetIntersection(a, b []rune) int {
+	left := make(map[rune]int, len(a))
+	for _, r := range a {
+		left[r]++
+	}
+	n := 0
+	for _, r := range b {
+		if left[r] > 0 {
+			left[r]--
+			n++
+		}
+	}
+	return n
 }
 
 // TestRatcliffUpperBoundSound runs checkRatcliff over the corpus at the
@@ -183,6 +238,43 @@ func TestRatcliffUpperBoundSound(t *testing.T) {
 			checkRatcliff(t, sc, a, b, 0.3, 0.5, 0.7, -1, math.Copysign(0, -1), 0, 1, 1.5,
 				math.Inf(-1), math.Inf(1), math.NaN())
 		}
+	}
+}
+
+// TestRatcliffBoundLargeAlphabet runs the decision on a pair of 20,000
+// distinct runes each, sharing the last half of a as the first half of
+// b. A mask table over b's alphabet would take 20,001·313 words (50 MB);
+// past its budget the bound falls back to the multiset count, and the
+// scratch stays linear in the input.
+func TestRatcliffBoundLargeAlphabet(t *testing.T) {
+	const n = 20000
+	seq := make([]rune, 3*n/2)
+	for i := range seq {
+		seq[i] = 0x10000 + rune(i)
+	}
+	a, b := string(seq[:n]), string(seq[n/2:])
+	sc := Scratch{sc: new(seqScratch)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// The ratio is exactly 2·(n/2)/(2n) = 0.5.
+	for th, want := range map[float64]bool{0.4: true, math.Nextafter(0.5, 0): true, 0.5: false, 0.7: false} {
+		if got := sc.RatcliffExceeds(a, b, th); got != want {
+			t.Errorf("RatcliffExceeds(t=%v) = %v, want %v", th, got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := sc.RatcliffObershelp(a, b); got != 0.5 {
+		t.Errorf("RatcliffObershelp = %v, want 0.5", got)
+	}
+	if got := RatcliffUpperBound(a, b); got != 0.5 {
+		t.Errorf("RatcliffUpperBound = %v, want the multiset bound 0.5", got)
+	}
+	if c := cap(sc.sc.masks); c > 0 {
+		t.Errorf("mask table holds %d words, want none past the budget", c)
+	}
+	// Runes, id map, counts and position index: well under 64 B a symbol.
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*2*n); grew > limit {
+		t.Errorf("decisions allocated %d bytes, want ≤ %d (linear in the input)", grew, limit)
 	}
 }
 

@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"unicode/utf8"
@@ -12,7 +13,11 @@ import (
 // every buffer comes from a sync.Pool. Levenshtein and Jaro keep the
 // original dynamic programs and run pure-ASCII input (the overwhelmingly
 // common case) directly over the string bytes instead of a []rune;
-// Ratcliff/Obershelp searches a position index instead of a dense table.
+// Ratcliff/Obershelp searches a position index instead of a dense table,
+// and its threshold decision first bounds the matched total by the
+// bit-parallel longest common subsequence (the symbol multiset for inputs
+// too large for its fixed-size table), which settles most pairs before
+// the index is built.
 
 // seqScratch bundles the reusable buffers of one kernel invocation.
 type seqScratch struct {
@@ -27,6 +32,9 @@ type seqScratch struct {
 	start, pos []int32
 	ids        map[rune]rune
 	stack      []span
+	// The subsequence bound's per-symbol match masks over the second
+	// sequence (all zero between calls) and its running bit vector.
+	masks, vec []uint64
 }
 
 var seqPool = sync.Pool{New: func() any { return new(seqScratch) }}
@@ -135,20 +143,23 @@ func (s Scratch) RatcliffObershelp(a, b string) float64 {
 	if r, done := ratcliffTrivial(a, b); done {
 		return r
 	}
-	return ratcliffRatio(s.sc.matched(a, b, 0))
+	sa, sb, nsym := s.sc.symbols(a, b)
+	return ratcliffRatio(s.sc.matched(sa, sb, nsym, 0), len(sa)+len(sb))
 }
 
 // RatcliffExceeds reports RatcliffObershelp(a, b) > t without finishing
 // the ratio: t becomes the smallest matched total whose ratio exceeds it
 // (found through ratcliffRatio itself, so the two agree to the bit, and
-// out of reach for NaN and t ≥ 1), the symbol-count bound answers the
-// pairs that cannot reach it, and the block search stops as soon as the
+// out of reach for NaN and t ≥ 1), totalBound — in practice the longest
+// common subsequence — answers the pairs that cannot reach it before any
+// position index is built, and the block search stops as soon as the
 // total is reached or the unsearched spans can no longer supply it.
 func (s Scratch) RatcliffExceeds(a, b string, t float64) bool {
 	if r, done := ratcliffTrivial(a, b); done {
 		return r > t
 	}
-	bound, total := matchBound(a, b)
+	sa, sb, nsym := s.sc.symbols(a, b)
+	bound, total := s.sc.totalBound(sa, sb, nsym), len(sa)+len(sb)
 	need := sort.Search(bound+1, func(m int) bool { return ratcliffRatio(m, total) > t })
 	switch {
 	case need == 0: // t < 0
@@ -156,43 +167,110 @@ func (s Scratch) RatcliffExceeds(a, b string, t float64) bool {
 	case need > bound:
 		return false
 	}
-	m, _ := s.sc.matched(a, b, need)
-	return m >= need
+	return s.sc.matched(sa, sb, nsym, need) >= need
 }
 
-// matchBound returns an upper bound on the matched total of a and b, and
-// len(a)+len(b) in symbols. A matched symbol pairs one occurrence in a
-// with an equal one in b, so for ASCII input the bound is the size of the
-// byte-multiset intersection; other input (where invalid bytes all decode
-// to the same rune) gets the shorter rune count.
-func matchBound(a, b string) (bound, total int) {
-	if !isASCII(a) || !isASCII(b) {
-		la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
-		return min(la, lb), la + lb
+// RatcliffUpperBound returns an upper bound on RatcliffObershelp(a, b),
+// the ratio of totalBound: in O(|a|·⌈|b|/64⌉) the two sequences' longest
+// common subsequence, and past totalBound's budget their symbol-multiset
+// intersection. The bound is exact in float64 (integer numerators over a
+// shared denominator, and division is monotone), so bound ≤ t implies
+// RatcliffObershelp(a, b) ≤ t: it is the test RatcliffExceeds applies
+// before it searches for any block.
+func RatcliffUpperBound(a, b string) float64 {
+	if r, done := ratcliffTrivial(a, b); done {
+		return r
 	}
-	var left [utf8.RuneSelf]int32
-	for i := 0; i < len(a); i++ {
-		left[a[i]]++
+	sc := seqPool.Get().(*seqScratch)
+	defer seqPool.Put(sc)
+	sa, sb, nsym := sc.symbols(a, b)
+	return ratcliffRatio(sc.totalBound(sa, sb, nsym), len(sa)+len(sb))
+}
+
+// subseqWords caps the words of b one step of the subsequence bound
+// covers, and so its cost per symbol of a (b of at most 4,096 symbols).
+const subseqWords = 64
+
+// totalBound returns an upper bound on the matched total of the symbol
+// sequences a and b (symbols below nsym). The matching blocks are
+// disjoint and in the same order in both sequences, so together they form
+// a common subsequence, and the bound is the longest one's length — as
+// long as b spans at most subseqWords words and the mask table is no
+// larger than ASCII's at that width (64 KiB). Past that budget, where the
+// table would grow with |b|² for b of many distinct runes and the work
+// with |a|·|b|, it is the size of the symbol-multiset intersection, which
+// every common subsequence fits in, in O(|a|+|b|+nsym).
+func (s *seqScratch) totalBound(a, b []rune, nsym int) int {
+	if w := (len(b) + 63) / 64; w <= subseqWords && nsym*w <= utf8.RuneSelf*subseqWords {
+		return s.subseqLen(a, b, nsym)
 	}
-	for i := 0; i < len(b); i++ {
-		if left[b[i]] > 0 {
-			left[b[i]]--
-			bound++
+	return s.commonSymbols(a, b, nsym)
+}
+
+// commonSymbols returns the size of the intersection of the symbol
+// multisets of a and b. The position index's start slots serve as the
+// per-symbol counts; index rebuilds them if the block search runs.
+func (s *seqScratch) commonSymbols(a, b []rune, nsym int) int {
+	s.start = resized(s.start, nsym)
+	left := s.start
+	clear(left)
+	for _, c := range b {
+		left[c]++
+	}
+	n := 0
+	for _, c := range a {
+		if left[c] > 0 {
+			left[c]--
+			n++
 		}
 	}
-	return bound, len(a) + len(b)
+	return n
 }
 
-// RatcliffUpperBound returns an upper bound on RatcliffObershelp(a, b)
-// in O(|a|+|b|), from matchBound. The bound is exact in float64 (integer
-// numerators over a shared denominator, and division is monotone), so
-// bound ≤ t implies RatcliffObershelp(a, b) ≤ t: it is the test
-// RatcliffExceeds applies before it searches for any block.
-func RatcliffUpperBound(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
+// subseqLen returns the length of the longest common subsequence (not
+// substring) of the symbol sequences a and b, whose symbols lie below
+// nsym, by the bit-parallel method of Allison–Dix and Hyyrö: after a
+// prefix of a, the zero bits of the running vector v mark the positions
+// of b at which the LCS of that prefix and b's prefix grows by one, so
+// their count is the length. Each symbol of a costs one and, one
+// add-with-carry, one and-not and one or per 64 symbols of b.
+// The nsym·⌈|b|/64⌉ per-symbol match masks live in the scratch, and only
+// the words b set are cleared afterwards, so they are all zero between
+// calls; totalBound keeps the table small.
+func (s *seqScratch) subseqLen(a, b []rune, nsym int) int {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	return ratcliffRatio(matchBound(a, b))
+	w := (len(b) + 63) / 64
+	s.masks = resized(s.masks, nsym*w)
+	masks := s.masks
+	for j, c := range b {
+		masks[int(c)*w+j/64] |= 1 << (j % 64)
+	}
+	s.vec = resized(s.vec, w)
+	v := s.vec
+	for k := range v {
+		v[k] = ^uint64(0)
+	}
+	for _, c := range a {
+		m := masks[int(c)*w : int(c)*w+w]
+		var carry uint64
+		for k, vk := range v {
+			u := vk & m[k]
+			var sum uint64
+			sum, carry = bits.Add64(vk, u, carry)
+			v[k] = sum | vk&^m[k]
+		}
+	}
+	// Bits past len(b) match nothing, so they stay set.
+	n := 0
+	for _, vk := range v {
+		n += bits.OnesCount64(^vk)
+	}
+	for j, c := range b {
+		masks[int(c)*w+j/64] = 0
+	}
+	return n
 }
 
 // span is one pending sub-problem of the block recursion: a[alo:ahi]
@@ -202,20 +280,21 @@ type span struct{ alo, ahi, blo, bhi int }
 // reach is the most symbols the blocks of sp can total.
 func (sp span) reach() int { return min(sp.ahi-sp.alo, sp.bhi-sp.blo) }
 
-// matched returns the total size of the matching blocks of a and b under
-// the Ratcliff/Obershelp recursion, and len(a)+len(b) in symbols. With
-// need > 0 it may stop early, returning a total ≥ need as soon as one is
-// reached and one < need as soon as the pending spans cannot reach it.
-func (s *seqScratch) matched(a, b string, need int) (m, total int) {
-	sa, sb := s.symbols(a, b)
-	pending := span{0, len(sa), 0, len(sb)}
+// matched returns the total size of the matching blocks of the symbol
+// sequences a and b (symbols below nsym) under the Ratcliff/Obershelp
+// recursion. With need > 0 it may stop early, returning a total ≥ need
+// as soon as one is reached and one < need as soon as the pending spans
+// cannot reach it.
+func (s *seqScratch) matched(a, b []rune, nsym, need int) (m int) {
+	s.index(b, nsym)
+	pending := span{0, len(a), 0, len(b)}
 	s.stack = append(s.stack[:0], pending)
 	reach := pending.reach()
 	for len(s.stack) > 0 && (need == 0 || m < need && m+reach >= need) {
 		sp := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		reach -= sp.reach()
-		ai, bi, size := s.longest(sa, sb, sp)
+		ai, bi, size := s.longest(a, b, sp)
 		if size == 0 {
 			continue
 		}
@@ -227,64 +306,78 @@ func (s *seqScratch) matched(a, b string, need int) (m, total int) {
 			}
 		}
 	}
-	return m, len(sa) + len(sb)
+	return m
 }
 
-// symbols decodes a and b into the pooled rune buffers as keys of the
-// position index and builds that index over b: start[c]..start[c+1]
-// bounds the increasing positions of symbol c in pos (difflib's b2j, by
-// counting sort). ASCII keeps its code points; any other input is
-// renumbered densely by first occurrence in b, with one extra symbol for
+// symbols decodes a and b into the pooled rune buffers as symbols below
+// nsym. ASCII keeps its code points; any other input is renumbered
+// densely by first occurrence in b, with one extra symbol, nsym-1, for
 // every rune of a that b lacks.
-func (s *seqScratch) symbols(a, b string) (sa, sb []rune) {
-	sa, sb = s.runes(a, b)
-	nsym := utf8.RuneSelf
-	if !isASCII(a) || !isASCII(b) {
-		if s.ids == nil {
-			s.ids = make(map[rune]rune)
-		}
-		clear(s.ids)
-		for j, r := range sb {
-			id, ok := s.ids[r]
-			if !ok {
-				id = rune(len(s.ids))
-				s.ids[r] = id
-			}
-			sb[j] = id
-		}
-		nsym = len(s.ids) + 1
-		for i, r := range sa {
-			id, ok := s.ids[r]
-			if !ok {
-				id = rune(nsym - 1)
-			}
-			sa[i] = id
-		}
+func (s *seqScratch) symbols(a, b string) (sa, sb []rune, nsym int) {
+	if isASCII(a) && isASCII(b) {
+		s.runesA, s.runesB = widen(s.runesA, a), widen(s.runesB, b)
+		return s.runesA, s.runesB, utf8.RuneSelf
 	}
+	sa, sb = s.runes(a, b)
+	if s.ids == nil {
+		s.ids = make(map[rune]rune)
+	}
+	clear(s.ids)
+	for j, r := range sb {
+		id, ok := s.ids[r]
+		if !ok {
+			id = rune(len(s.ids))
+			s.ids[r] = id
+		}
+		sb[j] = id
+	}
+	nsym = len(s.ids) + 1
+	for i, r := range sa {
+		id, ok := s.ids[r]
+		if !ok {
+			id = rune(nsym - 1)
+		}
+		sa[i] = id
+	}
+	return sa, sb, nsym
+}
+
+// widen returns buf holding the bytes of the ASCII string s as runes.
+func widen(buf []rune, s string) []rune {
+	buf = resized(buf, len(s))
+	for i := range buf {
+		buf[i] = rune(s[i])
+	}
+	return buf
+}
+
+// index builds the position index over the symbol sequence b:
+// start[c]..start[c+1] bounds the increasing positions of symbol c in
+// pos (difflib's b2j, by counting sort).
+func (s *seqScratch) index(b []rune, nsym int) {
 	// Counts land two slots up, so that after the running sum slot c+1
 	// is where symbol c's positions begin, and after the fill has
 	// advanced it to their end, slot c is.
-	s.start, s.pos = resized(s.start, nsym+2), resized(s.pos, len(sb))
+	s.start, s.pos = resized(s.start, nsym+2), resized(s.pos, len(b))
 	start := s.start
 	clear(start)
-	for _, c := range sb {
+	for _, c := range b {
 		start[c+2]++
 	}
 	for c := 1; c < len(start); c++ {
 		start[c] += start[c-1]
 	}
-	for j, c := range sb {
+	for j, c := range b {
 		s.pos[start[c+1]] = int32(j)
 		start[c+1]++
 	}
-	return sa, sb
 }
 
 // resized returns buf with length n, reallocated with headroom when its
 // capacity falls short; the contents are unspecified.
-func resized(buf []int32, n int) []int32 {
+func resized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n, 2*n)
+		return make([]T, n, 2*n)
 	}
 	return buf[:n]
 }
