@@ -89,8 +89,7 @@ smoke:
 	$(GO) test ./internal/textsim -run '^$$' -fuzz '^FuzzMongeElkanSym$$' -fuzztime=5s
 
 # Determinism/concurrency gate: vet, the allocation gate, the smoke gate,
-# then the race detector over every internal/ and cmd/ package. The root
-# package is left out: its one known red test, TestTable4DemoDirections,
-# is tier-1's business.
+# then the race detector over the root package and every internal/ and
+# cmd/ package.
 verify-parallel: vet alloc-gate smoke
-	$(GO) test -race ./internal/... ./cmd/...
+	$(GO) test -race . ./internal/... ./cmd/...

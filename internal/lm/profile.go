@@ -71,13 +71,18 @@ type Capabilities struct {
 	// DecisionNoise is the standard deviation of logit noise; smaller for
 	// more capable models.
 	DecisionNoise float64
-	// DemoGain is the per-demonstration effect of in-context examples from
-	// out-of-distribution datasets: negative values model the confusion
-	// the paper observes for GPT-3.5/GPT-4o-Mini, positive values the
-	// subtle gains of GPT-4 (Table 4).
+	// DemoGain sets how far in-context examples pull the decision
+	// threshold toward their own mean evidence score (Table 4): |DemoGain|
+	// of the way per demonstration that shares the largest source dataset,
+	// capped at the whole way. The engine reads only the magnitude. The
+	// sign records the direction the paper reports, negative where
+	// demonstrations confuse (GPT-3.5, GPT-4o-Mini) and positive for
+	// GPT-4's subtle gains; whether a pull helps or hurts follows from
+	// where the model's own threshold sat.
 	DemoGain float64
-	// DemoNoise is extra decision noise per demonstration, modelling the
-	// increased sensitivity demonstrations introduce.
+	// DemoNoise is extra decision noise per demonstration, the same for
+	// every selection strategy, modelling the increased sensitivity
+	// demonstrations introduce.
 	DemoNoise float64
 }
 

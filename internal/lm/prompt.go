@@ -57,7 +57,6 @@ type PromptModel struct {
 	profile  Profile
 	idf      *textsim.Weighter
 	demos    []Demo
-	demoStr  DemoStrategy
 	rng      *stats.RNG
 	ablation AblationFlags
 }
@@ -90,11 +89,13 @@ func NewPromptModel(p Profile, rng *stats.RNG) *PromptModel {
 	}
 }
 
-// SetDemos installs in-context demonstrations selected with the given
-// strategy. Pass nil to prompt without demonstrations.
-func (m *PromptModel) SetDemos(demos []Demo, strategy DemoStrategy) {
+// SetDemos installs in-context demonstrations. The engine reads what the
+// demonstrations contain, their pairs and source datasets, never the
+// strategy that selected them: they pull the decision threshold toward
+// their own evidence scores (demoThreshold) and add DemoNoise each. Pass
+// nil to prompt without demonstrations.
+func (m *PromptModel) SetDemos(demos []Demo) {
 	m.demos = demos
-	m.demoStr = strategy
 }
 
 // ObserveCorpus lets the engine absorb token statistics from text, the way
@@ -166,20 +167,14 @@ func (m *PromptModel) MatchBatch(pairs []record.Pair, opts record.SerializeOptio
 	if m.ablation.NoAdaptiveThreshold {
 		threshold = fixed
 	}
+	threshold = m.demoThreshold(threshold)
 
 	out := make([]bool, len(pairs))
-	nDemos := float64(len(m.demos))
+	noise := m.decisionNoise()
 	for i, p := range pairs {
 		logit := 9 * (scores[i] - threshold)
 		// Serialization sensitivity: column order perturbs the decision.
 		logit += m.serializationJitter(p, opts) * (1 - caps.Normalization)
-		// Demonstration effects (Table 4): out-of-distribution demos shift
-		// the decision and add noise; the per-model DemoGain sign decides
-		// whether they help (GPT-4) or confuse (GPT-3.5, GPT-4o-Mini).
-		if nDemos > 0 {
-			logit += m.demoShift() * nDemos
-		}
-		noise := caps.DecisionNoise + nDemos*caps.DemoNoise*m.demoNoiseScale()
 		logit += m.rng.Norm() * noise
 		out[i] = logit >= 0
 	}
@@ -244,12 +239,9 @@ func absFloat(x float64) float64 {
 // ZeroER, by contrast, cannot do at all).
 func (m *PromptModel) MatchProb(p record.Pair, opts record.SerializeOptions) float64 {
 	caps := m.profile.Zero
-	logit := 9 * (m.rawScore(p) - 0.52)
+	logit := 9 * (m.rawScore(p) - m.demoThreshold(0.52))
 	logit += m.serializationJitter(p, opts) * (1 - caps.Normalization)
-	if n := float64(len(m.demos)); n > 0 {
-		logit += m.demoShift() * n
-	}
-	logit += m.rng.Norm() * caps.DecisionNoise
+	logit += m.rng.Norm() * m.decisionNoise()
 	return sigmoid(logit)
 }
 
@@ -346,37 +338,49 @@ func expectedF1Threshold(scores []float64, center float64) float64 {
 	return (sorted[bestK-1] + sorted[bestK]) / 2
 }
 
-// demoShift computes the per-demonstration logit shift. Hand-picked demos
-// are closely tied to their source datasets and mislead more than random
-// ones in the cross-dataset setting (the paper's Table 4 observation);
-// capable models (positive DemoGain) extract small task-general gains
-// instead.
-func (m *PromptModel) demoShift() float64 {
-	g := m.profile.Zero.DemoGain
-	if g >= 0 {
-		// A capable model converts any demonstration into calibration gain,
-		// slightly larger for random (more diverse) selections.
-		if m.demoStr == DemoRandom {
-			return g * 1.3
+// demoThreshold moves a decision threshold toward the demonstrations
+// (Table 4). The model reads its demonstrations as examples of the task
+// and re-centres its Yes/No boundary on them: it moves the threshold
+// toward the demonstrations' mean evidence score, on its own scale. How
+// far it moves is |DemoGain| per demonstration that shares the largest
+// source dataset, capped at the whole way. Demonstrations from one source
+// read as one task's examples and pull together; demonstrations from
+// several sources each speak for a different task, and only the largest
+// group pulls.
+//
+// Out of distribution the boundary is miscalibrated toward the source. A
+// set that pairs an obvious match with unrelated non-matches centres low,
+// so the model says Yes to target pairs that merely look alike and loses
+// precision. A set whose non-matches are near-duplicates centres high, so
+// the model turns down true matches and loses recall. Whether a model
+// gains or loses follows from where its own boundary sat. Without
+// demonstrations the threshold is returned unchanged.
+func (m *PromptModel) demoThreshold(threshold float64) float64 {
+	if len(m.demos) == 0 {
+		return threshold
+	}
+	var sum float64
+	largest := 0
+	for i, d := range m.demos {
+		sum += m.rawScore(d.Pair.Pair)
+		same := 0
+		for _, e := range m.demos[i:] {
+			if e.Dataset == d.Dataset {
+				same++
+			}
 		}
-		return g
+		largest = max(largest, same)
 	}
-	// A weaker model is confused; hand-picked (dataset-idiosyncratic)
-	// demos confuse roughly twice as much as random ones.
-	if m.demoStr == DemoHandPicked {
-		return g * 2.0
-	}
-	return g * 0.6
+	anchor := sum / float64(len(m.demos))
+	pull := math.Min(1, absFloat(m.profile.Zero.DemoGain)*float64(largest))
+	return threshold + pull*(anchor-threshold)
 }
 
-// demoNoiseScale differentiates the variance impact of the two selection
-// strategies: hand-picked examples are fixed and bias-like (less noise),
-// random ones re-sample per run (more noise).
-func (m *PromptModel) demoNoiseScale() float64 {
-	if m.demoStr == DemoRandom {
-		return 1.0
-	}
-	return 0.7
+// decisionNoise is the standard deviation of the logit noise: the model's
+// own DecisionNoise plus DemoNoise per demonstration.
+func (m *PromptModel) decisionNoise() float64 {
+	caps := m.profile.Zero
+	return caps.DecisionNoise + float64(len(m.demos))*caps.DemoNoise
 }
 
 // serializationJitter derives a deterministic pseudo-noise value from the

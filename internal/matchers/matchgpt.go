@@ -65,7 +65,7 @@ func (m *MatchGPT) Predict(task Task) []bool {
 		rng = stats.NewRNG(1)
 	}
 	model := lm.NewPromptModel(m.profile, rng.Split("matchgpt:model"))
-	model.SetDemos(m.demos, m.Strategy)
+	model.SetDemos(m.demos)
 	st := obs.StartStages(task.Ctx)
 	st.Enter("serialize")
 	// The engine sees the batch it scores (candidate sets are processed in
@@ -105,8 +105,11 @@ func annotatePromptCost(st *obs.Stages, model string, task Task) {
 // Hand-picked selection models an expert choosing three clean,
 // prototypical examples (one positive, two negatives) from a single
 // transfer dataset — the expert picks examples that are unambiguous in
-// their home dataset, which is precisely why they transfer poorly.
-// Random selection draws uniformly across all transfer datasets.
+// their home dataset, which is precisely why they transfer poorly: one
+// source pulls the prompted model's boundary as a whole, and an obvious
+// positive beside unrelated negatives pulls it low (see
+// lm.PromptModel.SetDemos). Random selection draws uniformly across all
+// transfer datasets.
 func selectDemos(transfer []*record.Dataset, strategy lm.DemoStrategy, n int, rng *stats.RNG) []lm.Demo {
 	if strategy == lm.DemoNone || len(transfer) == 0 {
 		return nil
