@@ -8,8 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/datasets"
-	"repro/internal/eval"
 	"repro/internal/lm"
 	"repro/internal/record"
 	"repro/internal/stats"
@@ -24,7 +22,7 @@ import (
 // is nothing to read.
 func TestNoDemosDecisionsPinned(t *testing.T) {
 	const want = "86de99688c0c96281b5332d154f08659320c1ac0f1ee388f2ef37010438210a1"
-	all := datasets.GenerateAll(eval.DatasetSeed)
+	all := lm.BenchmarkPool()
 	for name, setup := range map[string]func(*lm.PromptModel){
 		"never set": func(*lm.PromptModel) {},
 		"set nil":   func(m *lm.PromptModel) { m.SetDemos(nil) },
@@ -80,13 +78,23 @@ type demoBench struct {
 func newDemoBench() demoBench {
 	prof := lm.GPT35Turbo
 	prof.Zero.DecisionNoise, prof.Zero.DemoNoise = 0, 0
-	target := datasets.MustGenerate("WDC", eval.DatasetSeed)
-	b := demoBench{prof: prof, source: datasets.MustGenerate("BEER", eval.DatasetSeed)}
+	target, source := poolDataset("WDC"), poolDataset("BEER")
+	b := demoBench{prof: prof, source: source}
 	for i := 0; i < len(target.Pairs); i += 7 {
 		b.pairs = append(b.pairs, target.Pairs[i].Pair)
 		b.labels = append(b.labels, target.Pairs[i].Match)
 	}
 	return b
+}
+
+// poolDataset returns the named dataset of lm.BenchmarkPool.
+func poolDataset(name string) *record.Dataset {
+	for _, d := range lm.BenchmarkPool() {
+		if d.Name == name {
+			return d
+		}
+	}
+	panic("no benchmark dataset " + name)
 }
 
 // model returns a fresh engine that has observed the target batch.

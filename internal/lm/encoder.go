@@ -26,21 +26,40 @@ const numDenseFeatures = 15
 //     and commercial LLMs on domain-specific text.
 //
 // The encoder is deterministic: two identical pairs produce identical
-// vectors regardless of model state.
+// vectors regardless of model state, and of which text cache it resolves
+// them through.
 type Encoder struct {
 	capacity EncoderCapacity
 	hasher   *mlcore.Hasher
 	idf      *textsim.Weighter
+	// text is the cache the encoder resolves text through: one of its own
+	// from NewEncoder until DropCorpusCache, the shared one after.
+	text *textCache
 }
 
-// NewEncoder returns an encoder with the given capacity.
+// NewEncoder returns an encoder with the given capacity, ready to observe
+// and featurise a fine-tuning corpus. It resolves text through a cache of
+// its own, so the corpus never enters the process-wide caches; call
+// DropCorpusCache once the corpus is encoded.
 func NewEncoder(c EncoderCapacity) *Encoder {
 	return &Encoder{
 		capacity: c,
 		hasher:   mlcore.NewHasher(c.HashWidth),
 		idf:      pretrainedWeighter(),
+		text:     newTextCache(textsim.NewProfileCache()),
 	}
 }
+
+// DropCorpusCache releases the encoder's own text cache: from then on it
+// resolves text through the process-wide cache that prompted models and
+// restored encoders use, so what it scores after training is cached for
+// the life of the process as before, and the fine-tuning corpus is not.
+// It changes no vector. It must not run concurrently with other methods.
+func (e *Encoder) DropCorpusCache() { e.text = sharedText }
+
+// Profile returns the text profile of s from the encoder's cache, for
+// training-time features computed beside the encoder's own.
+func (e *Encoder) Profile(s string) *textsim.Profile { return e.text.profiles.Get(s) }
 
 // Capacity returns the encoder's capacity parameters.
 func (e *Encoder) Capacity() EncoderCapacity { return e.capacity }
@@ -52,12 +71,14 @@ func (e *Encoder) Dim() int { return numDenseFeatures + e.capacity.HashWidth }
 // the IDF weighting of the dense similarity features (fine-tuning data is
 // in-reach for trained matchers, unlike for zero-shot prompting).
 //
-// It counts the tokens of text's shared profile. Every text a matcher
-// observes is a serialisation it encodes next with the same options, so
-// the profile is the one Encode looks up: the text is tokenised once, and
-// the shared cache gains no entry Encode would not add.
+// It counts the tokens of text's profile in the encoder's cache. Every
+// text a matcher observes is a serialisation it encodes next with the same
+// options, so the profile is the one Encode looks up: the text is
+// tokenised once, and the cache gains no entry Encode would not add. While
+// training that cache is the encoder's own, so the corpus it observes is
+// dropped with it.
 func (e *Encoder) ObserveCorpus(text string) {
-	e.idf.ObserveProfile(textsim.Shared().Get(text))
+	e.idf.ObserveProfile(e.text.profiles.Get(text))
 }
 
 // normCaps derives the normalisation capabilities implied by pretraining
@@ -91,12 +112,12 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	// Dense similarity summary features (indices 0..numDenseFeatures-1).
 	left := record.SerializeRecord(p.Left, opts)
 	right := record.SerializeRecord(p.Right, opts)
-	pl := textsim.Shared().Get(left)
-	pr := textsim.Shared().Get(right)
-	el := normEntryFor(left, caps)
-	er := normEntryFor(right, caps)
+	pl := e.text.profiles.Get(left)
+	pr := e.text.profiles.Get(right)
+	el := e.text.normEntryFor(left, caps)
+	er := e.text.normEntryFor(right, caps)
 	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + minInt(pl.NumGrams(), pr.NumGrams()))
-	ev := extractEvidence(p, Capabilities{
+	ev := extractEvidence(e.text, p, Capabilities{
 		Normalization: caps.Normalization,
 		Semantics:     caps.Semantics,
 		Numeracy:      0.25 + 0.6*e.capacity.Pretraining,

@@ -47,16 +47,17 @@ type Evidence struct {
 	Score float64
 }
 
-// extractEvidence computes the capability-gated evidence for a pair. The
-// idf weighter models corpus-wide token-rarity knowledge; it may be nil,
-// in which case uniform token weights are used.
+// extractEvidence computes the capability-gated evidence for a pair,
+// resolving its values through c. The idf weighter models corpus-wide
+// token-rarity knowledge; it may be nil, in which case uniform token
+// weights are used.
 //
 // The central mechanism: a capable reader weights attributes by
 // *informativeness* (short identifier-bearing values count, long marketing
 // copy is skimmed), while a weak reader weights by sheer length — it reads
 // everything with equal care, so noise drowns signal. The Attention
 // capability interpolates between the two weightings.
-func extractEvidence(p record.Pair, caps Capabilities, idf *textsim.Weighter) Evidence {
+func extractEvidence(c *textCache, p record.Pair, caps Capabilities, idf *textsim.Weighter) Evidence {
 	n := len(p.Left.Values)
 	if len(p.Right.Values) < n {
 		n = len(p.Right.Values)
@@ -70,8 +71,8 @@ func extractEvidence(p record.Pair, caps Capabilities, idf *textsim.Weighter) Ev
 	rightProfs := make([]*textsim.Profile, n)
 	ev.MinShortSim = 1
 	for i := 0; i < n; i++ {
-		le, re := valEntryFor(p.Left.Values[i]), valEntryFor(p.Right.Values[i])
-		ev.AttrSims[i] = attrSimilarityE(le, re, caps, idf)
+		le, re := c.valEntryFor(p.Left.Values[i]), c.valEntryFor(p.Right.Values[i])
+		ev.AttrSims[i] = attrSimilarityE(c, le, re, caps, idf)
 		ev.AttrWeights[i] = attrWeightE(le, re, caps, idf)
 		leftRare = appendRareTokens(leftRare, le, caps, idf)
 		rightRare = appendRareTokens(rightRare, re, caps, idf)
@@ -127,8 +128,8 @@ func extractEvidence(p record.Pair, caps Capabilities, idf *textsim.Weighter) Ev
 }
 
 // attrSimilarityE compares one aligned attribute value pair, given as
-// cached value entries, under the model's capabilities.
-func attrSimilarityE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter) float64 {
+// value entries of c, under the model's capabilities.
+func attrSimilarityE(c *textCache, va, vb *valEntry, caps Capabilities, idf *textsim.Weighter) float64 {
 	if va.trimmed == "" && vb.trimmed == "" {
 		return 0.5 // both missing: uninformative
 	}
@@ -154,14 +155,14 @@ func attrSimilarityE(va, vb *valEntry, caps Capabilities, idf *textsim.Weighter)
 		return caps.Numeracy*numeric + (1-caps.Numeracy)*str
 	}
 
-	la := normEntryFor(va.trimmed, caps)
-	lb := normEntryFor(vb.trimmed, caps)
+	la := c.normEntryFor(va.trimmed, caps)
+	lb := c.normEntryFor(vb.trimmed, caps)
 
 	// Token-set similarity with attention-gated IDF weighting.
 	tokSim := weightedOverlap(la, lb, caps.Attention, idf)
 
 	// Character-level similarity catches typos that token matching misses.
-	charSim := textsim.QGramJaccardP(la.joinedProfile(), lb.joinedProfile())
+	charSim := textsim.QGramJaccardP(la.joinedProfile(c), lb.joinedProfile(c))
 
 	sim := 0.65*tokSim + 0.35*charSim
 

@@ -7,8 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/datasets"
 )
 
 // refKnowsU is knowsU through hash/fnv over the concatenated entry.
@@ -73,8 +71,7 @@ func TestKnowsUParts(t *testing.T) {
 		check(fmt.Sprintf("contrast:%d", fi), fmt.Sprintf("contrast:%d", fi))
 	}
 	seen := map[string]bool{}
-	// 42 is eval.DatasetSeed (eval imports lm).
-	for _, d := range datasets.GenerateAll(42) {
+	for _, d := range benchmarkPool() {
 		for _, p := range d.Pairs[:min(400, len(d.Pairs))] {
 			for _, v := range append(slices.Clip(p.Left.Values), p.Right.Values...) {
 				for _, f := range strings.Fields(strings.ToLower(v)) {

@@ -5,35 +5,32 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/textsim"
 )
 
-var lazyTestRuns atomic.Int64
-
 // TestLazyGramsConcurrentFirstUse has 8 goroutines make the first use of
 // the trigram sets of fresh profiles and of fresh normalised-text entries
 // at once, through QGramJaccardP, Gram and attrSimilarityE: every
-// goroutine must see the same results, equal to the string-keyed kernel
-// over the shared cache. Under -race this pins the compare-and-swap
-// publication of both lazy fields.
+// goroutine must see the same results, and profiles built apart must
+// score the same. Under -race this pins the compare-and-swap publication
+// of both lazy fields.
 func TestLazyGramsConcurrentFirstUse(t *testing.T) {
 	caps := Capabilities{Normalization: 0.9, Semantics: 0.7, Numeracy: 0.5, Attention: 0.6, Robustness: 0.4}
-	// Text no other test, and no earlier run of this one, builds, so no
-	// profile or entry below starts with its trigram set.
-	run := lazyTestRuns.Add(1)
+	// Caches of this run's own, so no profile or entry below starts with
+	// its trigram set.
 	const n = 24
 	texts := make([]string, n)
 	profs := make([]*textsim.Profile, n)
 	vals := make([]*valEntry, n)
 	fresh := textsim.NewProfileCache()
+	tc := newTextCache(textsim.NewProfileCache())
 	for i := range texts {
-		texts[i] = fmt.Sprintf("Lazy First-Use %d/%d: Sony WH-%dXM4 St. café, rev %d #%d", run, i, 1000+i%3, i%5, i*7919)
+		texts[i] = fmt.Sprintf("Lazy First-Use %d: Sony WH-%dXM4 St. café, rev %d #%d", i, 1000+i%3, i%5, i*7919)
 		profs[i] = fresh.Get(texts[i])
-		vals[i] = valEntryFor(texts[i])
-		if e := normEntryFor(vals[i].trimmed, caps); e.joined.Load() != nil {
+		vals[i] = tc.valEntryFor(texts[i])
+		if e := tc.normEntryFor(vals[i].trimmed, caps); e.joined.Load() != nil {
 			t.Fatalf("norm entry of %q already holds its joined profile", texts[i])
 		}
 	}
@@ -56,7 +53,7 @@ func TestLazyGramsConcurrentFirstUse(t *testing.T) {
 				}
 				out = append(out, fmt.Sprintf("%d q=%v a=%v g=%s", i,
 					textsim.QGramJaccardP(profs[i], profs[j]),
-					attrSimilarityE(vals[i], vals[j], caps, nil),
+					attrSimilarityE(tc, vals[i], vals[j], caps, nil),
 					strings.Join(grams, "|")))
 			}
 			slices.Sort(out)

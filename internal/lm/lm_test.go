@@ -46,9 +46,10 @@ func stringsFromInt(i int) string {
 func TestKnowsAttendBoostsCoverage(t *testing.T) {
 	single, double := 0, 0
 	const n = 20000
+	c := newTextCache(textsim.NewProfileCache())
 	for i := 0; i < n; i++ {
 		tok := "tok" + stringsFromInt(i) + stringsFromInt(i/1000)
-		e := buildValEntry(tok)
+		e := c.buildValEntry(tok)
 		if len(e.identCands) != 1 || e.identCands[0].tok != tok {
 			t.Fatalf("%q: identifier candidates %+v", tok, e.identCands)
 		}
@@ -177,7 +178,7 @@ func TestEvidenceIdentifierMatchAndConflict(t *testing.T) {
 		Left:  record.Record{Values: []string{"sony camera kx-12304 black"}},
 		Right: record.Record{Values: []string{"sony camera kx-12304 silver"}},
 	}
-	ev := extractEvidence(match, caps, idf)
+	ev := extractEvidence(sharedText, match, caps, idf)
 	if ev.IdentifierMatch != 1 {
 		t.Fatal("shared model number not detected")
 	}
@@ -185,7 +186,7 @@ func TestEvidenceIdentifierMatchAndConflict(t *testing.T) {
 		Left:  record.Record{Values: []string{"sony camera kx-12304 black"}},
 		Right: record.Record{Values: []string{"sony camera kx-99999 black"}},
 	}
-	ev = extractEvidence(conflictPair, caps, idf)
+	ev = extractEvidence(sharedText, conflictPair, caps, idf)
 	if ev.Conflict == 0 {
 		t.Fatal("differing model numbers not flagged as conflict")
 	}
@@ -197,7 +198,7 @@ func TestEvidenceYearConflict(t *testing.T) {
 		Left:  record.Record{Values: []string{"the last horizon", "1985"}},
 		Right: record.Record{Values: []string{"the last horizon", "2003"}},
 	}
-	ev := extractEvidence(p, caps, nil)
+	ev := extractEvidence(sharedText, p, caps, nil)
 	if ev.YearConflict != 1 {
 		t.Fatal("differing years on an aligned attribute not flagged")
 	}
@@ -205,7 +206,7 @@ func TestEvidenceYearConflict(t *testing.T) {
 		Left:  record.Record{Values: []string{"the last horizon", "1985"}},
 		Right: record.Record{Values: []string{"the last horizon", "1985"}},
 	}
-	if ev := extractEvidence(same, caps, nil); ev.YearConflict != 0 {
+	if ev := extractEvidence(sharedText, same, caps, nil); ev.YearConflict != 0 {
 		t.Fatal("equal years flagged as conflict")
 	}
 }
@@ -216,34 +217,36 @@ func TestEvidenceVersionConflict(t *testing.T) {
 		Left:  record.Record{Values: []string{"adobe photoshop 4.0 win"}},
 		Right: record.Record{Values: []string{"adobe photoshop 5.5 win"}},
 	}
-	ev := extractEvidence(p, caps, nil)
+	ev := extractEvidence(sharedText, p, caps, nil)
 	if ev.VersionConflict != 1 || ev.VersionMatch != 0 {
 		t.Fatalf("version conflict not detected: %+v", ev)
 	}
 	p.Right.Values[0] = "adobe photoshop 4.0 windows"
-	ev = extractEvidence(p, caps, nil)
+	ev = extractEvidence(sharedText, p, caps, nil)
 	if ev.VersionMatch != 1 || ev.VersionConflict != 0 {
 		t.Fatalf("version agreement not detected: %+v", ev)
 	}
 }
 
 func TestAttrSimilarityMissingValues(t *testing.T) {
+	val := sharedText.valEntryFor
 	caps := GPT4.Zero
-	if got := attrSimilarityE(valEntryFor(""), valEntryFor(""), caps, nil); got != 0.5 {
+	if got := attrSimilarityE(sharedText, val(""), val(""), caps, nil); got != 0.5 {
 		t.Fatalf("both-missing sim = %v, want 0.5", got)
 	}
-	if got := attrSimilarityE(valEntryFor("something"), valEntryFor(""), caps, nil); got != 0.4 {
+	if got := attrSimilarityE(sharedText, val("something"), val(""), caps, nil); got != 0.4 {
 		t.Fatalf("one-missing sim = %v, want 0.4", got)
 	}
 }
 
 func TestAttrSimilarityNumeric(t *testing.T) {
+	val := sharedText.valEntryFor
 	numerate := Capabilities{Numeracy: 1}
-	if got := attrSimilarityE(valEntryFor("$99.00"), valEntryFor("99 USD"), numerate, nil); got < 0.99 {
+	if got := attrSimilarityE(sharedText, val("$99.00"), val("99 USD"), numerate, nil); got < 0.99 {
 		t.Fatalf("numerate model should reconcile formats: %v", got)
 	}
 	innumerate := Capabilities{Numeracy: 0}
-	if got := attrSimilarityE(valEntryFor("$99.00"), valEntryFor("99 USD"), innumerate, nil); got > 0.6 {
+	if got := attrSimilarityE(sharedText, val("$99.00"), val("99 USD"), innumerate, nil); got > 0.6 {
 		t.Fatalf("innumerate model should see format difference: %v", got)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/datasets"
-	"repro/internal/eval"
 	"repro/internal/lm"
 	"repro/internal/record"
 	"repro/internal/stats"
@@ -30,7 +28,7 @@ func TestEncoderVectorsPinned(t *testing.T) {
 	var orders [][]int
 	rng := stats.NewRNG(7)
 	n := 0
-	for _, d := range datasets.GenerateAll(eval.DatasetSeed) {
+	for _, d := range lm.BenchmarkPool() {
 		order := rng.Perm(len(d.Schema.Names))
 		for _, p := range d.Pairs {
 			if n++; n%stride != 0 {

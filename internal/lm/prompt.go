@@ -108,7 +108,7 @@ func (m *PromptModel) ObserveCorpus(text string) {
 // rawScore computes the pre-threshold evidence score for a pair in [0, 1].
 func (m *PromptModel) rawScore(p record.Pair) float64 {
 	caps := m.profile.Zero
-	ev := extractEvidence(p, caps, m.idf)
+	ev := extractEvidence(sharedText, p, caps, m.idf)
 	s := ev.Score
 	if !m.ablation.NoIdentifierSignals {
 		s += 0.25 * ev.IdentifierMatch * caps.Attention
@@ -131,7 +131,7 @@ func (m *PromptModel) rawScore(p record.Pair) float64 {
 // Evidence exposes the full evidence breakdown for one pair, for
 // calibration analysis and the explainability example.
 func (m *PromptModel) Evidence(p record.Pair) Evidence {
-	return extractEvidence(p, m.profile.Zero, m.idf)
+	return extractEvidence(sharedText, p, m.profile.Zero, m.idf)
 }
 
 // RawScores returns the pre-threshold evidence scores for the pairs,

@@ -34,7 +34,9 @@ func EncodeEncoder(e *snap.Enc, enc *Encoder) {
 
 // DecodeEncoder reads an encoder written by EncodeEncoder. The returned
 // encoder featurises bit-identically to the snapshotted one: encoding is
-// a pure function of capacity and the IDF table.
+// a pure function of capacity and the IDF table. It serves, so it
+// resolves text through the process-wide cache, as a trained encoder does
+// after DropCorpusCache.
 func DecodeEncoder(d *snap.Dec) (*Encoder, error) {
 	d.Tag("encoder/v1")
 	c := EncoderCapacity{
@@ -62,5 +64,6 @@ func DecodeEncoder(d *snap.Dec) (*Encoder, error) {
 		capacity: c,
 		hasher:   mlcore.NewHasher(c.HashWidth),
 		idf:      idf,
+		text:     sharedText,
 	}, nil
 }

@@ -13,9 +13,42 @@ import (
 // cache. Evidence extraction derives several quantities from each raw
 // attribute value (trimmed form, loose number, version tokens, identifier
 // candidates) and from each (value, capabilities) pair (normalised token
-// list); all of them are pure functions of their key over a small fixed
-// universe of record values, so both layers are read-mostly maps in the
-// style of record.SerializeCache.
+// list); all of them are pure functions of their key, so a textCache holds
+// them as read-mostly maps in the style of record.SerializeCache, next to
+// the profile cache it resolves text through.
+//
+// Which cache a caller resolves through decides only how long the entries
+// live, never what they hold. Prompted models and every trained encoder
+// after its training pass use sharedText, which wraps textsim.Shared()
+// and, like it, never evicts: it holds the records a process scores. A
+// fine-tuning pass featurises its corpus through a cache of its own
+// (newTextCache over a fresh profile cache), bounded by that corpus and
+// dropped when the pass ends, so training adds nothing to the
+// process-wide state.
+
+// textCache is one scope of the value, normalised-text and profile
+// caches. All methods are safe for concurrent use.
+type textCache struct {
+	profiles *textsim.ProfileCache
+
+	valMu sync.RWMutex
+	vals  map[string]*valEntry
+
+	normMu sync.RWMutex
+	norms  map[normKey]*normEntry
+}
+
+// newTextCache returns an empty cache resolving profiles through p.
+func newTextCache(p *textsim.ProfileCache) *textCache {
+	return &textCache{
+		profiles: p,
+		vals:     make(map[string]*valEntry),
+		norms:    make(map[normKey]*normEntry),
+	}
+}
+
+// sharedText is the process-wide cache over textsim.Shared().
+var sharedText = newTextCache(textsim.Shared())
 
 // valEntry caches the capability-independent derivations of one raw
 // attribute value.
@@ -56,36 +89,31 @@ type identCand struct {
 	uA, uB float64
 }
 
-var valCache = struct {
-	sync.RWMutex
-	m map[string]*valEntry
-}{m: make(map[string]*valEntry)}
-
 // valEntryFor returns the memoised capability-independent entry for a raw
 // attribute value.
-func valEntryFor(v string) *valEntry {
-	valCache.RLock()
-	e := valCache.m[v]
-	valCache.RUnlock()
+func (c *textCache) valEntryFor(v string) *valEntry {
+	c.valMu.RLock()
+	e := c.vals[v]
+	c.valMu.RUnlock()
 	if e != nil {
 		return e
 	}
-	e = buildValEntry(v)
-	valCache.Lock()
-	if q, ok := valCache.m[v]; ok {
+	e = c.buildValEntry(v)
+	c.valMu.Lock()
+	if q, ok := c.vals[v]; ok {
 		e = q
 	} else {
-		valCache.m[v] = e
+		c.vals[v] = e
 	}
-	valCache.Unlock()
+	c.valMu.Unlock()
 	return e
 }
 
-func buildValEntry(v string) *valEntry {
+func (c *textCache) buildValEntry(v string) *valEntry {
 	trimmed := strings.TrimSpace(v)
 	fields := strings.Fields(strings.ToLower(v))
 	e := &valEntry{
-		prof:        textsim.Shared().Get(v),
+		prof:        c.profiles.Get(v),
 		trimmed:     trimmed,
 		lowerTrim:   strings.ToLower(trimmed),
 		versionToks: versionTokens(fields),
@@ -130,29 +158,25 @@ type normEntry struct {
 // joinedProfile returns the profile of strings.Join(toks, " "), the input
 // of the character-gram comparison in attrSimilarityE and read nowhere
 // else, so it is built on first use: the encoder's normalised view of a
-// whole serialised record never needs it. Racing first users store the
-// same pointer, because the shared cache returns one profile per string.
-func (e *normEntry) joinedProfile() *textsim.Profile {
+// whole serialised record never needs it. c must be the cache that holds
+// e. Racing first users store the same pointer, because c returns one
+// profile per string.
+func (e *normEntry) joinedProfile(c *textCache) *textsim.Profile {
 	if p := e.joined.Load(); p != nil {
 		return p
 	}
-	p := textsim.Shared().Get(strings.Join(e.toks, " "))
+	p := c.profiles.Get(strings.Join(e.toks, " "))
 	e.joined.Store(p)
 	return p
 }
 
-var normCache = struct {
-	sync.RWMutex
-	m map[normKey]*normEntry
-}{m: make(map[normKey]*normEntry)}
-
 // normEntryFor returns the memoised normalised form of text under the
 // model's capabilities.
-func normEntryFor(text string, caps Capabilities) *normEntry {
+func (c *textCache) normEntryFor(text string, caps Capabilities) *normEntry {
 	key := normKey{norm: caps.Normalization, sem: caps.Semantics, text: text}
-	normCache.RLock()
-	e := normCache.m[key]
-	normCache.RUnlock()
+	c.normMu.RLock()
+	e := c.norms[key]
+	c.normMu.RUnlock()
 	if e != nil {
 		return e
 	}
@@ -161,13 +185,13 @@ func normEntryFor(text string, caps Capabilities) *normEntry {
 		toks:   toks,
 		sorted: sortedUniqueTokens(toks),
 	}
-	normCache.Lock()
-	if q, ok := normCache.m[key]; ok {
+	c.normMu.Lock()
+	if q, ok := c.norms[key]; ok {
 		e = q
 	} else {
-		normCache.m[key] = e
+		c.norms[key] = e
 	}
-	normCache.Unlock()
+	c.normMu.Unlock()
 	return e
 }
 

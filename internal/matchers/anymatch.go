@@ -119,6 +119,8 @@ func (m *AnyMatch) Train(transfer []*record.Dataset, rng *stats.RNG) {
 			count++
 		}
 	}
+	// The corpus is encoded: its text cache goes with the training pass.
+	m.enc.DropCorpusCache()
 
 	cap := m.profile.Capacity
 	hidden := cap.Hidden
@@ -179,7 +181,7 @@ func (m *AnyMatch) selectHard(pool []transferPair, rng *stats.RNG) []int {
 	xs := make([][]float64, len(sample))
 	ys := make([]float64, len(sample))
 	for i, j := range sample {
-		xs[i] = cheapFeatures(pool[j].pair.Pair)
+		xs[i] = cheapFeatures(m.enc.Profile, pool[j].pair.Pair)
 		ys[i] = pool[j].pair.Label()
 	}
 	b := boost.Train(xs, ys, boost.DefaultConfig())
@@ -197,11 +199,13 @@ func (m *AnyMatch) selectHard(pool []transferPair, rng *stats.RNG) []int {
 }
 
 // cheapFeatures computes the similarity features the boosting selector
-// uses: fast, schema-free aggregates of the serialized records.
-func cheapFeatures(p record.Pair) []float64 {
+// uses: fast, schema-free aggregates of the serialized records. profile
+// resolves a text's profile: AnyMatch's training encoder, so its corpus
+// stays in the training pass's cache, or the shared cache.
+func cheapFeatures(profile func(string) *textsim.Profile, p record.Pair) []float64 {
 	left := record.SerializeRecord(p.Left, record.SerializeOptions{})
 	right := record.SerializeRecord(p.Right, record.SerializeOptions{})
-	pl, pr := textsim.Shared().Get(left), textsim.Shared().Get(right)
+	pl, pr := profile(left), profile(right)
 	return []float64{
 		textsim.TokenJaccardP(pl, pr),
 		textsim.QGramJaccardP(pl, pr),

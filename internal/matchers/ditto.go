@@ -85,6 +85,8 @@ func (m *Ditto) Train(transfer []*record.Dataset, rng *stats.RNG) {
 		}
 		examples = append(examples, augmented...)
 	}
+	// The corpus is encoded: its text cache goes with the training pass.
+	m.enc.DropCorpusCache()
 
 	cap := m.profile.Capacity
 	m.head = mlcore.TrainLogReg(examples, mlcore.LogRegConfig{

@@ -8,6 +8,7 @@ import (
 	"repro/internal/lm"
 	"repro/internal/record"
 	"repro/internal/stats"
+	"repro/internal/textsim"
 )
 
 // MatchGPTRAG is the retrieval-augmented extension of MatchGPT that the
@@ -57,7 +58,7 @@ func (m *MatchGPTRAG) Train(transfer []*record.Dataset, rng *stats.RNG) {
 	for _, tp := range balanced {
 		m.index = append(m.index, ragEntry{
 			demo: lm.Demo{Pair: tp.pair, Dataset: tp.dataset},
-			sig:  cheapFeatures(tp.pair.Pair),
+			sig:  cheapFeatures(textsim.Shared().Get, tp.pair.Pair),
 		})
 	}
 }
@@ -76,7 +77,7 @@ func (m *MatchGPTRAG) Predict(task Task) []bool {
 	// Precompute query signatures.
 	sigs := make([][]float64, len(task.Pairs))
 	for i, p := range task.Pairs {
-		sigs[i] = cheapFeatures(p)
+		sigs[i] = cheapFeatures(textsim.Shared().Get, p)
 	}
 	return model.MatchBatchRAG(task.Pairs, task.Opts, func(i int) []lm.RetrievedDemo {
 		return m.retrieve(sigs[i])

@@ -80,6 +80,8 @@ func (m *Unicorn) Train(transfer []*record.Dataset, rng *stats.RNG) {
 		examples = append(examples, exampleWithWeight(x, label, 0.5))
 		auxCount++
 	}
+	// The corpus is encoded: its text cache goes with the training pass.
+	m.enc.DropCorpusCache()
 
 	cfg := moe.DefaultConfig(m.enc.Dim())
 	cfg.Epochs = m.profile.Capacity.Epochs

@@ -329,10 +329,12 @@ var sharedProfiles = NewProfileCache()
 // process — the same contract as record.SerializeCache. A profile carries
 // its trigram set only once a caller has read it, and Weighter.Observe
 // resolves nothing here, so corpus text a caller only counts (a prompted
-// model's batch under shuffled column orders) costs the cache nothing;
-// lm's fine-tuning encoder observes through this cache, but only text it
-// encodes next. Callers that need profiles only briefly should resolve
-// them through a ProfileCache of their own instead.
+// model's batch under shuffled column orders) costs the cache nothing.
+// Fine-tuning does not resolve through it: lm's encoder observes and
+// featurises its training corpus through a ProfileCache of its own,
+// dropped when training ends, and only what a trained matcher scores
+// lands here. Callers that need profiles only briefly should likewise
+// resolve them through a ProfileCache of their own.
 func Shared() *ProfileCache { return sharedProfiles }
 
 // intersectIDs returns |a ∩ b| for two ascending unique ID slices.
