@@ -50,8 +50,8 @@ alloc-gate:
 #   dedup    emdedup recall, cluster-F1 and comparison-advantage floors
 #   fleet    emserve -replicas 3 on its own empty store (its first phase
 #            asserts cold-then-warm): bit-identity against one replica,
-#            load balance, replica caches hit, mid-run kill, rebalance,
-#            canary upgrade
+#            load balance, replica caches hit, mid-run kill with no
+#            request lost
 #   verify   emtool snap verify over everything the stages stored
 #   trace    a traced LODO slice through emstudy, validated and folded per
 #            stage by emtool trace

@@ -12,7 +12,7 @@ import (
 )
 
 // replicaName is the stable ring identity of the i-th replica. Keep it
-// stable across restarts and canary cutovers or the keyspace reshuffles.
+// stable across restarts or the keyspace reshuffles.
 func replicaName(i int) string { return fmt.Sprintf("r%d", i+1) }
 
 // spawned is one in-process replica: the full serving pipeline the flags
@@ -55,8 +55,8 @@ func spawnReplicas(n int, cfg config) ([]*spawned, error) {
 	return out, nil
 }
 
-// spawnReplica readies one matcher as spec says (spec.Hash set boots the
-// canary from that artifact) and serves it under cfg's serve.Config.
+// spawnReplica readies one matcher as spec says and serves it under
+// cfg's serve.Config.
 func spawnReplica(name string, cfg config, spec eval.ReadySpec) (*spawned, error) {
 	spec.Registry = obs.NewRegistry(obs.Label{Key: "replica", Value: name})
 	spec.Logf = func(format string, args ...any) { logf(name+": "+format, args...) }

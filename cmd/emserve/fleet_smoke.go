@@ -7,12 +7,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/fleet"
-	"repro/internal/matchers"
 	"repro/internal/record"
 	"repro/internal/serve"
-	"repro/internal/snap"
 	"repro/internal/wire"
 )
 
@@ -33,12 +30,6 @@ import (
 //     round must hit the cache of every replica that answered pairs.
 //  4. Crash: one replica is killed mid-run; every request must still be
 //     answered correctly (failover), nothing permanently lost.
-//  5. Rebalance: removing the dead replica moves only its arc — the
-//     moved-key count equals its prior ownership and stays near fair.
-//  6. Canary: a canary boots from a different snapshot (PickCanary),
-//     mirrored traffic must compare bit-identical, promotion cuts the
-//     ring member over to the canary URL, the old process drains, and
-//     the workload still answers correctly after cutover.
 func runFleetSmoke(cfg config) error {
 	tmp, err := os.MkdirTemp("", "emserve-fleet-smoke-*")
 	if err != nil {
@@ -55,14 +46,12 @@ func runFleetSmoke(cfg config) error {
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]*spawned, len(procs))
 	defer func() {
 		for _, p := range procs {
 			p.kill()
 		}
 	}()
 	for i, p := range procs {
-		byName[p.name] = p
 		if i == 0 && p.ready.Warm {
 			return fmt.Errorf("phase 1: %s restored warm from an empty store", p.name)
 		}
@@ -75,12 +64,7 @@ func runFleetSmoke(cfg config) error {
 	}
 	fmt.Printf("phase 1: %s cold-trained and saved %.12s; r2, r3 warm-restored\n", procs[0].name, procs[0].ready.Hash)
 
-	fc := cfg.front
-	// Mirror every canary-owned pair and keep the promotion sample small
-	// enough that one workload round clears it.
-	fc.MirrorPermille = 1000
-	fc.CanaryMinSample = 32
-	front, err := fleet.New(fc)
+	front, err := fleet.New(cfg.front)
 	if err != nil {
 		return err
 	}
@@ -170,9 +154,7 @@ func runFleetSmoke(cfg config) error {
 	// Phase 4: kill r3 mid-round. Every request must still be answered,
 	// and answered correctly — the front fails its sub-batches over to
 	// ring successors.
-	khs := keyHashes(pairs)
-	ringBefore := front.Ring()
-	victim := byName["r3"]
+	victim := procs[2]
 	killAt := len(pairs) / 2
 	crashPreds := make([]bool, 0, len(pairs))
 	killed := false
@@ -196,81 +178,6 @@ func runFleetSmoke(cfg config) error {
 	}
 	fmt.Printf("phase 4: killed r3 mid-run — 0 requests lost, %d failovers, predictions still bit-identical\n", st.Fleet.Failovers)
 
-	// Phase 5: planned removal. Only the dead replica's arc may move.
-	ownedByDead := ringBefore.LoadCounts(khs)["r3"]
-	if err := front.RemoveReplica("r3"); err != nil {
-		return err
-	}
-	moved := fleet.Moved(ringBefore, front.Ring(), khs)
-	if moved != ownedByDead {
-		return fmt.Errorf("phase 5: removal moved %d keys, want exactly r3's %d", moved, ownedByDead)
-	}
-	fair := len(pairs) / 3
-	bound := fair + fair*6/10
-	if moved > bound {
-		return fmt.Errorf("phase 5: removal moved %d keys, above the %d bound (fair %d)", moved, bound, fair)
-	}
-	postPreds, _, err := runRound(client, frontURL, pairs)
-	if err != nil {
-		return fmt.Errorf("phase 5: %w", err)
-	}
-	if err := samePreds(baseline, postPreds); err != nil {
-		return fmt.Errorf("phase 5: predictions diverged after rebalance: %w", err)
-	}
-	fmt.Printf("phase 5: removed r3 — %d/%d keys moved (exactly its arc; bound %d), post-rebalance bit-identical\n", moved, len(pairs), bound)
-
-	// Phase 6: rolling canary upgrade of r1. The canary boots from a
-	// *different* snapshot of the same matcher (PickCanary), carrying
-	// state saved from the incumbent's trained matcher, so the mirror
-	// comparison must come back bit-identical.
-	canaryHash, err := saveCanarySnapshot(cfg, procs[0].ready)
-	if err != nil {
-		return err
-	}
-	canarySpec := cfg.ready
-	canarySpec.Hash = canaryHash
-	canaryProc, err := spawnReplica("canary", cfg, canarySpec)
-	if err != nil {
-		return err
-	}
-	defer canaryProc.kill()
-	if err := front.StartCanary("r1", canaryProc.url); err != nil {
-		return err
-	}
-	if _, _, err := runRound(client, frontURL, pairs); err != nil {
-		return fmt.Errorf("phase 6 mirror round: %w", err)
-	}
-	front.WaitMirrors() // mirrors are async; settle before reading the report
-	rep := front.Canary()
-	if rep == nil {
-		return fmt.Errorf("phase 6: canary vanished during the mirror round")
-	}
-	if rep.Mismatched != 0 {
-		return fmt.Errorf("phase 6: canary mismatched %d of %d mirrored pairs", rep.Mismatched, rep.Mirrored)
-	}
-	if !rep.Ready {
-		return fmt.Errorf("phase 6: canary not ready after a full round: mirrored %d (min %d), errors %d",
-			rep.Mirrored, rep.MinSample, rep.Errors)
-	}
-	oldURL, err := front.PromoteCanary()
-	if err != nil {
-		return err
-	}
-	if oldURL != byName["r1"].url {
-		return fmt.Errorf("phase 6: promotion returned old URL %q, want %q", oldURL, byName["r1"].url)
-	}
-	byName["r1"].kill() // drain and retire the incumbent
-	finalPreds, _, err := runRound(client, frontURL, pairs)
-	if err != nil {
-		return fmt.Errorf("phase 6 post-cutover: %w", err)
-	}
-	if err := samePreds(baseline, finalPreds); err != nil {
-		return fmt.Errorf("phase 6: predictions diverged after cutover: %w", err)
-	}
-	fmt.Printf("phase 6: canary %.12s mirrored %d pairs bit-identically, promoted over r1 (%.12s), post-cutover bit-identical\n",
-		canaryHash, rep.Mirrored, procs[0].ready.Hash)
-
-	st = front.Stats(context.Background())
 	fmt.Printf("fleet: %d requests ok, %d pairs, %d hedges (%d won), %d failovers, %d diverts\n",
 		st.Fleet.RequestsOK, st.Fleet.Pairs, st.Fleet.Hedges, st.Fleet.HedgeWins, st.Fleet.Failovers, st.Fleet.Diverts)
 	fmt.Println("FLEET SMOKE OK")
@@ -282,19 +189,6 @@ const (
 	smokePairs = 512
 	smokeBatch = 32
 )
-
-// keyHashes computes each pair's ring key hash exactly the way the
-// front does: canonical pair-key bytes, then the ring mix.
-func keyHashes(pairs []record.Pair) []uint64 {
-	opts := serve.CanonicalKeyOptions(nil)
-	khs := make([]uint64, len(pairs))
-	var buf []byte
-	for i, p := range pairs {
-		buf = serve.AppendPairKey(buf[:0], p, opts)
-		khs[i] = fleet.KeyHash(buf)
-	}
-	return khs
-}
 
 // batch slices one smokeBatch-sized window out of pairs.
 func batch(pairs []record.Pair, start int) []record.Pair {
@@ -365,39 +259,4 @@ func samePreds(want, got []bool) error {
 		}
 	}
 	return nil
-}
-
-// saveCanarySnapshot writes the incumbent's trained state under a
-// second snapshot key (the seed field bumped), giving PickCanary a
-// distinct, newer artifact whose state is bit-identical by
-// construction — exactly what a rebuilt-but-equivalent release looks
-// like. Returns the hash PickCanary selects.
-func saveCanarySnapshot(cfg config, incumbent *eval.Ready) (string, error) {
-	st, err := snap.Open(cfg.ready.Store, nil)
-	if err != nil {
-		return "", err
-	}
-	m, _, err := matchers.ByName(cfg.ready.Matcher)
-	if err != nil {
-		return "", err
-	}
-	snapper := m.(snap.Snapshotter) // the incumbent was saved, so the matcher snapshots
-	if _, err := st.LoadHash(incumbent.Hash, snapper); err != nil {
-		return "", fmt.Errorf("loading incumbent snapshot: %w", err)
-	}
-	key := incumbent.Key
-	key.Seed = cfg.ready.Seed + 1
-	if _, err := st.Save(key, m.Name(), snapper); err != nil {
-		return "", fmt.Errorf("saving canary snapshot: %w", err)
-	}
-	// Snapshot metadata records the matcher's display name, not the
-	// registry key the CLI flag uses.
-	art, err := st.PickCanary(m.Name(), incumbent.Hash)
-	if err != nil {
-		return "", fmt.Errorf("PickCanary: %w", err)
-	}
-	if art.Hash == incumbent.Hash {
-		return "", fmt.Errorf("PickCanary returned the incumbent %.12s", art.Hash)
-	}
-	return art.Hash, nil
 }

@@ -42,22 +42,6 @@ func TestSamePreds(t *testing.T) {
 	}
 }
 
-func TestKeyHashesDeterministic(t *testing.T) {
-	pairs := []record.Pair{
-		{Left: record.Record{Values: []string{"a", "b"}}, Right: record.Record{Values: []string{"c"}}},
-		{Left: record.Record{Values: []string{"d"}}, Right: record.Record{Values: []string{"e", "f"}}},
-	}
-	a, b := keyHashes(pairs), keyHashes(pairs)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("key hash %d not deterministic", i)
-		}
-	}
-	if a[0] == a[1] {
-		t.Fatal("distinct pairs collided")
-	}
-}
-
 func TestStringListFlag(t *testing.T) {
 	cfg, err := parseFlags([]string{"-replica", "http://a", "-replica", "http://b"})
 	if err != nil {

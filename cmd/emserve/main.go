@@ -124,7 +124,6 @@ func parseFlags(args []string) (config, error) {
 	sc := &cfg.serve
 	fs.IntVar(&sc.Workers, "workers", 0, "scoring workers: 0 = one per CPU")
 	fs.IntVar(&sc.MaxBatch, "batch", 64, "max pairs per coalesced micro-batch")
-	fs.DurationVar(&sc.BatchWait, "batch-wait", 0, "how long a non-full batch waits for stragglers")
 	fs.IntVar(&sc.QueueDepth, "queue", 1024, "admission queue depth (requests); full queue sheds with 429")
 	fs.IntVar(&sc.MaxPairsPerRequest, "max-pairs", 256, "max pairs per request (larger rejected with 413)")
 	fs.DurationVar(&sc.DefaultDeadline, "deadline", 0, "default per-request deadline (0 = none)")

@@ -63,8 +63,8 @@ func TestParseFlags(t *testing.T) {
 			c.ready = eval.ReadySpec{Matcher: "ditto", Seed: 7, Parallel: 2, Store: "/tmp/s"}
 			c.serve.MatcherName, c.front.MatcherName = "ditto", "ditto"
 		}},
-		{"serve tunables", "-workers 3 -batch 16 -batch-wait 2ms -max-pairs 32 -cache 0", func(c *config) {
-			c.serve.Workers, c.serve.MaxBatch, c.serve.BatchWait = 3, 16, 2*time.Millisecond
+		{"serve tunables", "-workers 3 -batch 16 -max-pairs 32 -cache 0", func(c *config) {
+			c.serve.Workers, c.serve.MaxBatch = 3, 16
 			c.serve.MaxPairsPerRequest, c.serve.CacheCapacity = 32, 0
 			c.front.MaxPairsPerRequest = 32
 		}},

@@ -16,7 +16,7 @@ import (
 // replicas side by side and synthesizes the fleet-aggregate line
 // client-side; -fleet polls a front router's /stats, which already
 // embeds every replica's scrape plus the router's own view (breakers,
-// hedges, failovers, canary). Both render one row per replica and exit
+// hedges, failovers). Both render one row per replica and exit
 // non-zero when ANY replica breaches its SLO — a fleet is only as
 // healthy as its worst member.
 
@@ -129,9 +129,9 @@ func replicaBreached(st serve.Stats, sr *serve.SLOResponse) bool {
 	return st.SLOState == "breach"
 }
 
-// renderFleet draws the front-router dashboard: the router's aggregate,
-// a row per replica (from the embedded scrapes), and the canary line
-// when an upgrade is in flight. Returns whether anything is breaching.
+// renderFleet draws the front-router dashboard: the router's aggregate
+// and a row per replica (from the embedded scrapes). Returns whether
+// anything is breaching.
 func renderFleet(out io.Writer, prev *fleet.StatsResponse, prevAt time.Time, st fleet.StatsResponse, now time.Time) (breached bool) {
 	agg := st.Fleet
 	state := agg.SLOState
@@ -175,16 +175,6 @@ func renderFleet(out io.Writer, prev *fleet.StatsResponse, prevAt time.Time, st 
 			state += " penalized"
 		}
 		fmt.Fprintf(out, "  %-8s [%s]  %s\n", r.Name, state, detail)
-	}
-	if c := st.Canary; c != nil {
-		verdict := "sampling"
-		if c.Ready {
-			verdict = "READY"
-		} else if c.Mismatched > 0 {
-			verdict = "MISMATCH"
-		}
-		fmt.Fprintf(out, "  canary  %s -> %s  mirrored %d/%d  matched %d  mismatched %d  errors %d  [%s]\n",
-			c.Target, c.URL, c.Mirrored, c.MinSample, c.Matched, c.Mismatched, c.Errors, verdict)
 	}
 	return breached
 }

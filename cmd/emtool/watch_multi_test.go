@@ -110,10 +110,6 @@ func fleetStats() fleet.StatsResponse {
 			{Name: "r2", URL: "http://h:8082", Breaker: "closed", Sent: 310, Stats: &ok},
 			{Name: "r3", URL: "http://h:8083", Breaker: "open", Sent: 290, StatsErr: "connection refused"},
 		},
-		Canary: &fleet.CanaryReport{
-			Target: "r2", URL: "http://h:9090", Permille: 250, MinSample: 64,
-			Mirrored: 70, Matched: 70, Ready: true,
-		},
 	}
 }
 
@@ -133,7 +129,6 @@ func TestWatchFleetRenders(t *testing.T) {
 	for _, want := range []string{
 		"fleet:stringsim", "replicas 3/3 healthy", "hedges 4 (won 3)",
 		"r1", "[CLOSED]", "r3", "[OPEN]", "connection refused",
-		"canary  r2 -> http://h:9090", "[READY]",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("frame missing %q:\n%s", want, got)

@@ -41,11 +41,11 @@ func (b *Sim) RatePer1K() float64 { return b.rate }
 func (b *Sim) Predict(task matchers.Task, attempt uint64, out []bool, conf []float64) (time.Duration, error) {
 	h := b.callHash(task, attempt)
 	p := b.profile
-	if p.RateLimitRate > 0 && draw(h, saltRateLimit) < p.RateLimitRate {
+	if p.RateLimitRate > 0 && Draw(h, saltRateLimit) < p.RateLimitRate {
 		return p.shedLatency(), ErrOverloaded
 	}
 	lat := b.latency(h, len(task.Pairs))
-	if p.FailRate > 0 && draw(h, saltFail) < p.FailRate {
+	if p.FailRate > 0 && Draw(h, saltFail) < p.FailRate {
 		return lat, ErrUnavailable
 	}
 	if conf != nil {
@@ -67,9 +67,9 @@ func (b *Sim) latency(h uint64, npairs int) time.Duration {
 	p := b.profile
 	lat := float64(p.BaseLatency) + float64(npairs)*float64(p.PerPairLatency)
 	if p.Jitter > 0 {
-		lat *= 1 + p.Jitter*(2*draw(h, saltJitter)-1)
+		lat *= 1 + p.Jitter*(2*Draw(h, saltJitter)-1)
 	}
-	if p.TailRate > 0 && draw(h, saltTail) < p.TailRate {
+	if p.TailRate > 0 && Draw(h, saltTail) < p.TailRate {
 		lat *= p.TailFactor
 	}
 	return time.Duration(lat)
@@ -83,10 +83,10 @@ func (b *Sim) latency(h uint64, npairs int) time.Duration {
 func (b *Sim) callHash(task matchers.Task, attempt uint64) uint64 {
 	h := b.seed ^ textsim.TokenHash(b.name)
 	for _, p := range task.Pairs {
-		h = mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Left, task.Opts)))
-		h = mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Right, task.Opts)))
+		h = Mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Left, task.Opts)))
+		h = Mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Right, task.Opts)))
 	}
-	return mix(h ^ attempt*0x9e3779b97f4a7c15)
+	return Mix(h ^ attempt*0x9e3779b97f4a7c15)
 }
 
 // Salts separate the independent outcome draws of one call.
@@ -97,17 +97,17 @@ const (
 	saltTail      = 0x1c69b3f74ac4fb91
 )
 
-// mix is the SplitMix64 finalizer: a full-avalanche bijection, so
+// Mix is the SplitMix64 finalizer: a full-avalanche bijection, so
 // nearby inputs (consecutive attempts) produce independent-looking
-// outputs.
-func mix(x uint64) uint64 {
+// outputs. internal/route draws its retry jitter from it too.
+func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
-// draw maps (hash, salt) to a uniform float64 in [0,1).
-func draw(h, salt uint64) float64 {
-	return float64(mix(h^salt)>>11) / (1 << 53)
+// Draw maps (hash, salt) to a uniform float64 in [0,1).
+func Draw(h, salt uint64) float64 {
+	return float64(Mix(h^salt)>>11) / (1 << 53)
 }

@@ -25,7 +25,6 @@ type ReadySpec struct {
 
 	Split    string        // RNG split label training draws from ("" = "train"); part of the bit-identity contract
 	Ref      string        // store ref to point at the snapshot ("" = none)
-	Hash     string        // restore exactly this artifact of Store, not the key's (how a canary boots)
 	Registry *obs.Registry // receives the store's metrics (nil = one labelled by matcher)
 	Library  *Library      // shared so tiers and replicas generate the library once (nil = private)
 	// Logf receives progress lines (nil = silent).
@@ -50,7 +49,7 @@ type Ready struct {
 	Matcher  matchers.Matcher
 	Warm     bool          // restored from the store, not trained
 	Seconds  float64       // wall time of that restore or training
-	Key      snap.Key      // the snapshot's address (zero without a store or after a restore by Hash)
+	Key      snap.Key      // the snapshot's address (zero without a store)
 	Hash     string        // its content hash ("" without a store)
 	Registry *obs.Registry // ReadySpec.Registry, or the one created for the store
 }
@@ -94,7 +93,7 @@ func readyMatcher(m matchers.Matcher, trains bool, spec ReadySpec) (*Ready, erro
 	}
 
 	var library []*record.Dataset
-	if trains && spec.Hash == "" {
+	if trains {
 		lib := spec.Library
 		if lib == nil {
 			lib = &Library{}
@@ -105,13 +104,7 @@ func readyMatcher(m matchers.Matcher, trains bool, spec ReadySpec) (*Ready, erro
 		library = lib.sets
 	}
 	start := time.Now()
-	switch {
-	case spec.Hash != "":
-		if _, err := st.LoadHash(spec.Hash, snapper); err != nil {
-			return nil, fmt.Errorf("restoring %.12s: %w", spec.Hash, err)
-		}
-		r.Warm, r.Hash = true, spec.Hash
-	case st != nil:
+	if st != nil {
 		r.Key = snap.Key{
 			Matcher: spec.Matcher,
 			Config:  matchers.ConfigOf(m),

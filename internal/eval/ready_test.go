@@ -61,14 +61,6 @@ func TestReadyMatcherColdThenWarm(t *testing.T) {
 				t.Fatalf("%s pair %d: restored matcher predicts %v, trained one %v", name, i, got[i], want[i])
 			}
 		}
-
-		byHash, err := ReadyMatcher(ReadySpec{Matcher: name, Store: spec.Store, Hash: cold.Hash})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !byHash.Warm || byHash.Hash != cold.Hash {
-			t.Fatalf("%s restore by hash: warm=%v hash=%q", name, byHash.Warm, byHash.Hash)
-		}
 	}
 }
 

@@ -66,15 +66,6 @@ type Config struct {
 	ShedPenalty        time.Duration
 	ShedDivertPermille int
 
-	// MirrorPermille is the deterministic per-pair sample rate mirrored
-	// to an active canary (default 250‰); CanaryMinSample is how many
-	// mirrored pairs must compare bit-identical before the canary is
-	// promotable (default 64). Mirrors run asynchronously off the live
-	// request path, each bounded by mirrorTimeout — a slow or hung canary
-	// never adds latency to live traffic.
-	MirrorPermille  int
-	CanaryMinSample int
-
 	// ProbeInterval, when positive, starts a background loop probing
 	// every replica's /healthz (driving breaker recovery) and ticking
 	// the SLO engine. Zero leaves probing to explicit ProbeAll calls —
@@ -93,8 +84,6 @@ const (
 	// hedgeMin and hedgeMax clamp the rolling-p99 straggler threshold.
 	hedgeMin = 2 * time.Millisecond
 	hedgeMax = 500 * time.Millisecond
-	// mirrorTimeout bounds one asynchronous canary mirror sub-request.
-	mirrorTimeout = 2 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -122,20 +111,14 @@ func (c Config) withDefaults() Config {
 	if c.ShedDivertPermille <= 0 {
 		c.ShedDivertPermille = 500
 	}
-	if c.MirrorPermille <= 0 {
-		c.MirrorPermille = 250
-	}
-	if c.CanaryMinSample <= 0 {
-		c.CanaryMinSample = 64
-	}
 	return c
 }
 
-// Replica is one ring member: a stable ring identity, a mutable target
-// URL (canary cutover swaps it), a breaker, and its counters.
+// Replica is one ring member: a stable ring identity, its target URL,
+// a breaker, and its counters.
 type Replica struct {
 	name string
-	url  atomic.Value // string
+	url  string
 
 	breaker   *route.Breaker
 	shedUntil atomic.Int64 // clock time (ns) until which sheds down-weight this replica
@@ -149,11 +132,8 @@ type Replica struct {
 	ejections  *obs.Counter // breaker transitions into Open
 }
 
-// Name returns the replica's ring identity.
-func (r *Replica) Name() string { return r.name }
-
-// URL returns the replica's current target URL.
-func (r *Replica) URL() string { return r.url.Load().(string) }
+// URL returns the replica's target URL.
+func (r *Replica) URL() string { return r.url }
 
 func (r *Replica) penalizedAt(now time.Duration) bool {
 	return int64(now) < r.shedUntil.Load()
@@ -161,9 +141,6 @@ func (r *Replica) penalizedAt(now time.Duration) bool {
 
 // divertSalt decorrelates shed-diversion draws from ring placement.
 const divertSalt = 0x5bf0_3635_0aef_7bb1
-
-// mirrorSalt decorrelates canary mirror sampling from both.
-const mirrorSalt = 0x1d8e_4e27_c47d_1f29
 
 type fleetMetrics struct {
 	requests   *obs.Counter // /match requests admitted
@@ -175,7 +152,6 @@ type fleetMetrics struct {
 	hedgeWins  *obs.Counter // hedges that finished before their primary
 	failovers  *obs.Counter // sub-batches re-sent to a successor after a failure
 	diverts    *obs.Counter // sub-batches diverted off a shed-penalized replica
-	mirrored   *obs.Counter // pairs mirrored to a canary
 
 	latency    *obs.Histogram // whole-request latency, µs
 	subLatency *obs.Histogram // per-sub-request latency, µs (feeds the hedge p99)
@@ -230,14 +206,11 @@ type Front struct {
 	transport Transport
 
 	place atomic.Pointer[placement]
-	mu    sync.Mutex // serialises membership and canary changes
+	mu    sync.Mutex // serialises membership changes
 
 	reg     *obs.Registry
 	metrics fleetMetrics
 	started time.Time
-
-	canary  atomic.Pointer[canary]
-	mirrors sync.WaitGroup // in-flight asynchronous canary mirrors
 
 	sloEngine *slo.Engine
 
@@ -272,7 +245,6 @@ func New(cfg Config) (*Front, error) {
 	m.hedgeWins = f.reg.Counter("emfleet_hedge_wins_total", "hedges that finished before their primary")
 	m.failovers = f.reg.Counter("emfleet_failovers_total", "sub-batches re-sent to a ring successor after a failure")
 	m.diverts = f.reg.Counter("emfleet_diverts_total", "sub-batches diverted off a shed-penalized replica")
-	m.mirrored = f.reg.Counter("emfleet_mirrored_pairs_total", "pairs mirrored to a canary replica")
 	m.latency = f.reg.Log2Histogram("emfleet_latency_us", "fleet request latency in microseconds")
 	m.subLatency = f.reg.Log2Histogram("emfleet_sub_latency_us", "replica sub-request latency in microseconds")
 	m.sloBreaches = f.reg.Counter("emfleet_slo_breaches_total", "fleet SLO objectives entering BREACH")
@@ -353,7 +325,7 @@ func (f *Front) Ring() *Ring { return f.place.Load().ring }
 
 // AddReplica registers a replica under a stable ring name and rebuilds
 // the ring. The name is the placement identity: keep it stable across
-// process restarts and canary cutovers, or the keyspace reshuffles.
+// process restarts, or the keyspace reshuffles.
 func (f *Front) AddReplica(name, url string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -365,8 +337,7 @@ func (f *Front) AddReplica(name, url string) error {
 	if err != nil {
 		return err
 	}
-	r := &Replica{name: name}
-	r.url.Store(url)
+	r := &Replica{name: name, url: url}
 	r.breaker = route.NewBreaker(f.cfg.Breaker, f.clock)
 	suffix := name
 	r.sent = f.reg.Counter("emfleet_replica_"+suffix+"_sent_total", "sub-requests sent to "+name)
@@ -385,26 +356,6 @@ func (f *Front) AddReplica(name, url string) error {
 	return nil
 }
 
-// RemoveReplica drops a replica from the ring (planned removal — its
-// keys redistribute to the survivors).
-func (f *Front) RemoveReplica(name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	pl := f.place.Load()
-	if pl.replica(name) == nil {
-		return fmt.Errorf("fleet: unknown replica %q", name)
-	}
-	ring, err := pl.ring.Without(name)
-	if err != nil {
-		return err
-	}
-	f.place.Store(pl.rebuilt(ring, nil))
-	return nil
-}
-
-// Replica returns the named replica, or nil.
-func (f *Front) Replica(name string) *Replica { return f.place.Load().replica(name) }
-
 func (f *Front) healthyCount() int {
 	n := 0
 	for _, r := range f.place.Load().reps {
@@ -415,14 +366,11 @@ func (f *Front) healthyCount() int {
 	return n
 }
 
-// Close stops the probe loop and waits out any in-flight canary
-// mirrors (each bounded by mirrorTimeout). It does not touch the
-// replicas — the front never owns replica processes, only routes to
-// them.
+// Close stops the probe loop. It does not touch the replicas — the
+// front never owns replica processes, only routes to them.
 func (f *Front) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.wg.Wait()
-	f.mirrors.Wait()
 }
 
 // probeLoop periodically probes every replica and ticks the SLO engine.

@@ -34,7 +34,6 @@ type stubReplica struct {
 	block     chan struct{} // when non-nil, Match waits here first
 	delay     time.Duration // when non-zero, Match waits this long first
 	health    error
-	invert    bool // invert predictions (canary-mismatch scripting)
 	cost      float64
 	stats     serve.Stats
 	statsOK   bool
@@ -44,8 +43,7 @@ type stubReplica struct {
 }
 
 // stubPred is the deterministic prediction every honest stub computes:
-// parity of the first value's length. Both the incumbent and a
-// bit-identical canary derive it from the pair alone.
+// parity of the first value's length, derived from the pair alone.
 func stubPred(v wire.PairView) bool {
 	if len(v.Left) == 0 {
 		return false
@@ -124,14 +122,13 @@ func (t *stubTransport) Match(ctx context.Context, url string, body []byte) (int
 		r.mu.Unlock()
 		return s, nil, nil
 	}
-	invert := r.invert
 	cost := r.cost
 	r.mu.Unlock()
 
 	preds := make([]bool, len(req.Pairs))
 	cached := make([]bool, len(req.Pairs))
 	for i, v := range req.Pairs {
-		preds[i] = stubPred(v) != invert
+		preds[i] = stubPred(v)
 		cached[i] = true
 	}
 	var e snap.Enc
@@ -313,7 +310,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 		t.Fatal("no failovers recorded while a replica was down")
 	}
 	// The failures tripped r1's breaker (threshold 3) — it is ejected.
-	if got := f.Replica("r1").breaker.State(); got != route.Open {
+	if got := f.place.Load().replica("r1").breaker.State(); got != route.Open {
 		t.Fatalf("r1 breaker %v after sustained failures, want open", got)
 	}
 	// Ejected: new requests skip r1 entirely.
@@ -328,7 +325,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 	// Recovery is probe-owned: while cooling, ProbeAll does not probe;
 	// after the cooldown a healthy probe re-closes the breaker.
 	f.ProbeAll(context.Background())
-	if got := f.Replica("r1").breaker.State(); got != route.Open {
+	if got := f.place.Load().replica("r1").breaker.State(); got != route.Open {
 		t.Fatalf("breaker %v before cooldown, want open", got)
 	}
 	dead.mu.Lock()
@@ -337,7 +334,7 @@ func TestFrontFailoverServesThroughDeath(t *testing.T) {
 	dead.mu.Unlock()
 	vc.Sleep(3 * time.Second) // past the 2s fleet cooldown
 	f.ProbeAll(context.Background())
-	if got := f.Replica("r1").breaker.State(); got != route.Closed {
+	if got := f.place.Load().replica("r1").breaker.State(); got != route.Closed {
 		t.Fatalf("breaker %v after healthy probe, want closed", got)
 	}
 	// Re-admitted: r1 serves its keys again.
@@ -408,7 +405,7 @@ func TestFrontShedDownWeights(t *testing.T) {
 	if _, err := f.Submit(context.Background(), []record.Pair{p}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if f.Replica("r1").sheds.Load() != 1 {
+	if f.place.Load().replica("r1").sheds.Load() != 1 {
 		t.Fatal("shed not recorded")
 	}
 	// During the window the key diverts straight to r2 — r1 untouched.
@@ -505,9 +502,6 @@ func TestFrontDuplicateReplicaRejected(t *testing.T) {
 	f, _, _ := testFront(t, Config{}, "r1")
 	if err := f.AddReplica("r1", "stub://other"); err == nil {
 		t.Fatal("duplicate replica name accepted")
-	}
-	if err := f.RemoveReplica("nope"); err == nil {
-		t.Fatal("removing unknown replica succeeded")
 	}
 }
 

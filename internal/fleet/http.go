@@ -75,7 +75,6 @@ type StatsResponse struct {
 	UptimeSec     float64        `json:"uptime_sec"`
 	Fleet         FleetAggregate `json:"fleet"`
 	Replicas      []ReplicaStats `json:"replicas"`
-	Canary        *CanaryReport  `json:"canary,omitempty"`
 }
 
 // Stats builds the fleet snapshot, scraping every replica's /stats
@@ -89,7 +88,6 @@ func (f *Front) Stats(ctx context.Context) StatsResponse {
 		SchemaVersion: FleetStatsSchemaVersion,
 		Matcher:       f.cfg.MatcherName,
 		UptimeSec:     time.Since(f.started).Seconds(),
-		Canary:        f.Canary(),
 	}
 	agg := &out.Fleet
 	agg.Replicas = len(reps)

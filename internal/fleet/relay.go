@@ -191,9 +191,9 @@ func (f *Front) route(ctx context.Context, rs *relay, views []wire.PairView, dea
 	res.Preds, res.Cached = res.Preds[:n], res.Cached[:n]
 	for _, g := range rs.groups[1:] {
 		rs.wg.Add(1)
-		go f.runGroup(ctx, pl, g, views, res, &rs.wg)
+		go f.runGroup(ctx, pl, g, res, &rs.wg)
 	}
-	rs.groups[0].err = f.sendGroup(ctx, pl, rs.groups[0], views, res)
+	rs.groups[0].err = f.sendGroup(ctx, pl, rs.groups[0], res)
 	rs.wg.Wait()
 
 	// The first error in group order wins.
@@ -219,9 +219,9 @@ func (f *Front) route(ctx context.Context, rs *relay, views []wire.PairView, dea
 	return res, nil
 }
 
-func (f *Front) runGroup(ctx context.Context, pl *placement, g *group, views []wire.PairView, res *serve.MatchResult, wg *sync.WaitGroup) {
+func (f *Front) runGroup(ctx context.Context, pl *placement, g *group, res *serve.MatchResult, wg *sync.WaitGroup) {
 	defer wg.Done()
-	g.err = f.sendGroup(ctx, pl, g, views, res)
+	g.err = f.sendGroup(ctx, pl, g, res)
 }
 
 // split assigns every pair to a replica and appends its bytes to that
@@ -295,10 +295,8 @@ func (f *Front) choose(pl *placement, keyHash uint64, now time.Duration, rs *rel
 // successors on failure (failover), with a hedge racing any straggling
 // attempt. Every attempt's header carries the time left, and no attempt
 // is sent once none is. On success the predictions land in res at the
-// group's slots and, when a canary is active and the incumbent answered,
-// a deterministic sample of the group is mirrored for the bit-identity
-// check.
-func (f *Front) sendGroup(ctx context.Context, pl *placement, g *group, views []wire.PairView, res *serve.MatchResult) error {
+// group's slots.
+func (f *Front) sendGroup(ctx context.Context, pl *placement, g *group, res *serve.MatchResult) error {
 	// Candidate chain: the chosen replica, then every other member in
 	// ring order from the group's first key. The chosen replica may
 	// itself be a successor (divert/ejection), so dedupe against it.
@@ -347,7 +345,6 @@ func (f *Front) sendGroup(ctx context.Context, pl *placement, g *group, views []
 			res.Cached[slot] = wr.Cached[j]
 		}
 		g.cost, g.tokens = wr.CostUSD, wr.Tokens
-		f.mirror(g, r.from, wr.Preds, views)
 		respPool.Put(wr)
 		return nil
 	}

@@ -18,21 +18,16 @@
 //     encoded bytes into its owner's pooled sub-frame (relay.go).
 //
 //   - Bounded movement. Virtual nodes spread each replica over the ring;
-//     when a replica joins or leaves, only the keys in its arcs move
-//     (~K/N of them), everything else stays put — a replica death warms
-//     the successors' caches instead of flushing the fleet's.
+//     adding or dropping a member moves only the keys in its arcs (~K/N
+//     of them), everything else stays put. Membership is fixed once the
+//     front serves: a dead replica's keys fail over to its ring
+//     successors, warming their caches instead of flushing the fleet's.
 //
 //   - Graceful degradation. Replica health is probed (/healthz) and
 //     circuit-broken (internal/route.Breaker); ejected replicas are
 //     walked over in ring order, 429/503 shed signals temporarily
 //     down-weight a replica, and requests that straggle past the rolling
 //     p99 estimate are hedged to the next replica on the ring.
-//
-//   - Safe upgrades. A canary replica boots from a new snapshot
-//     (internal/snap.PickCanary), a deterministic sample of live traffic
-//     is mirrored to it, and cutover requires bit-identical predictions
-//     against the incumbent on that sample before the old replica is
-//     drained and retired.
 package fleet
 
 import (
@@ -189,43 +184,4 @@ func (r *Ring) Successors(keyHash uint64, dst []string) []string {
 // With returns a new ring with member added.
 func (r *Ring) With(member string) (*Ring, error) {
 	return NewRing(r.vnodes, append(append([]string(nil), r.members...), member)...)
-}
-
-// Without returns a new ring with member removed. Removing an absent
-// member is a no-op copy.
-func (r *Ring) Without(member string) (*Ring, error) {
-	keep := make([]string, 0, len(r.members))
-	for _, m := range r.members {
-		if m != member {
-			keep = append(keep, m)
-		}
-	}
-	return NewRing(r.vnodes, keep...)
-}
-
-// LoadCounts assigns every key hash to its owner and returns the count
-// per member — the placement statistic behind the balance and rebalance
-// tests.
-func (r *Ring) LoadCounts(keyHashes []uint64) map[string]int {
-	counts := make(map[string]int, len(r.members))
-	for _, m := range r.members {
-		counts[m] = 0
-	}
-	for _, kh := range keyHashes {
-		counts[r.Owner(kh)]++
-	}
-	return counts
-}
-
-// Moved counts how many keys change owner between two rings — the
-// bounded-movement guarantee consistent hashing exists for. Exposed for
-// the rebalance tests and the emfleet -smoke report.
-func Moved(a, b *Ring, keyHashes []uint64) int {
-	moved := 0
-	for _, kh := range keyHashes {
-		if a.Owner(kh) != b.Owner(kh) {
-			moved++
-		}
-	}
-	return moved
 }

@@ -3,7 +3,6 @@ package matchers
 import (
 	"testing"
 
-	"repro/internal/datasets"
 	"repro/internal/record"
 	"repro/internal/stats"
 )
@@ -16,8 +15,8 @@ import (
 func TestPredictConfidenceMatchesPredict(t *testing.T) {
 	task, _ := miniTask(t, "ABT", 120)
 	transfer := []*record.Dataset{
-		datasets.MustGenerate("BEER", 42),
-		datasets.MustGenerate("FOZA", 42),
+		benchmarkDataset("BEER"),
+		benchmarkDataset("FOZA"),
 	}
 	ms := []Matcher{
 		NewStringSim(),

@@ -1,6 +1,7 @@
 package matchers
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/datasets"
@@ -9,11 +10,27 @@ import (
 	"repro/internal/stats"
 )
 
+// benchmarkPool returns the 11 benchmark datasets (seed 42), generated
+// once per test binary instead of once per test. Tests read the datasets
+// and never modify them; one that narrows a dataset copies it first
+// (smallTransfer).
+var benchmarkPool = sync.OnceValue(func() []*record.Dataset { return datasets.GenerateAll(42) })
+
+// benchmarkDataset returns the named dataset of benchmarkPool.
+func benchmarkDataset(name string) *record.Dataset {
+	for _, d := range benchmarkPool() {
+		if d.Name == name {
+			return d
+		}
+	}
+	panic("matchers test: unknown dataset " + name)
+}
+
 // miniTask builds a small task from a benchmark dataset: the first n test
 // pairs with labels.
 func miniTask(t *testing.T, name string, n int) (Task, []bool) {
 	t.Helper()
-	d := datasets.MustGenerate(name, 42)
+	d := benchmarkDataset(name)
 	if n > len(d.Pairs) {
 		n = len(d.Pairs)
 	}
@@ -50,7 +67,7 @@ func accuracy(preds []bool, labels []bool) float64 {
 
 func transferFor(name string) []*record.Dataset {
 	var out []*record.Dataset
-	for _, d := range datasets.GenerateAll(42) {
+	for _, d := range benchmarkPool() {
 		if d.Name != name {
 			out = append(out, d)
 		}

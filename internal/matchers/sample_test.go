@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/record"
 	"repro/internal/stats"
 )
 
@@ -15,14 +14,8 @@ import (
 // the pool: the same pairs in the same order, with the generator left in
 // the same state.
 func TestSampleTransferMatchesPool(t *testing.T) {
-	all := datasets.GenerateAll(42)
 	for _, target := range datasets.Names() {
-		var transfer []*record.Dataset
-		for _, d := range all {
-			if d.Name != target {
-				transfer = append(transfer, d)
-			}
-		}
+		transfer := transferFor(target)
 		check := func(seed uint64, n int) {
 			ra, rb := stats.NewRNG(seed), stats.NewRNG(seed)
 			want := samplePairs(collectTransfer(transfer), n, ra)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/datasets"
 	"repro/internal/lm"
 	"repro/internal/record"
 	"repro/internal/snap"
@@ -17,7 +16,7 @@ import (
 // keep the 14-configuration round-trip test fast.
 func smallTransfer(target string, cap int) []*record.Dataset {
 	var out []*record.Dataset
-	for _, d := range datasets.GenerateAll(42) {
+	for _, d := range benchmarkPool() {
 		if d.Name == target {
 			continue
 		}

@@ -1,6 +1,10 @@
 package route
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/backend"
+)
 
 // RetryConfig parameterizes per-tier retries of retryable errors
 // (backend.Retryable): exponential backoff with deterministic jitter.
@@ -42,25 +46,10 @@ func (c RetryConfig) Backoff(attempt int, h uint64) time.Duration {
 	if d <= 0 || d > c.MaxBackoff {
 		d = c.MaxBackoff
 	}
-	f := 1 + c.Jitter*(2*draw(h, saltBackoff)-1)
+	f := 1 + c.Jitter*(2*backend.Draw(h, saltBackoff)-1)
 	return time.Duration(float64(d) * f)
 }
 
 // saltBackoff separates the backoff jitter draw from the backend
 // package's outcome draws.
 const saltBackoff = 0x6b8e4c5f2d913a77
-
-// mix is the SplitMix64 finalizer (same construction as
-// internal/backend): full-avalanche, so consecutive attempt numbers
-// yield independent-looking jitter.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// draw maps (hash, salt) to a uniform float64 in [0,1).
-func draw(h, salt uint64) float64 {
-	return float64(mix(h^salt)>>11) / (1 << 53)
-}

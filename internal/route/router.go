@@ -227,7 +227,7 @@ func (r *Router) RoutePairs(task matchers.Task, dst []Outcome) []Outcome {
 // backend.Sim's call hash, so determinism holds across layers.
 func pairHash(p record.Pair, opts record.SerializeOptions) uint64 {
 	h := textsim.TokenHash(record.SerializeRecord(p.Left, opts))
-	return mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Right, opts)))
+	return backend.Mix(h ^ textsim.TokenHash(record.SerializeRecord(p.Right, opts)))
 }
 
 // routePair walks one pair up the cascade.
@@ -318,7 +318,7 @@ func (r *Router) callTier(t *tier, sub matchers.Task, ph uint64, start time.Dura
 		if attempt >= r.cfg.Retry.MaxAttempts {
 			break
 		}
-		backoff := r.cfg.Retry.Backoff(attempt, mix(ph^t.nameHash^uint64(attempt)))
+		backoff := r.cfg.Retry.Backoff(attempt, backend.Mix(ph^t.nameHash^uint64(attempt)))
 		if r.cfg.Deadline > 0 && r.clock.Now()-start+backoff > r.cfg.Deadline {
 			lastErr = fmt.Errorf("%w after %d attempts: %v", backend.ErrDeadline, attempt, err)
 			break

@@ -329,23 +329,18 @@ func (s *Server) worker() {
 }
 
 // coalesce greedily drains queued requests into first's micro-batch until
-// MaxBatch pairs are gathered, the queue empties (after an optional
-// BatchWait grace for stragglers), or the queue closes. Request-batch
-// matchers never coalesce: each request is its own batch by definition,
-// and spreading requests across workers beats serialising them on one.
+// MaxBatch pairs are gathered, the queue empties, or the queue closes; it
+// never waits for stragglers, so light traffic gets immediate single-pair
+// latency and heavy traffic fills batches from the queue alone.
+// Request-batch matchers never coalesce: each request is its own batch by
+// definition, and spreading requests across workers beats serialising
+// them on one.
 func (s *Server) coalesce(first *request) []*request {
 	batch := []*request{first}
 	if s.semantics == SemRequestBatch || s.cfg.MaxBatch <= 1 {
 		return batch
 	}
-	n := len(first.pairs)
-	var grace <-chan time.Time
-	if s.cfg.BatchWait > 0 {
-		t := time.NewTimer(s.cfg.BatchWait)
-		defer t.Stop()
-		grace = t.C
-	}
-	for n < s.cfg.MaxBatch {
+	for n := len(first.pairs); n < s.cfg.MaxBatch; {
 		select {
 		case r, ok := <-s.queue:
 			if !ok {
@@ -354,19 +349,7 @@ func (s *Server) coalesce(first *request) []*request {
 			batch = append(batch, r)
 			n += len(r.pairs)
 		default:
-			if grace == nil {
-				return batch
-			}
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-				n += len(r.pairs)
-			case <-grace:
-				return batch
-			}
+			return batch
 		}
 	}
 	return batch

@@ -130,11 +130,6 @@ type Config struct {
 	// MaxBatch bounds how many pairs a worker coalesces into one matcher
 	// invocation; <=0 defaults to 64.
 	MaxBatch int
-	// BatchWait is how long a worker holding a non-full batch waits for
-	// stragglers before scoring. Zero (the default) never waits: light
-	// traffic gets immediate single-pair latency, heavy traffic fills
-	// batches from the queue alone.
-	BatchWait time.Duration
 	// QueueDepth bounds the admission queue in requests; <=0 defaults to
 	// 1024. A full queue sheds load with 429.
 	QueueDepth int

@@ -104,14 +104,15 @@ type Config struct {
 	// window edges snap to it. 0 means 1s. Callers tick at least this
 	// often (the serve loop derives its tick from the shortest window).
 	Resolution time.Duration
-	// WarnFraction is the long-window burn at which an otherwise-OK
-	// objective turns WARN. 0 means 0.85.
-	WarnFraction float64
 }
 
 // maxBurn caps reported burn rates so a burst far past a tight limit
 // reads as a bounded number.
 const maxBurn = 1e6
+
+// warnFraction is the long-window burn at which an otherwise-OK
+// objective turns WARN.
+const warnFraction = 0.85
 
 // sample is one cumulative observation: scalar readings a/b for
 // ratio/cost objectives, a bucket-count snapshot for latency ones.
@@ -146,9 +147,8 @@ type objective struct {
 // a valid disabled engine: Tick and Snapshot return nil, Worst returns
 // OK — serving pays nothing when no SLOs are configured.
 type Engine struct {
-	clock    clock.Clock
-	res      time.Duration
-	warnFrac float64
+	clock clock.Clock
+	res   time.Duration
 
 	mu      sync.Mutex
 	objs    []*objective
@@ -167,10 +167,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = time.Second
 	}
-	if cfg.WarnFraction <= 0 {
-		cfg.WarnFraction = 0.85
-	}
-	return &Engine{clock: cfg.Clock, res: cfg.Resolution, warnFrac: cfg.WarnFraction}
+	return &Engine{clock: cfg.Clock, res: cfg.Resolution}
 }
 
 // Resolution returns the engine's sample spacing.
@@ -306,7 +303,7 @@ func (e *Engine) evaluate(o *objective, now time.Duration) Status {
 	switch {
 	case bLong >= 1 && bShort >= 1:
 		state = Breach
-	case bShort >= 1 || bLong >= e.warnFrac:
+	case bShort >= 1 || bLong >= warnFraction:
 		state = Warn
 	}
 	return Status{

@@ -187,16 +187,7 @@ func (s *Store) Save(key Key, matcherName string, snap Snapshotter) (string, err
 // failure surfaces as the codec's typed error.
 func (s *Store) Load(key Key, snap Snapshotter) (Meta, error) {
 	start := time.Now()
-	meta, err := s.LoadHash(key.Hash(), snap)
-	if err != nil {
-		return meta, err
-	}
-	s.loadUS.ObserveSince(start)
-	return meta, nil
-}
-
-// LoadHash restores the artifact with the given hash into snap.
-func (s *Store) LoadHash(hash string, snap Snapshotter) (Meta, error) {
+	hash := key.Hash()
 	f, err := os.Open(s.objectPath(hash))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -211,6 +202,7 @@ func (s *Store) LoadHash(hash string, snap Snapshotter) (Meta, error) {
 		return Meta{}, fmt.Errorf("snap: loading %s: %w", hash, err)
 	}
 	s.hits.Inc()
+	s.loadUS.ObserveSince(start)
 	return meta, nil
 }
 

@@ -169,7 +169,7 @@ func TestStoreRefsAndGC(t *testing.T) {
 		t.Fatal("GC removed the wrong artifact")
 	}
 	// The referenced artifact still loads.
-	if _, err := st.LoadHash(keepHash, &fakeState{}); err != nil {
+	if _, err := st.Load(keep, &fakeState{}); err != nil {
 		t.Fatal(err)
 	}
 }
