@@ -64,12 +64,25 @@ func benchQuality(b *testing.B) *core.QualityResults {
 
 // --- Table 1 -----------------------------------------------------------
 
+// BenchmarkTable1DatasetGeneration regenerates all 11 benchmarks, as every
+// harness does at start-up: once on every core (GenerateAll) and once on a
+// single worker, whose B/op and allocs/op are the generator's own.
 func BenchmarkTable1DatasetGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ds := datasets.GenerateAll(eval.DatasetSeed)
-		if len(ds) != 11 {
-			b.Fatal("wrong dataset count")
-		}
+	for _, c := range []struct {
+		name string
+		gen  func() []*record.Dataset
+	}{
+		{"all-cores", func() []*record.Dataset { return datasets.GenerateAll(eval.DatasetSeed) }},
+		{"workers=1", func() []*record.Dataset { return datasets.GenerateAllParallel(eval.DatasetSeed, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ds := c.gen(); len(ds) != 11 {
+					b.Fatal("wrong dataset count")
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package datasets
 
 import (
+	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
@@ -60,6 +62,20 @@ var abbrevMap = map[string][]string{
 	"corporation":    {"corp"},
 }
 
+// abbrevPhrases lists the multi-word abbrevMap keys in sorted order. The
+// phrase pass walks this slice rather than the map, so its draws never
+// follow Go's random map iteration order.
+var abbrevPhrases = func() []string {
+	var out []string
+	for canon := range abbrevMap {
+		if strings.Contains(canon, " ") {
+			out = append(out, canon)
+		}
+	}
+	sort.Strings(out)
+	return out
+}()
+
 // CorruptionProfile controls how aggressively a dataset's second "view" of
 // an entity diverges from the first. Each rate is a per-opportunity
 // probability; the profile is the dataset's difficulty dial.
@@ -103,19 +119,33 @@ func corruptValue(v string, prof CorruptionProfile, rng *stats.RNG) string {
 		return v
 	}
 
-	toks := strings.Fields(v)
+	var buf [32]string
+	toks := appendFields(buf[:0], v)
+	// joined is v with its whitespace normalised to single spaces. Most
+	// values already are, and then joined is v itself; while no operator
+	// edits a token, joined is also the result.
+	joined := v
+	if !spaceJoined(v, toks) {
+		joined = strings.Join(toks, " ")
+	}
+	edited := false
 
 	// Abbreviation pass operates on multi-word phrases first, then tokens.
-	joined := strings.Join(toks, " ")
-	for canon, abbrs := range abbrevMap {
-		if strings.Contains(canon, " ") && strings.Contains(joined, canon) && rng.Bool(prof.Abbreviate) {
+	// The value is re-tokenised only when a phrase was replaced.
+	for _, canon := range abbrevPhrases {
+		if strings.Contains(joined, canon) && rng.Bool(prof.Abbreviate) {
+			abbrs := abbrevMap[canon]
 			joined = strings.Replace(joined, canon, abbrs[rng.Intn(len(abbrs))], 1)
+			edited = true
 		}
 	}
-	toks = strings.Fields(joined)
+	if edited {
+		toks = appendFields(toks[:0], joined)
+	}
 	for i, t := range toks {
 		if abbrs, ok := abbrevMap[t]; ok && rng.Bool(prof.Abbreviate) {
 			toks[i] = abbrs[rng.Intn(len(abbrs))]
+			edited = true
 		}
 	}
 
@@ -123,12 +153,14 @@ func corruptValue(v string, prof CorruptionProfile, rng *stats.RNG) string {
 	if len(toks) > 1 && rng.Bool(prof.DropToken) {
 		i := rng.Intn(len(toks))
 		toks = append(toks[:i], toks[i+1:]...)
+		edited = true
 	}
 
 	// Typos.
 	for i := range toks {
 		if rng.Bool(prof.Typo) {
 			toks[i] = applyTypo(toks[i], rng)
+			edited = true
 		}
 	}
 
@@ -136,12 +168,14 @@ func corruptValue(v string, prof CorruptionProfile, rng *stats.RNG) string {
 	for i := range toks {
 		if rng.Bool(prof.CaseFlip) {
 			toks[i] = strings.ToUpper(toks[i])
+			edited = true
 		}
 	}
 
 	// Reorder.
 	if len(toks) > 2 && rng.Bool(prof.Reorder) {
 		rng.Shuffle(len(toks), func(a, b int) { toks[a], toks[b] = toks[b], toks[a] })
+		edited = true
 	}
 
 	// Marketing noise.
@@ -153,14 +187,69 @@ func corruptValue(v string, prof CorruptionProfile, rng *stats.RNG) string {
 		for k := 0; k < n; k++ {
 			toks = append(toks, marketingFiller[rng.Intn(len(marketingFiller))])
 		}
+		edited = true
 	}
 
 	// Truncation of long values.
 	if len(toks) > 6 && rng.Bool(prof.Truncate) {
 		toks = toks[:4+rng.Intn(3)]
+		edited = true
 	}
 
+	if !edited {
+		return joined
+	}
 	return strings.Join(toks, " ")
+}
+
+// appendFields appends the fields of v, split exactly as strings.Fields
+// splits them, to dst. ASCII values are split in place, so a caller's stack
+// buffer holds the tokens of a typical value without a heap slice.
+func appendFields(dst []string, v string) []string {
+	n0, start := len(dst), -1
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:n0], strings.Fields(v)...)
+		}
+		space := c <= ' ' && (c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r')
+		if space && start >= 0 {
+			dst = append(dst, v[start:i])
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, v[start:])
+	}
+	return dst
+}
+
+// spaceJoined reports whether v is exactly its fields joined by single
+// spaces, that is whether strings.Join(toks, " ") would equal v.
+func spaceJoined(v string, toks []string) bool {
+	if len(toks) == 0 {
+		return v == ""
+	}
+	n := len(toks) - 1
+	for _, t := range toks {
+		n += len(t)
+	}
+	if n != len(v) {
+		return false
+	}
+	pos := 0
+	for i, t := range toks {
+		if i > 0 {
+			if v[pos] != ' ' {
+				return false
+			}
+			pos++
+		}
+		pos += len(t)
+	}
+	return true
 }
 
 // applyTypo performs one random character edit (swap, delete or duplicate).
@@ -193,7 +282,7 @@ func applyTypo(tok string, rng *stats.RNG) string {
 // year, phone, rating).
 func isNumericValue(v string) bool {
 	digits, others := 0, 0
-	for _, r := range v {
+	for i, r := range v {
 		switch {
 		case r >= '0' && r <= '9':
 			digits++
@@ -201,6 +290,11 @@ func isNumericValue(v string) bool {
 			// separators common in numeric fields
 		default:
 			others++
+			// Each byte left adds at most one digit: once the digits
+			// cannot catch up, the answer is known.
+			if others > digits+len(v)-i-1 {
+				return false
+			}
 		}
 	}
 	return digits > 0 && digits >= others

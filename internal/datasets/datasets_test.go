@@ -251,7 +251,7 @@ func min(a, b int) int {
 }
 
 func TestGenerateAllParallelMatchesSequential(t *testing.T) {
-	seq := GenerateAll(7)
+	seq := GenerateAllParallel(7, 1)
 	par := GenerateAllParallel(7, 4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel dataset generation differs from sequential")

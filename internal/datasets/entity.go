@@ -1,7 +1,7 @@
 package datasets
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/record"
@@ -54,19 +54,30 @@ type spec struct {
 
 	// rightStyle optionally reformats canonical values for the right
 	// source (author initials, phone punctuation, ...) before corruption.
-	rightStyle func(vals entity, rng *stats.RNG) entity
+	// vals is the view's own copy, so it is rewritten in place.
+	rightStyle func(vals entity, rng *stats.RNG)
 }
 
 func pick(rng *stats.RNG, pool []string) string {
 	return pool[rng.Intn(len(pool))]
 }
 
-// pickN draws n distinct entries from pool.
+// pickN draws n distinct entries from pool: the entries that
+// rng.Sample(len(pool), n) would index, with the same draws. The
+// permutation is built in a stack scratch slice instead of a fresh one
+// per pick.
 func pickN(rng *stats.RNG, pool []string, n int) []string {
-	idx := rng.Sample(len(pool), n)
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = pool[j]
+	var scratch [128]int
+	var perm []int
+	if len(pool) <= len(scratch) {
+		perm = scratch[:len(pool)]
+	} else {
+		perm = make([]int, len(pool))
+	}
+	rng.PermInto(perm)
+	out := make([]string, min(n, len(pool)))
+	for i := range out {
+		out[i] = pool[perm[i]]
 	}
 	return out
 }
@@ -75,13 +86,27 @@ func clone(e entity) entity {
 	return append(entity(nil), e...)
 }
 
+// appendPadded appends the non-negative n in decimal, zero-padded to
+// width digits (fmt's %0*d).
+func appendPadded(b []byte, n, width int) []byte {
+	for d := 1; width > 1; width-- {
+		d *= 10
+		if n < d {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(n), 10)
+}
+
 // modelNumber builds a discriminative alphanumeric identifier that encodes
 // the entity serial, guaranteeing uniqueness.
 func modelNumber(rng *stats.RNG, serial int) string {
 	letters := "abcdefghjkmnpqrstuvwx"
 	l1 := letters[rng.Intn(len(letters))]
 	l2 := letters[rng.Intn(len(letters))]
-	return fmt.Sprintf("%c%c-%d%02d", l1, l2, serial%997, rng.Intn(100))
+	var buf [24]byte
+	b := strconv.AppendInt(append(buf[:0], l1, l2, '-'), int64(serial%997), 10)
+	return string(appendPadded(b, rng.Intn(100), 2))
 }
 
 func personName(rng *stats.RNG) string {
@@ -90,27 +115,36 @@ func personName(rng *stats.RNG) string {
 
 // authorList renders n full author names joined with "and".
 func authorList(rng *stats.RNG, n int) string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = personName(rng)
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(" and ")
+		}
+		b.WriteString(pick(rng, firstNames))
+		b.WriteByte(' ')
+		b.WriteString(pick(rng, lastNames))
 	}
-	return strings.Join(names, " and ")
+	return b.String()
 }
 
 // initialsStyle rewrites "john smith and mei chen" as "j. smith, m. chen",
 // the classic DBLP-vs-ACM author formatting difference.
 func initialsStyle(authors string) string {
-	parts := strings.Split(authors, " and ")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+	var b strings.Builder
+	for i, p := range strings.Split(authors, " and ") {
+		if i > 0 {
+			b.WriteString(", ")
+		}
 		words := strings.Fields(p)
 		if len(words) < 2 {
-			out = append(out, p)
+			b.WriteString(p)
 			continue
 		}
-		out = append(out, fmt.Sprintf("%c. %s", words[0][0], words[len(words)-1]))
+		b.WriteRune(rune(words[0][0]))
+		b.WriteString(". ")
+		b.WriteString(words[len(words)-1])
 	}
-	return strings.Join(out, ", ")
+	return b.String()
 }
 
 func titleWords(rng *stats.RNG, n int) string {
@@ -118,7 +152,9 @@ func titleWords(rng *stats.RNG, n int) string {
 }
 
 func phoneNumber(rng *stats.RNG, serial int) string {
-	return fmt.Sprintf("%03d-555-%04d", 200+serial%700, rng.Intn(10000))
+	var buf [24]byte
+	b := append(appendPadded(buf[:0], 200+serial%700, 3), "-555-"...)
+	return string(appendPadded(b, rng.Intn(10000), 4))
 }
 
 // rewritePhone renders a phone number in the alternative punctuation style.
@@ -127,24 +163,35 @@ func rewritePhone(p string) string {
 	if len(parts) != 3 {
 		return p
 	}
-	return fmt.Sprintf("(%s) %s-%s", parts[0], parts[1], parts[2])
+	return "(" + parts[0] + ") " + parts[1] + "-" + parts[2]
 }
 
 func price(rng *stats.RNG, lo, hi float64) string {
 	v := lo + rng.Float64()*(hi-lo)
-	return fmt.Sprintf("$%.2f", v)
+	var buf [24]byte
+	return string(strconv.AppendFloat(append(buf[:0], '$'), v, 'f', 2, 64))
 }
 
 func year(rng *stats.RNG, lo, hi int) string {
-	return fmt.Sprintf("%d", lo+rng.Intn(hi-lo+1))
+	return strconv.Itoa(lo + rng.Intn(hi-lo+1))
+}
+
+// streetAddress draws "<number> <street> <kind>", the restaurant address.
+func streetAddress(rng *stats.RNG) string {
+	return strconv.Itoa(100+rng.Intn(9900)) + " " + pick(rng, streetNames) + " " + pick(rng, streetKinds)
 }
 
 // descriptionFor builds a product description from the title plus category
 // and filler text; length controls noise mass.
 func descriptionFor(title string, rng *stats.RNG, filler int) string {
-	parts := []string{title, pick(rng, webProductCategories)}
+	var b strings.Builder
+	b.Grow(len(title) + 12*(filler+1)) // room for the category and filler in the common case
+	b.WriteString(title)
+	b.WriteByte(' ')
+	b.WriteString(pick(rng, webProductCategories))
 	for i := 0; i < filler; i++ {
-		parts = append(parts, marketingFiller[rng.Intn(len(marketingFiller))])
+		b.WriteByte(' ')
+		b.WriteString(marketingFiller[rng.Intn(len(marketingFiller))])
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }

@@ -3,6 +3,7 @@ package datasets
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/par"
 	"repro/internal/record"
@@ -67,23 +68,42 @@ func MustGenerate(name string, seed uint64) *record.Dataset {
 }
 
 // GenerateAll builds all 11 benchmark datasets with the given seed, in
-// Table 1 order.
+// Table 1 order, on one worker per CPU.
 func GenerateAll(seed uint64) []*record.Dataset {
-	return GenerateAllParallel(seed, 1)
+	return GenerateAllParallel(seed, par.Workers(0))
 }
 
 // GenerateAllParallel builds all benchmark datasets across the given
 // number of workers. Every dataset derives from its own seeded RNG stream
-// ("dataset:"+name), so the output is identical at any worker count; the
-// slice still comes back in Table 1 order.
+// ("dataset:"+name), so the output is identical at any worker count. The
+// datasets are handed out largest first, so the biggest one (DBGO, a third
+// of all pairs) never starts last; each result still lands in its Table 1
+// slot.
 func GenerateAllParallel(seed uint64, workers int) []*record.Dataset {
 	specs := allSpecs()
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return specs[order[a]].pos+specs[order[a]].neg > specs[order[b]].pos+specs[order[b]].neg
+	})
 	out := make([]*record.Dataset, len(specs))
-	_ = par.Do(len(specs), workers, func(i int) error {
+	_ = par.Do(len(specs), workers, func(k int) error {
+		i := order[k]
 		out[i] = generate(specs[i], seed)
 		return nil
 	})
 	return out
+}
+
+// splitInt derives rng's child stream for the label prefix followed by n
+// in decimal. The label is built in a stack buffer: one is derived per
+// entity and per record view, and formatting them through fmt cost more
+// than the derivation itself.
+func splitInt(rng *stats.RNG, prefix string, n int) *stats.RNG {
+	var buf [32]byte
+	return rng.Split(string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)))
 }
 
 // generate assembles the labeled pair set for one spec.
@@ -103,16 +123,15 @@ func generate(s *spec, seed uint64) *record.Dataset {
 	serial := 0
 	nextEntity := func() entity {
 		serial++
-		return s.gen(rng.Split(fmt.Sprintf("e%d", serial)), serial)
+		return s.gen(splitInt(rng, "e", serial), serial)
 	}
 
 	view := func(e entity, side string, prof CorruptionProfile, idx int) record.Record {
-		vrng := rng.Split(fmt.Sprintf("view:%s:%d", side, idx))
-		vals := clone(e)
+		vrng := splitInt(rng, "view:"+side+":", idx)
+		vals := clone(e) // this view's own copy, styled and corrupted in place
 		if side == "r" && s.rightStyle != nil {
-			vals = s.rightStyle(vals, vrng)
+			s.rightStyle(vals, vrng)
 		}
-		out := make([]string, len(vals))
 		for i, v := range vals {
 			p := prof
 			if i == 0 {
@@ -120,9 +139,10 @@ func generate(s *spec, seed uint64) *record.Dataset {
 				// the benchmarks: a record always identifies its entity.
 				p.MissingValue = 0
 			}
-			out[i] = corruptValue(v, p, vrng)
+			vals[i] = corruptValue(v, p, vrng)
 		}
-		return record.Record{ID: fmt.Sprintf("%s-%s%d", s.name, side, idx), Values: out}
+		id := append(append([]byte(s.name), '-'), side...)
+		return record.Record{ID: string(strconv.AppendInt(id, int64(idx), 10)), Values: vals}
 	}
 
 	// Positives: two views of the same entity.
@@ -178,8 +198,9 @@ func generate(s *spec, seed uint64) *record.Dataset {
 // fresh randomness in the (rare) event the mutation reproduces the source
 // entity verbatim — which would silently create a mislabeled negative.
 func mutateDistinct(s *spec, left entity, rng *stats.RNG, i, serial int) entity {
+	prefix := "mut" + strconv.Itoa(i) + "."
 	for attempt := 0; ; attempt++ {
-		right := s.mutate(left, rng.Split(fmt.Sprintf("mut%d.%d", i, attempt)), serial+attempt)
+		right := s.mutate(left, splitInt(rng, prefix, attempt), serial+attempt)
 		if !sameEntity(left, right) || attempt >= 8 {
 			return right
 		}

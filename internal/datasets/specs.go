@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/record"
@@ -42,10 +43,8 @@ func specABT() *spec {
 		// The two shops write independent marketing copy about the same
 		// product: the right view regenerates the description from the
 		// title. This is what defeats whole-record similarity on Abt-Buy.
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
-			out[1] = descriptionFor(out[0], rng, 9)
-			return out
+		rightStyle: func(vals entity, rng *stats.RNG) {
+			vals[1] = descriptionFor(vals[0], rng, 9)
 		},
 	}
 }
@@ -79,10 +78,8 @@ func specWDC() *spec {
 			m[1] = descriptionFor(m[0], rng, 11)
 			return m
 		},
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
-			out[1] = descriptionFor(out[0], rng, 11)
-			return out
+		rightStyle: func(vals entity, rng *stats.RNG) {
+			vals[1] = descriptionFor(vals[0], rng, 11)
 		},
 	}
 }
@@ -103,20 +100,18 @@ func specDBAC() *spec {
 		relatedNegRatio: 0.60,
 		sharedOnRelated: []int{2, 3}, // venue, year
 		gen: func(rng *stats.RNG, serial int) entity {
-			title := titleWords(rng, 5+rng.Intn(4)) + " " + fmt.Sprintf("p%d", serial)
+			title := titleWords(rng, 5+rng.Intn(4)) + " p" + strconv.Itoa(serial)
 			return entity{title, authorList(rng, 2+rng.Intn(3)), pick(rng, venues), year(rng, 1995, 2005)}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
 			m := clone(e)
 			// Same venue and overlapping topic words, different paper.
-			m[0] = titleWords(rng, 5+rng.Intn(4)) + " " + fmt.Sprintf("p%dx", serial)
+			m[0] = titleWords(rng, 5+rng.Intn(4)) + " p" + strconv.Itoa(serial) + "x"
 			m[1] = authorList(rng, 2+rng.Intn(3))
 			return m
 		},
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
-			out[1] = initialsStyle(out[1])
-			return out
+		rightStyle: func(vals entity, rng *stats.RNG) {
+			vals[1] = initialsStyle(vals[1])
 		},
 	}
 }
@@ -137,7 +132,7 @@ func specDBGO() *spec {
 		relatedNegRatio: 0.55,
 		sharedOnRelated: []int{1, 2, 3}, // authors, venue, year — same research group
 		gen: func(rng *stats.RNG, serial int) entity {
-			title := titleWords(rng, 5+rng.Intn(5)) + " " + fmt.Sprintf("p%d", serial)
+			title := titleWords(rng, 5+rng.Intn(5)) + " p" + strconv.Itoa(serial)
 			return entity{title, authorList(rng, 1+rng.Intn(4)), pick(rng, venues), year(rng, 1992, 2008)}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
@@ -146,23 +141,21 @@ func specDBGO() *spec {
 			case 0:
 				// Follow-up paper by the same authors: overlapping topic
 				// words, different paper, different venue and year.
-				m[0] = titleWords(rng, 5+rng.Intn(5)) + " extended " + fmt.Sprintf("p%dx", serial)
+				m[0] = titleWords(rng, 5+rng.Intn(5)) + " extended p" + strconv.Itoa(serial) + "x"
 				m[2] = pick(rng, venues)
 				m[3] = year(rng, 1992, 2008)
 			case 1:
-				m[0] = titleWords(rng, 5+rng.Intn(5)) + " " + fmt.Sprintf("p%dx", serial)
+				m[0] = titleWords(rng, 5+rng.Intn(5)) + " p" + strconv.Itoa(serial) + "x"
 			default:
 				m[1] = authorList(rng, 1+rng.Intn(4))
-				m[0] = titleWords(rng, 5+rng.Intn(5)) + " " + fmt.Sprintf("p%dx", serial)
+				m[0] = titleWords(rng, 5+rng.Intn(5)) + " p" + strconv.Itoa(serial) + "x"
 			}
 			return m
 		},
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
+		rightStyle: func(vals entity, rng *stats.RNG) {
 			if rng.Bool(0.6) {
-				out[1] = initialsStyle(out[1])
+				vals[1] = initialsStyle(vals[1])
 			}
-			return out
 		},
 	}
 }
@@ -186,23 +179,21 @@ func specFOZA() *spec {
 		sharedOnRelated: []int{2, 4, 5}, // city, type, class
 		gen: func(rng *stats.RNG, serial int) entity {
 			name := pick(rng, restaurantNames1) + " " + pick(rng, restaurantNames2)
-			addr := fmt.Sprintf("%d %s %s", 100+rng.Intn(9900), pick(rng, streetNames), pick(rng, streetKinds))
+			addr := streetAddress(rng)
 			return entity{name, addr, pick(rng, cities), phoneNumber(rng, serial), pick(rng, cuisines), "$" + strings.Repeat("$", rng.Intn(3))}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
 			m := clone(e)
 			// A different branch: same name, different address and phone.
-			m[1] = fmt.Sprintf("%d %s %s", 100+rng.Intn(9900), pick(rng, streetNames), pick(rng, streetKinds))
+			m[1] = streetAddress(rng)
 			m[3] = phoneNumber(rng, serial+613)
 			if rng.Bool(0.5) {
 				m[2] = pick(rng, cities)
 			}
 			return m
 		},
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
-			out[3] = rewritePhone(out[3])
-			return out
+		rightStyle: func(vals entity, rng *stats.RNG) {
+			vals[3] = rewritePhone(vals[3])
 		},
 	}
 }
@@ -222,22 +213,20 @@ func specZOYE() *spec {
 		sharedOnRelated: []int{2, 4}, // city, type
 		gen: func(rng *stats.RNG, serial int) entity {
 			name := pick(rng, restaurantNames1) + " " + pick(rng, restaurantNames2)
-			addr := fmt.Sprintf("%d %s %s", 100+rng.Intn(9900), pick(rng, streetNames), pick(rng, streetKinds))
-			rating := fmt.Sprintf("%.1f", 2.5+rng.Float64()*2.5)
-			zip := fmt.Sprintf("%05d", 10000+rng.Intn(89999))
+			addr := streetAddress(rng)
+			rating := strconv.FormatFloat(2.5+rng.Float64()*2.5, 'f', 1, 64)
+			zip := strconv.Itoa(10000 + rng.Intn(89999))
 			return entity{name, addr, pick(rng, cities), phoneNumber(rng, serial), pick(rng, cuisines), rating, zip}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
 			m := clone(e)
-			m[1] = fmt.Sprintf("%d %s %s", 100+rng.Intn(9900), pick(rng, streetNames), pick(rng, streetKinds))
+			m[1] = streetAddress(rng)
 			m[3] = phoneNumber(rng, serial+409)
-			m[6] = fmt.Sprintf("%05d", 10000+rng.Intn(89999))
+			m[6] = strconv.Itoa(10000 + rng.Intn(89999))
 			return m
 		},
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
-			out[3] = rewritePhone(out[3])
-			return out
+		rightStyle: func(vals entity, rng *stats.RNG) {
+			vals[3] = rewritePhone(vals[3])
 		},
 	}
 }
@@ -260,8 +249,8 @@ func specAMGO() *spec {
 		sharedOnRelated: []int{1}, // manufacturer
 		gen: func(rng *stats.RNG, serial int) entity {
 			vendor := pick(rng, softwareVendors)
-			title := fmt.Sprintf("%s %s %s %d.%d %s", vendor, pick(rng, softwareProducts),
-				pick(rng, softwareEditions), 1+serial%9, rng.Intn(10), pick(rng, []string{"win", "mac", "windows", ""}))
+			title := vendor + " " + pick(rng, softwareProducts) + " " + pick(rng, softwareEditions) + " " +
+				strconv.Itoa(1+serial%9) + "." + strconv.Itoa(rng.Intn(10)) + " " + pick(rng, []string{"win", "mac", "windows", ""})
 			return entity{strings.TrimSpace(title), vendor, price(rng, 20, 700)}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
@@ -273,7 +262,7 @@ func specAMGO() *spec {
 			roll := rng.Float64()
 			for i, t := range toks {
 				if strings.Contains(t, ".") && isNumericValue(t) {
-					toks[i] = fmt.Sprintf("%d.%d", 1+(serial+3)%9, rng.Intn(10))
+					toks[i] = strconv.Itoa(1+(serial+3)%9) + "." + strconv.Itoa(rng.Intn(10))
 					break
 				}
 			}
@@ -313,8 +302,8 @@ func specBEER() *spec {
 		relatedNegRatio: 0.40,
 		sharedOnRelated: []int{1, 2}, // brewery, style
 		gen: func(rng *stats.RNG, serial int) entity {
-			name := fmt.Sprintf("%s %s %s", pick(rng, beerAdjectives), pick(rng, beerNouns), pick(rng, beerStyles))
-			abv := fmt.Sprintf("%.1f%%", 4+rng.Float64()*8)
+			name := pick(rng, beerAdjectives) + " " + pick(rng, beerNouns) + " " + pick(rng, beerStyles)
+			abv := strconv.FormatFloat(4+rng.Float64()*8, 'f', 1, 64) + "%"
 			return entity{name, pick(rng, breweryNames), pick(rng, beerStyles), abv}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
@@ -329,10 +318,10 @@ func specBEER() *spec {
 				}
 				m[0] = strings.Join(words, " ")
 			} else {
-				m[0] = fmt.Sprintf("%s %s %s", pick(rng, beerAdjectives), pick(rng, beerNouns), pick(rng, beerStyles))
+				m[0] = pick(rng, beerAdjectives) + " " + pick(rng, beerNouns) + " " + pick(rng, beerStyles)
 				m[2] = pick(rng, beerStyles)
 			}
-			m[3] = fmt.Sprintf("%.1f%%", 4+rng.Float64()*8)
+			m[3] = strconv.FormatFloat(4+rng.Float64()*8, 'f', 1, 64) + "%"
 			return m
 		},
 	}
@@ -355,11 +344,11 @@ func specITAM() *spec {
 		relatedNegRatio: 0.30,
 		sharedOnRelated: []int{1, 3}, // artist, genre
 		gen: func(rng *stats.RNG, serial int) entity {
-			song := fmt.Sprintf("%s %s", pick(rng, musicAdjectives), pick(rng, musicNouns))
+			song := pick(rng, musicAdjectives) + " " + pick(rng, musicNouns)
 			artist := pick(rng, artistNames)
-			album := fmt.Sprintf("%s %s", pick(rng, musicAdjectives), pick(rng, musicNouns))
-			dur := fmt.Sprintf("%d:%02d", 2+rng.Intn(4), rng.Intn(60))
-			copyrightLine := fmt.Sprintf("%d %s records", 1990+rng.Intn(30), pick(rng, lastNames))
+			album := pick(rng, musicAdjectives) + " " + pick(rng, musicNouns)
+			dur := trackDuration(rng)
+			copyrightLine := strconv.Itoa(1990+rng.Intn(30)) + " " + pick(rng, lastNames) + " records"
 			return entity{song, artist, album, pick(rng, musicGenres), price(rng, 0.69, 1.29), copyrightLine, dur, year(rng, 1990, 2020)}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
@@ -375,9 +364,9 @@ func specITAM() *spec {
 			} else if len(words) == 2 {
 				m[0] = pick(rng, musicAdjectives) + " " + words[1]
 			} else {
-				m[0] = fmt.Sprintf("%s %s", pick(rng, musicAdjectives), pick(rng, musicNouns))
+				m[0] = pick(rng, musicAdjectives) + " " + pick(rng, musicNouns)
 			}
-			m[6] = fmt.Sprintf("%d:%02d", 2+rng.Intn(4), rng.Intn(60))
+			m[6] = trackDuration(rng)
 			return m
 		},
 		// iTunes lists durations as m:ss, Amazon as total seconds; iTunes
@@ -385,20 +374,18 @@ func specITAM() *spec {
 		// suffixes the Amazon listing omits, which drags matching pairs'
 		// similarity down into the hard-negative range — the effect behind
 		// ZeroER's published collapse on this dataset.
-		rightStyle: func(vals entity, rng *stats.RNG) entity {
-			out := clone(vals)
+		rightStyle: func(vals entity, rng *stats.RNG) {
 			var mins, secs int
-			if _, err := fmt.Sscanf(out[6], "%d:%d", &mins, &secs); err == nil {
-				out[6] = fmt.Sprintf("%d", mins*60+secs)
+			if _, err := fmt.Sscanf(vals[6], "%d:%d", &mins, &secs); err == nil {
+				vals[6] = strconv.Itoa(mins*60 + secs)
 			}
 			suffixes := []string{"(album version)", "(remastered)", "(deluxe version)", "(explicit)", "(single edit)"}
 			if rng.Bool(0.35) {
-				out[0] = out[0] + " " + pick(rng, suffixes)
+				vals[0] = vals[0] + " " + pick(rng, suffixes)
 			}
 			if rng.Bool(0.4) {
-				out[2] = out[2] + " (deluxe edition)"
+				vals[2] = vals[2] + " (deluxe edition)"
 			}
-			return out
 		},
 	}
 }
@@ -417,8 +404,8 @@ func specROIM() *spec {
 		relatedNegRatio: 0.50,
 		sharedOnRelated: []int{3}, // genre
 		gen: func(rng *stats.RNG, serial int) entity {
-			title := fmt.Sprintf("the %s %s", pick(rng, movieAdjectives), pick(rng, movieNouns))
-			dur := fmt.Sprintf("%d min", 80+rng.Intn(80))
+			title := "the " + pick(rng, movieAdjectives) + " " + pick(rng, movieNouns)
+			dur := strconv.Itoa(80+rng.Intn(80)) + " min"
 			return entity{title, personName(rng), year(rng, 1970, 2020), pick(rng, movieGenresList), dur}
 		},
 		mutate: func(e entity, rng *stats.RNG, serial int) entity {
@@ -428,8 +415,8 @@ func specROIM() *spec {
 				m[1] = personName(rng)
 				m[2] = year(rng, 1970, 2020)
 			} else {
-				m[0] = fmt.Sprintf("the %s %s", pick(rng, movieAdjectives), pick(rng, movieNouns))
-				m[4] = fmt.Sprintf("%d min", 80+rng.Intn(80))
+				m[0] = "the " + pick(rng, movieAdjectives) + " " + pick(rng, movieNouns)
+				m[4] = strconv.Itoa(80+rng.Intn(80)) + " min"
 			}
 			return m
 		},
@@ -458,7 +445,7 @@ func specWAAM() *spec {
 			// A third of electronics carry a generation/version marker, the
 			// source of version-style hard negatives outside AMGO.
 			if rng.Bool(0.33) {
-				parts = append(parts, fmt.Sprintf("v%d.%d", 1+rng.Intn(4), rng.Intn(5)))
+				parts = append(parts, versionMarker(rng))
 			}
 			parts = append(parts, pick(rng, productColors))
 			title := strings.Join(parts, " ")
@@ -470,7 +457,7 @@ func specWAAM() *spec {
 			if len(toks) == 6 && rng.Bool(0.5) {
 				// Versioned product: the successor generation — same model
 				// line, bumped version marker.
-				toks[4] = fmt.Sprintf("v%d.%d", 1+rng.Intn(4), rng.Intn(5))
+				toks[4] = versionMarker(rng)
 			} else {
 				// Same brand and category, adjacent model in the lineup.
 				model := modelNumber(rng, serial+257)
@@ -482,6 +469,18 @@ func specWAAM() *spec {
 			return m
 		},
 	}
+}
+
+// trackDuration draws an m:ss track length.
+func trackDuration(rng *stats.RNG) string {
+	m := strconv.Itoa(2 + rng.Intn(4))
+	var buf [8]byte
+	return m + ":" + string(appendPadded(buf[:0], rng.Intn(60), 2))
+}
+
+// versionMarker draws an electronics generation marker such as "v2.3".
+func versionMarker(rng *stats.RNG) string {
+	return "v" + strconv.Itoa(1+rng.Intn(4)) + "." + strconv.Itoa(rng.Intn(5))
 }
 
 func contains(pool []string, s string) bool {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/matchers"
 	"repro/internal/record"
 	"repro/internal/stats"
@@ -55,8 +56,15 @@ func TestScoreLengthMismatchPanics(t *testing.T) {
 	Score([]bool{true}, []bool{true, false})
 }
 
+// benchmarkPool is the benchmark at DatasetSeed, generated once per test
+// binary instead of once per harness. Harnesses and matchers only read it.
+var benchmarkPool = sync.OnceValue(func() []*record.Dataset { return datasets.GenerateAll(DatasetSeed) })
+
+// testHarness is NewHarness over the shared pool.
+func testHarness(cfg Config) *Harness { return newHarness(cfg, benchmarkPool()) }
+
 func newTestHarness() *Harness {
-	return NewHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 200})
+	return testHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 200})
 }
 
 func TestHarnessDatasets(t *testing.T) {
@@ -71,7 +79,10 @@ func TestHarnessDatasets(t *testing.T) {
 
 func TestHarnessTestIndicesFixedAndCapped(t *testing.T) {
 	h1 := newTestHarness()
-	h2 := newTestHarness()
+	h2 := NewHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 200})
+	if h1.BenchmarkFingerprint() != h2.BenchmarkFingerprint() {
+		t.Fatal("a generated harness and the shared pool hold different benchmarks")
+	}
 	for _, d := range h1.Datasets() {
 		i1, i2 := h1.TestIndices(d.Name), h2.TestIndices(d.Name)
 		if len(i1) != len(i2) {
@@ -197,15 +208,15 @@ func TestMacroMean(t *testing.T) {
 }
 
 func TestEvaluateDeterministicAcrossRuns(t *testing.T) {
-	run := func() float64 {
-		h := NewHarness(Config{Seeds: []uint64{3}, MaxTest: 150})
+	cfg := Config{Seeds: []uint64{3}, MaxTest: 150}
+	run := func(h *Harness) float64 {
 		res, err := h.EvaluateTarget(func() matchers.Matcher { return matchers.NewStringSim() }, "BEER")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Mean()
 	}
-	if run() != run() {
+	if run(NewHarness(cfg)) != run(testHarness(cfg)) {
 		t.Fatal("evaluation not reproducible for a fixed seed")
 	}
 }

@@ -105,6 +105,13 @@ type Harness struct {
 // (each dataset derives from an independent seeded stream, so the result
 // is identical at any worker count).
 func NewHarness(cfg Config) *Harness {
+	return newHarness(cfg, datasets.GenerateAllParallel(DatasetSeed, par.Workers(cfg.Parallelism)))
+}
+
+// newHarness builds a harness over the given benchmark, generated at
+// DatasetSeed. The harness only reads the datasets, so harnesses may share
+// one generated pool.
+func newHarness(cfg Config, all []*record.Dataset) *Harness {
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = DefaultSeeds
 	}
@@ -113,7 +120,7 @@ func NewHarness(cfg Config) *Harness {
 	}
 	h := &Harness{
 		cfg:      cfg,
-		all:      datasets.GenerateAllParallel(DatasetSeed, par.Workers(cfg.Parallelism)),
+		all:      all,
 		test:     make(map[string][]int),
 		sercache: record.NewSerializeCache(),
 		tctx:     obs.WithTracer(context.Background(), cfg.Tracer),

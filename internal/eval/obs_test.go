@@ -17,14 +17,14 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 	factory := func() matchers.Matcher { return matchers.NewStringSim() }
 	target := "ABT"
 
-	plain := NewHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 120})
+	plain := testHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 120})
 	base, err := plain.EvaluateTarget(factory, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tr := obs.NewTracer()
-	traced := NewHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 120, Tracer: tr})
+	traced := testHarness(Config{Seeds: []uint64{1, 2}, MaxTest: 120, Tracer: tr})
 	got, err := traced.EvaluateTarget(factory, target)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 func TestTracedParallelMatchesSequential(t *testing.T) {
 	factory := func() matchers.Matcher { return matchers.NewStringSim() }
 	tr := obs.NewTracer()
-	h := NewHarness(Config{Seeds: []uint64{1, 2, 3}, MaxTest: 100, Parallelism: 4, Tracer: tr})
+	h := testHarness(Config{Seeds: []uint64{1, 2, 3}, MaxTest: 100, Parallelism: 4, Tracer: tr})
 	par, err := h.EvaluateTargets(factory, []string{"ABT", "AMGO"})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestEnablePoolMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnablePoolMetrics(reg)
 	defer EnablePoolMetrics(nil)
-	h := NewHarness(Config{Seeds: []uint64{1}, MaxTest: 50, Parallelism: 2})
+	h := testHarness(Config{Seeds: []uint64{1}, MaxTest: 50, Parallelism: 2})
 	if _, err := h.EvaluateTargets(func() matchers.Matcher { return matchers.NewStringSim() }, []string{"ABT"}); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func abtTask(t *testing.T, n int) matchers.Task {
 // the same content address and predicts bit-identically.
 func TestReadyMatcherColdThenWarm(t *testing.T) {
 	for _, name := range []string{"stringsim", "anymatch-gpt2"} {
-		spec := ReadySpec{Matcher: name, Seed: 1, Store: t.TempDir(), Ref: "emserve-" + name}
+		spec := ReadySpec{Matcher: name, Seed: 1, Store: t.TempDir(), Ref: "emserve-" + name, Library: &Library{sets: benchmarkPool()}}
 		cold, err := ReadyMatcher(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 	}
 	labels := []string{"row-stringsim", "row-zeroer"}
 
-	baselineH := NewHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
+	baselineH := testHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
 	baseline, err := baselineH.EvaluateSpecsLabeled(factories, labels, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 
 	// Full journaled run.
 	path := filepath.Join(t.TempDir(), "run.journal")
-	h1 := NewHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
+	h1 := testHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
 	j1, err := snap.CreateJournal(path, resumeHeader(h1, seeds))
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 	}
 
 	// Resume: completed cells replay, the rest (and the torn cell) re-run.
-	h2 := NewHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
+	h2 := testHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 4})
 	j2, err := snap.ResumeJournal(path, resumeHeader(h2, seeds))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 
 	// After the resumed run the journal holds every cell again: a third
 	// run replays everything without evaluating at all.
-	h3 := NewHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 1})
+	h3 := testHarness(Config{Seeds: seeds, MaxTest: 120, Parallelism: 1})
 	j3, err := snap.ResumeJournal(path, resumeHeader(h3, seeds))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 // several rows share a display name.
 func TestJournalDisplayNameRestored(t *testing.T) {
 	seeds := []uint64{1}
-	h := NewHarness(Config{Seeds: seeds, MaxTest: 80, Parallelism: 1})
+	h := testHarness(Config{Seeds: seeds, MaxTest: 80, Parallelism: 1})
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, err := snap.CreateJournal(path, resumeHeader(h, seeds))
 	if err != nil {
@@ -154,7 +154,7 @@ func TestJournalDisplayNameRestored(t *testing.T) {
 // affects unlabeled evaluations.
 func TestUnlabeledCellsBypassJournal(t *testing.T) {
 	seeds := []uint64{1}
-	h := NewHarness(Config{Seeds: seeds, MaxTest: 80, Parallelism: 1})
+	h := testHarness(Config{Seeds: seeds, MaxTest: 80, Parallelism: 1})
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, err := snap.CreateJournal(path, resumeHeader(h, seeds))
 	if err != nil {

@@ -10,10 +10,7 @@
 // selection) draw from decorrelated streams.
 package stats
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // RNG is a small, fast, deterministic random number generator based on the
 // SplitMix64 algorithm. It is intentionally not math/rand: the study needs
@@ -47,10 +44,16 @@ func FromState(state uint64) *RNG {
 // Split derives an independent child generator identified by label. Children
 // with different labels, or derived from generators with different states,
 // produce decorrelated streams. The parent is not advanced.
+//
+// The label is hashed with 64-bit FNV-1a, byte by byte over the string, so
+// deriving a child allocates nothing beyond the child itself.
 func (r *RNG) Split(label string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return NewRNG(r.state ^ (h.Sum64() | 1))
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return NewRNG(r.state ^ (h | 1))
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
@@ -91,14 +94,21 @@ func (r *RNG) Bool(p float64) bool {
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a random permutation of [0, len(p)), making the
+// same draws in the same order as Perm(len(p)). It lets a caller that
+// picks from a small pool many times reuse one scratch slice.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Shuffle permutes a slice in place using swap, like rand.Shuffle.

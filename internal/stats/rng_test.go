@@ -52,6 +52,31 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitPinned fixes the child streams Split derives. Every generated
+// dataset, model initialisation and sampled test set hangs off these
+// streams, so a change to the label hash would silently change them all.
+func TestSplitPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		label string
+		want  uint64
+	}{
+		{0, "", 18082545698796058923},
+		{0, "dataset:ABT", 16371412174617543060},
+		{0, "héllo wörld ✓", 9540258203671941793},
+		{1, "", 17722866584737140835},
+		{1, "e1", 9994988204426867085},
+		{42, "", 8963964467684374688},
+		{42, "dataset:ABT", 10985537711074192119},
+		{42, "e1", 4059582469821151829},
+		{42, "héllo wörld ✓", 12041561853294310313},
+	} {
+		if got := NewRNG(c.seed).Split(c.label).Uint64(); got != c.want {
+			t.Errorf("NewRNG(%d).Split(%q) first draw = %d, want %d", c.seed, c.label, got, c.want)
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(11)
 	for i := 0; i < 10000; i++ {
@@ -135,6 +160,18 @@ func TestPermIsPermutation(t *testing.T) {
 				t.Fatalf("Perm(%d) invalid: %v", n, p)
 			}
 			seen[v] = true
+		}
+		// PermInto makes the same draws as Perm.
+		a, b := NewRNG(uint64(n)), NewRNG(uint64(n))
+		want, q := a.Perm(n), make([]int, n)
+		b.PermInto(q)
+		for i := range want {
+			if q[i] != want[i] {
+				t.Fatalf("PermInto(%d) = %v, Perm = %v", n, q, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("PermInto(%d) and Perm left the streams at different states", n)
 		}
 	}
 }
