@@ -26,14 +26,14 @@ bench:
 # -race (the race detector defeats sync.Pool, making allocs/op
 # meaningless): zero for the binary cache-hit, key-probe and
 # protocol-error paths of ServeWire, the hash ring (Owner, Successors,
-# KeyHash), the all-cheap cascade route, the LSH probe of a stored record,
-# the flight-ring write, the nil SLO engine, the Ratcliff/Obershelp ratio
-# and threshold test on a held scratch, the q-gram Jaccard kernel on warm
-# profiles, the symmetric Monge-Elkan kernel, the lm knowledge draw and a
-# 64-pair StringSim batch; a ceiling of 3 for an all-hit Submit and the
-# measured ceiling for an all-hit wire request through the fleet front.
+# KeyHash), the all-cheap cascade route, the flight-ring write, the nil
+# SLO engine, the Ratcliff/Obershelp ratio and threshold test on a held
+# scratch, the q-gram Jaccard kernel on warm profiles, the symmetric
+# Monge-Elkan kernel, the lm knowledge draw and a 64-pair StringSim batch;
+# a ceiling of 3 for an all-hit Submit and the measured ceiling for an
+# all-hit wire request through the fleet front.
 alloc-gate:
-	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/blocking/lsh/ ./internal/slo/ ./internal/flight/ \
+	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/slo/ ./internal/flight/ \
 		./internal/textsim/ ./internal/lm/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
 
 # End-to-end gate of every binary, in stages that share one throwaway
@@ -47,7 +47,6 @@ alloc-gate:
 #            flight evidence, which emtool trace -flight validates
 #   route    emroute sweep self-checks: threshold-0 offline bit-identity,
 #            monotone clean cost, charged failures, injected retries
-#   dedup    emdedup recall, cluster-F1 and comparison-advantage floors
 #   fleet    emserve -replicas 3 on its own empty store (its first phase
 #            asserts cold-then-warm): bit-identity against one replica,
 #            load balance, replica caches hit, mid-run kill with no
@@ -72,7 +71,6 @@ smoke:
 		-flight-dump $$tmp/flight -slo-expect-breach; \
 	$(GO) run ./cmd/emtool trace -flight $$tmp/flight/*.jsonl; \
 	$(GO) run ./cmd/emroute -targets ABT -tiers stringsim,gpt-4 -max-pairs 400 -smoke; \
-	$(GO) run ./cmd/emdedup -n 20000 -compare -compare-exact 20000 -smoke; \
 	$(GO) run ./cmd/emserve -smoke -replicas 3; \
 	$(GO) run ./cmd/emtool snap verify -store $$store; \
 	$(GO) run ./cmd/emstudy stages -trace $$tmp/trace.jsonl; \

@@ -49,25 +49,10 @@ func New(cfg Config) *Blocker {
 	return &Blocker{cfg: cfg}
 }
 
-// Stats reports the work one blocking call performed, the measure the
-// LSH comparison (cmd/emdedup -compare) puts next to recall: Comparisons
-// is how many record-pair score accumulations the inverted index walked,
-// Candidates how many pairs survived.
-type Stats struct {
-	Comparisons int64
-	Candidates  int64
-}
-
 // CandidatePairs returns the blocked candidate set from left × right,
 // each left record paired with at most MaxCandidatesPerRecord right
 // records sharing rare tokens.
 func (b *Blocker) CandidatePairs(left, right []record.Record) []record.Pair {
-	pairs, _ := b.CandidatePairsStats(left, right)
-	return pairs
-}
-
-// CandidatePairsStats is CandidatePairs plus work counters.
-func (b *Blocker) CandidatePairsStats(left, right []record.Record) ([]record.Pair, Stats) {
 	// Serialize each record once and resolve its text profile through the
 	// shared cache: the profile's Uniq slice is the first-occurrence
 	// deduplicated token list every stage below needs, and the IDF
@@ -109,7 +94,6 @@ func (b *Blocker) CandidatePairsStats(left, right []record.Record) ([]record.Pai
 	// one clear/reslice per record instead of a fresh allocation (and the
 	// sort closure is hoisted with them).
 	var pairs []record.Pair
-	var st Stats
 	scores := make(map[int]float64)
 	type cand struct {
 		j int
@@ -134,7 +118,6 @@ func (b *Blocker) CandidatePairsStats(left, right []record.Record) ([]record.Pai
 			if len(postings) > len(right)/4 && len(right) > 40 {
 				continue // degenerate token, would block everything
 			}
-			st.Comparisons += int64(len(postings))
 			for _, j := range postings {
 				scores[j] += idf
 			}
@@ -152,16 +135,14 @@ func (b *Blocker) CandidatePairsStats(left, right []record.Record) ([]record.Pai
 			pairs = append(pairs, record.Pair{Left: l, Right: right[c.j]})
 		}
 	}
-	st.Candidates = int64(len(pairs))
-	return pairs, st
+	return pairs
 }
 
 // Recall computes the fraction of true matches that survive blocking,
-// given the ground-truth matching ID pairs; used by the blocking tests and
-// the dedup pipeline's quality report. Pair orientation is ignored —
-// deduplication within one relation can emit (A,B) while the truth holds
-// (B,A) — and a truth pair found under both orientations (or more than
-// once) still counts once.
+// given the ground-truth matching ID pairs; the blocking tests hold it to
+// a floor. Pair orientation is ignored — a self-join within one relation
+// can emit (A,B) while the truth holds (B,A) — and a truth pair found
+// under both orientations (or more than once) still counts once.
 func Recall(candidates []record.Pair, truth map[[2]string]bool) float64 {
 	if len(truth) == 0 {
 		return 1

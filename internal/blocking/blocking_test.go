@@ -1,6 +1,9 @@
 package blocking
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/datasets"
@@ -123,28 +126,6 @@ func TestRecallOrientationInsensitive(t *testing.T) {
 	}
 }
 
-// TestCandidatePairsStats pins the comparison counter the emdedup
-// comparison relies on: every posting walked must be counted.
-func TestCandidatePairsStats(t *testing.T) {
-	d := datasets.MustGenerate("FOZA", 42)
-	var left, right []record.Record
-	for i, p := range d.Pairs {
-		if i >= 200 {
-			break
-		}
-		left = append(left, p.Left)
-		right = append(right, p.Right)
-	}
-	b := New(DefaultConfig())
-	pairs, st := b.CandidatePairsStats(left, right)
-	if st.Candidates != int64(len(pairs)) {
-		t.Fatalf("stats candidates %d, pairs %d", st.Candidates, len(pairs))
-	}
-	if st.Comparisons < st.Candidates {
-		t.Fatalf("comparisons %d below candidates %d", st.Comparisons, st.Candidates)
-	}
-}
-
 // TestCandidatePairsScratchReuse guards the per-left-record allocation
 // fix: the scores map and candidate slice are hoisted out of the loop, so
 // allocations must not scale with the number of left records.
@@ -173,5 +154,36 @@ func TestCandidatePairsScratchReuse(t *testing.T) {
 	perLeft := (many - few) / float64(len(left)-20)
 	if perLeft > 6 {
 		t.Fatalf("%.1f allocations per additional left record (few=%.0f many=%.0f)", perLeft, few, many)
+	}
+}
+
+// TestCandidatePairsDigest pins the exact candidate list on fixed slices
+// of two generated benchmarks: the digest covers each candidate's left and
+// right record IDs in output order. The recall and allocation tests above
+// would not notice a change that swaps one candidate for another.
+func TestCandidatePairsDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		pairs int
+		want  string
+	}{
+		{"FOZA", 400, 4000, "798d8dd446d8c5801a97b4a517a8a1640dba45510c6e567e322b2e64bb62e20e"},
+		{"ABT", 600, 6000, "5f893f1fbcf61ba45c8ac084f66ae520d76a4692d75d99a33cfd6ec004cc127a"},
+	} {
+		d := datasets.MustGenerate(tc.name, 42)
+		var left, right []record.Record
+		for _, p := range d.Pairs[:tc.n] {
+			left = append(left, p.Left)
+			right = append(right, p.Right)
+		}
+		h := sha256.New()
+		cands := New(DefaultConfig()).CandidatePairs(left, right)
+		for _, p := range cands {
+			fmt.Fprintf(h, "%s\t%s\n", p.Left.ID, p.Right.ID)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(cands) != tc.pairs || got != tc.want {
+			t.Errorf("%s[:%d]: %d candidates, digest %s; want %d, %s", tc.name, tc.n, len(cands), got, tc.pairs, tc.want)
+		}
 	}
 }

@@ -181,48 +181,3 @@ func FromPredictions(pairs []record.Pair, preds []bool, scores []float64) []Edge
 	}
 	return edges
 }
-
-// Metrics evaluates clusters against ground-truth entity assignments
-// (record ID -> entity key) with pairwise precision/recall/F1, the
-// standard clustering-quality measure in entity resolution.
-type Metrics struct {
-	Precision, Recall, F1 float64
-}
-
-// Evaluate computes pairwise clustering metrics.
-func Evaluate(clusters []Cluster, truth map[string]string) Metrics {
-	// Predicted co-clustered pairs.
-	var tp, predPairs int
-	for _, c := range clusters {
-		for i := 0; i < len(c.Members); i++ {
-			for j := i + 1; j < len(c.Members); j++ {
-				predPairs++
-				ti, okI := truth[c.Members[i]]
-				tj, okJ := truth[c.Members[j]]
-				if okI && okJ && ti == tj {
-					tp++
-				}
-			}
-		}
-	}
-	// True co-entity pairs.
-	byEntity := make(map[string]int)
-	for _, e := range truth {
-		byEntity[e]++
-	}
-	truePairs := 0
-	for _, n := range byEntity {
-		truePairs += n * (n - 1) / 2
-	}
-	var m Metrics
-	if predPairs > 0 {
-		m.Precision = float64(tp) / float64(predPairs)
-	}
-	if truePairs > 0 {
-		m.Recall = float64(tp) / float64(truePairs)
-	}
-	if m.Precision+m.Recall > 0 {
-		m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
-	}
-	return m
-}

@@ -95,37 +95,6 @@ func TestFromPredictions(t *testing.T) {
 	}
 }
 
-func TestEvaluatePerfect(t *testing.T) {
-	clusters := []Cluster{
-		{Members: []string{"a", "b"}},
-		{Members: []string{"c"}},
-	}
-	truth := map[string]string{"a": "e1", "b": "e1", "c": "e2"}
-	m := Evaluate(clusters, truth)
-	if m.Precision != 1 || m.Recall != 1 || m.F1 != 1 {
-		t.Fatalf("perfect clustering metrics: %+v", m)
-	}
-}
-
-func TestEvaluateOverMerged(t *testing.T) {
-	clusters := []Cluster{{Members: []string{"a", "b", "c"}}}
-	truth := map[string]string{"a": "e1", "b": "e1", "c": "e2"}
-	m := Evaluate(clusters, truth)
-	if m.Recall != 1 {
-		t.Fatalf("recall = %v, want 1", m.Recall)
-	}
-	if m.Precision >= 1 {
-		t.Fatalf("over-merged precision = %v, want < 1", m.Precision)
-	}
-}
-
-func TestEvaluateEmpty(t *testing.T) {
-	m := Evaluate(nil, nil)
-	if m.F1 != 0 {
-		t.Fatalf("empty metrics: %+v", m)
-	}
-}
-
 func TestUnionFindPathCompression(t *testing.T) {
 	u := newUnionFind()
 	ids := []string{"a", "b", "c", "d", "e"}

@@ -119,26 +119,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Choice returns a uniformly chosen index weighted by weights. Weights must
-// be non-negative and not all zero.
-func (r *RNG) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: Choice with non-positive total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
 // order. If k >= n it returns a permutation of all n indices.
 func (r *RNG) Sample(n, k int) []int {

@@ -195,21 +195,6 @@ func TestSampleDistinct(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := NewRNG(31)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[r.Choice([]float64{1, 2, 7})]++
-	}
-	if counts[2] < counts[1] || counts[1] < counts[0] {
-		t.Fatalf("weighted choice ordering violated: %v", counts)
-	}
-	frac := float64(counts[2]) / 30000
-	if math.Abs(frac-0.7) > 0.03 {
-		t.Fatalf("weight-7 option frequency %.3f far from 0.7", frac)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(37)
 	hits := 0

@@ -417,30 +417,12 @@ func intersectCodes3(a, b string) int {
 	}
 }
 
-// intersectHashes returns |a ∩ b| for two ascending unique hash slices.
-func intersectHashes(a, b []uint64) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // TokenHash is the stable 64-bit fingerprint of one token (FNV-1a).
 // Unlike interner IDs — which are assigned in first-encounter order and
 // therefore depend on process history and goroutine scheduling — a
-// token's fingerprint is a pure function of its bytes, so structures
-// keyed on it (the LSH blocker's MinHash signatures) are reproducible
-// across runs and worker counts.
+// token's fingerprint is a pure function of its bytes, so draws keyed on
+// it (the router's jitter, the simulated backends' call outcomes) are
+// reproducible across runs and worker counts.
 func TokenHash(tok string) uint64 { return fnv64a(tok) }
 
 // TokenHashBytes is TokenHash over a byte slice: the identical FNV-1a
@@ -454,20 +436,6 @@ func TokenHashBytes(tok []byte) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// JaccardHashes is the merge-join Jaccard kernel over two ascending
-// unique fingerprint slices (see TokenHash) — TokenJaccardP's merge join
-// on the scheduling-independent key space.
-func JaccardHashes(a, b []uint64) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectHashes(a, b)
-	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // TokenJaccardP returns the Jaccard similarity between the word-token

@@ -119,12 +119,12 @@ func TestBlockingBuildsNoGramSet(t *testing.T) {
 		right = append(right, p.Right)
 	}
 	built := textsim.GramSetsBuilt()
-	pairs, _ := blocking.New(blocking.DefaultConfig()).CandidatePairsStats(left, right)
+	pairs := blocking.New(blocking.DefaultConfig()).CandidatePairs(left, right)
 	if len(pairs) == 0 {
 		t.Fatal("blocking produced no candidates")
 	}
 	if got := textsim.GramSetsBuilt() - built; got != 0 {
-		t.Errorf("CandidatePairsStats built %d trigram sets, want 0", got)
+		t.Errorf("CandidatePairs built %d trigram sets, want 0", got)
 	}
 }
 
