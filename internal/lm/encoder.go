@@ -116,7 +116,7 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	pr := e.text.profiles.Get(right)
 	el := e.text.normEntryFor(left, caps)
 	er := e.text.normEntryFor(right, caps)
-	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + minInt(pl.NumGrams(), pr.NumGrams()))
+	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + min(pl.NumGrams(), pr.NumGrams()))
 	ev := extractEvidence(e.text, p, Capabilities{
 		Normalization: caps.Normalization,
 		Semantics:     caps.Semantics,
@@ -251,13 +251,6 @@ func firstN(toks []string, n int) []string {
 		return toks[:n]
 	}
 	return toks
-}
-
-func minInt(a, b int) int {
-	if b < a {
-		return b
-	}
-	return a
 }
 
 func lengthRatio(a, b string) float64 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/boost"
 	"repro/internal/lm"
 	"repro/internal/mlcore"
-	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/stats"
 	"repro/internal/textsim"
@@ -91,7 +90,7 @@ func (m *AnyMatch) Train(transfer []*record.Dataset, rng *stats.RNG) {
 			tp := pool[i]
 			m.enc.ObserveCorpus(record.SerializeRecord(tp.pair.Left, record.SerializeOptions{}))
 			x := m.enc.Encode(tp.pair.Pair, record.SerializeOptions{})
-			examples = append(examples, exampleWithWeight(x, tp.pair.Label(), 2.0))
+			examples = append(examples, mlcore.Example{X: x, Y: tp.pair.Label(), Weight: 2.0})
 		}
 	} else {
 		examples = encodePairs(m.enc, balanced, record.SerializeOptions{})
@@ -99,25 +98,7 @@ func (m *AnyMatch) Train(transfer []*record.Dataset, rng *stats.RNG) {
 
 	// Attribute-level augmentation: weakly labeled aligned-value pairs.
 	if m.UseAttrAugment {
-		arng := rng.Split("anymatch:attr")
-		count := 0
-		for _, tp := range balanced {
-			if count >= m.PerClass/2 {
-				break
-			}
-			p := tp.pair
-			n := min(len(p.Left.Values), len(p.Right.Values))
-			if n == 0 {
-				continue
-			}
-			i := arng.Intn(n)
-			if p.Left.Values[i] == "" || p.Right.Values[i] == "" {
-				continue
-			}
-			x := m.enc.EncodeAttributePair(p.Left.Values[i], p.Right.Values[i])
-			examples = append(examples, exampleWithWeight(x, p.Label(), 0.4))
-			count++
-		}
+		examples = appendAttrPairs(examples, m.enc, balanced, m.PerClass/2, 0.4, rng.Split("anymatch:attr"))
 	}
 	// The corpus is encoded: its text cache goes with the training pass.
 	m.enc.DropCorpusCache()
@@ -147,30 +128,14 @@ func (m *AnyMatch) Predict(task Task) []bool {
 // PredictBatchInto implements BatchPredictor: identical decisions to the
 // per-pair loop, with one scratch feature vector reused across the batch.
 func (m *AnyMatch) PredictBatchInto(task Task, out []bool) {
-	st := obs.StartStages(task.Ctx)
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		st.Enter("featurise")
-		m.enc.EncodeInto(&vec, p, task.Opts)
-		st.Enter("classify")
-		out[i] = m.head.Prob(vec) >= 0.5
-		st.Exit()
-	}
-	st.SetInt("classify", "pairs", int64(len(task.Pairs)))
-	st.End()
+	predictHead(task, m.enc, nil, m.head, out, nil)
 }
 
 // PredictConfidence implements ConfidenceScorer: the decision margin is
 // the MLP head's probability distance from the 0.5 threshold, with
 // decisions identical to PredictBatchInto's.
 func (m *AnyMatch) PredictConfidence(task Task, out []bool, conf []float64) {
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		m.enc.EncodeInto(&vec, p, task.Opts)
-		pr := m.head.Prob(vec)
-		out[i] = pr >= 0.5
-		conf[i] = decisionMargin(pr, 0.5)
-	}
+	predictHead(task, m.enc, nil, m.head, out, conf)
 }
 
 // selectHard trains a booster on cheap similarity features over a slice of
@@ -212,11 +177,4 @@ func cheapFeatures(profile func(string) *textsim.Profile, p record.Pair) []float
 		textsim.TokenOverlapP(pl, pr),
 		float64(len(left)+len(right)) / 200,
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

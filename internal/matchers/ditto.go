@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/lm"
 	"repro/internal/mlcore"
-	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/stats"
 )
@@ -107,30 +106,14 @@ func (m *Ditto) Predict(task Task) []bool {
 // PredictBatchInto implements BatchPredictor: identical decisions to the
 // per-pair loop, with one scratch feature vector reused across the batch.
 func (m *Ditto) PredictBatchInto(task Task, out []bool) {
-	st := obs.StartStages(task.Ctx)
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		st.Enter("featurise")
-		m.enc.EncodeInto(&vec, m.summarize(p), task.Opts)
-		st.Enter("classify")
-		out[i] = m.head.Prob(vec) >= 0.5
-		st.Exit()
-	}
-	st.SetInt("classify", "pairs", int64(len(task.Pairs)))
-	st.End()
+	predictHead(task, m.enc, m.summarize, m.head, out, nil)
 }
 
 // PredictConfidence implements ConfidenceScorer: the decision margin is
 // the classification head's probability distance from the 0.5
 // threshold, with decisions identical to PredictBatchInto's.
 func (m *Ditto) PredictConfidence(task Task, out []bool, conf []float64) {
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		m.enc.EncodeInto(&vec, m.summarize(p), task.Opts)
-		pr := m.head.Prob(vec)
-		out[i] = pr >= 0.5
-		conf[i] = decisionMargin(pr, 0.5)
-	}
+	predictHead(task, m.enc, m.summarize, m.head, out, conf)
 }
 
 // summarize truncates each value to SummarizeAt tokens, Ditto's long-input

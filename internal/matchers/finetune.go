@@ -3,7 +3,9 @@ package matchers
 import (
 	"sort"
 
+	"repro/internal/lm"
 	"repro/internal/mlcore"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/stats"
 )
@@ -117,17 +119,7 @@ func balancePairs(pool []transferPair, perClass int, rng *stats.RNG) []transferP
 // training examples. The encoder absorbs corpus statistics first so that
 // IDF features reflect the fine-tuning corpus, as they would for a model
 // fine-tuned on this text.
-type pairEncoder interface {
-	ObserveCorpus(text string)
-	Encode(p record.Pair, opts record.SerializeOptions) mlcore.SparseVec
-}
-
-// exampleWithWeight builds an importance-weighted training example.
-func exampleWithWeight(x mlcore.SparseVec, y, weight float64) mlcore.Example {
-	return mlcore.Example{X: x, Y: y, Weight: weight}
-}
-
-func encodePairs(enc pairEncoder, pairs []transferPair, opts record.SerializeOptions) []mlcore.Example {
+func encodePairs(enc *lm.Encoder, pairs []transferPair, opts record.SerializeOptions) []mlcore.Example {
 	for _, tp := range pairs {
 		enc.ObserveCorpus(record.SerializeRecord(tp.pair.Left, opts))
 		enc.ObserveCorpus(record.SerializeRecord(tp.pair.Right, opts))
@@ -137,4 +129,63 @@ func encodePairs(enc pairEncoder, pairs []transferPair, opts record.SerializeOpt
 		out[i] = mlcore.Example{X: enc.Encode(tp.pair.Pair, opts), Y: tp.pair.Label()}
 	}
 	return out
+}
+
+// appendAttrPairs appends up to limit weakly labeled attribute-value
+// examples to examples, each of the given weight: for each pair in turn,
+// one aligned attribute drawn with rng, skipped when either value is
+// empty, labeled with the pair's label. A match's aligned values are
+// (weak) positives, a non-match's are negatives.
+func appendAttrPairs(examples []mlcore.Example, enc *lm.Encoder, pairs []transferPair, limit int, weight float64, rng *stats.RNG) []mlcore.Example {
+	count := 0
+	for _, tp := range pairs {
+		if count >= limit {
+			break
+		}
+		p := tp.pair
+		n := min(len(p.Left.Values), len(p.Right.Values))
+		if n == 0 {
+			continue
+		}
+		i := rng.Intn(n)
+		if p.Left.Values[i] == "" || p.Right.Values[i] == "" {
+			continue
+		}
+		x := enc.EncodeAttributePair(p.Left.Values[i], p.Right.Values[i])
+		examples = append(examples, mlcore.Example{X: x, Y: p.Label(), Weight: weight})
+		count++
+	}
+	return examples
+}
+
+// probHead is a trained prediction head: LogReg, MLP or the
+// mixture-of-experts model.
+type probHead interface {
+	Prob(mlcore.SparseVec) float64
+}
+
+// predictHead is the prediction loop of the fine-tuned matchers: each
+// pair of task, passed through prep when prep is not nil, is featurised
+// by enc and matches when head's probability is at least 0.5. conf, when
+// not nil, receives each decision's margin from that threshold. The
+// featurise and classify stages are recorded on task's trace.
+func predictHead(task Task, enc *lm.Encoder, prep func(record.Pair) record.Pair, head probHead, out []bool, conf []float64) {
+	st := obs.StartStages(task.Ctx)
+	var vec mlcore.SparseVec
+	for i, p := range task.Pairs {
+		st.Enter("featurise")
+		if prep != nil {
+			p = prep(p)
+		}
+		enc.EncodeInto(&vec, p, task.Opts)
+		st.Enter("classify")
+		pr := head.Prob(vec)
+		out[i] = pr >= 0.5
+		if conf != nil {
+			conf[i] = decisionMargin(pr, 0.5)
+		}
+		st.Exit()
+	}
+	st.SetInt("classify", "pairs", int64(len(task.Pairs)))
+	st.End()
 }

@@ -26,15 +26,17 @@ type abtTraining struct {
 	digest string
 }
 
-// abtTrained trains Ditto and AnyMatch [GPT-2] once per test binary; the
-// tests below read what each pass left behind.
+// abtTrained trains Ditto, AnyMatch [GPT-2] and a down-capped Unicorn
+// once per test binary; the tests below read what each pass left behind.
 var abtTrained = sync.OnceValue(func() []abtTraining {
 	transfer := transferFor("ABT")
+	unicorn := NewUnicorn()
+	unicorn.TrainCap, unicorn.AuxCap = 800, 200
 	var out []abtTraining
 	for _, m := range []interface {
 		Matcher
 		snap.Snapshotter
-	}{NewDitto(), NewAnyMatchGPT2()} {
+	}{NewDitto(), NewAnyMatchGPT2(), unicorn} {
 		// Train runs on one goroutine and no test runs in parallel, so
 		// the misses it causes are the entries it adds.
 		_, before := textsim.Shared().Stats()
@@ -70,12 +72,15 @@ func TestDittoTrainSharedGrowth(t *testing.T) {
 }
 
 // TestTrainedStatePinned pins the exact bits training produces for target
-// ABT under seed 1. The digests were taken before training got a text
-// cache of its own: which cache resolves the corpus must move no bit.
+// ABT under seed 1. The Ditto and AnyMatch digests were taken before
+// training got a text cache of its own: which cache resolves the corpus
+// must move no bit. The Unicorn digest was taken before the heads shared
+// one optimiser and one training loop: sharing them must move no bit.
 func TestTrainedStatePinned(t *testing.T) {
 	want := map[string]string{
 		"Ditto":            "c82ad4c70587ffb04b638309a9f9e83ec28d1f0ba496e691e9ae11c43c0fa37f",
 		"AnyMatch [GPT-2]": "909bd1066ddd78b91d5e4cafa9f0fbac6292d256bfb147f8c6307499c38a1f3d",
+		"Unicorn":          "355d9c210836f9037939cd96de1a43e628b960dae7e11057686b499b9daddf0a",
 	}
 	for _, r := range abtTrained() {
 		if r.digest != want[r.name] {

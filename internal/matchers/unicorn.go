@@ -2,9 +2,7 @@ package matchers
 
 import (
 	"repro/internal/lm"
-	"repro/internal/mlcore"
 	"repro/internal/moe"
-	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/stats"
 )
@@ -54,32 +52,7 @@ func (m *Unicorn) Train(transfer []*record.Dataset, rng *stats.RNG) {
 	// examples derived from the transfer pairs. A positive pair's aligned
 	// values are (weak) positives; values from different entities are
 	// negatives. This reproduces Unicorn's cross-task training signal.
-	arng := rng.Split("unicorn:aux")
-	auxCount := 0
-	for _, tp := range sample {
-		if auxCount >= m.AuxCap {
-			break
-		}
-		p := tp.pair
-		n := len(p.Left.Values)
-		if len(p.Right.Values) < n {
-			n = len(p.Right.Values)
-		}
-		if n == 0 {
-			continue
-		}
-		i := arng.Intn(n)
-		if p.Left.Values[i] == "" || p.Right.Values[i] == "" {
-			continue
-		}
-		label := 0.0
-		if p.Match {
-			label = 1.0
-		}
-		x := m.enc.EncodeAttributePair(p.Left.Values[i], p.Right.Values[i])
-		examples = append(examples, exampleWithWeight(x, label, 0.5))
-		auxCount++
-	}
+	examples = appendAttrPairs(examples, m.enc, sample, m.AuxCap, 0.5, rng.Split("unicorn:aux"))
 	// The corpus is encoded: its text cache goes with the training pass.
 	m.enc.DropCorpusCache()
 
@@ -101,28 +74,12 @@ func (m *Unicorn) Predict(task Task) []bool {
 // PredictBatchInto implements BatchPredictor: identical decisions to the
 // per-pair loop, with one scratch feature vector reused across the batch.
 func (m *Unicorn) PredictBatchInto(task Task, out []bool) {
-	st := obs.StartStages(task.Ctx)
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		st.Enter("featurise")
-		m.enc.EncodeInto(&vec, p, task.Opts)
-		st.Enter("classify")
-		out[i] = m.model.Prob(vec) >= 0.5
-		st.Exit()
-	}
-	st.SetInt("classify", "pairs", int64(len(task.Pairs)))
-	st.End()
+	predictHead(task, m.enc, nil, m.model, out, nil)
 }
 
 // PredictConfidence implements ConfidenceScorer: the decision margin is
 // the matching model's probability distance from the 0.5 threshold,
 // with decisions identical to PredictBatchInto's.
 func (m *Unicorn) PredictConfidence(task Task, out []bool, conf []float64) {
-	var vec mlcore.SparseVec
-	for i, p := range task.Pairs {
-		m.enc.EncodeInto(&vec, p, task.Opts)
-		pr := m.model.Prob(vec)
-		out[i] = pr >= 0.5
-		conf[i] = decisionMargin(pr, 0.5)
-	}
+	predictHead(task, m.enc, nil, m.model, out, conf)
 }

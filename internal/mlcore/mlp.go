@@ -76,158 +76,82 @@ func (m *MLP) Prob(x SparseVec) float64 {
 
 // Train fits the network on the examples with mini-batch size 1 (the
 // datasets are small enough that per-example Adam converges fastest).
-// A held-out tenth of the examples serves as a validation set: the weights
-// of the best-validation epoch are kept, the early-stopping discipline
-// that keeps fine-tuning runs from shipping a diverged final epoch.
+// Fit holds out the validation set and keeps the weights of the
+// best-validation epoch.
 func (m *MLP) Train(examples []Example, rng *stats.RNG) {
-	if len(examples) == 0 {
-		return
-	}
-	// Split off validation examples (at least 8, at most 10%).
-	shuffled := append([]Example(nil), examples...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	nVal := len(shuffled) / 10
-	if nVal > 0 && nVal < 8 {
-		nVal = min8(8, len(shuffled)/2)
-	}
-	val := shuffled[:nVal]
-	examples = shuffled[nVal:]
-	if len(examples) == 0 {
-		examples = shuffled
-		val = nil
-	}
+	cfg := m.cfg
+	opt := NewAdam(len(m.W1)+len(m.B1)+len(m.W2)+1, cfg.LearnRate)
+	hidden := make([]float64, cfg.Hidden)
+	gW1 := make([]float64, len(m.W1))
+	gB1 := make([]float64, cfg.Hidden)
+	gW2 := make([]float64, cfg.Hidden)
+	step := func(ex Example) {
+		p := m.forward(ex.X, hidden)
+		gOut := (p - ex.Y) * ex.weight()
 
-	bestLoss := math.Inf(1)
+		// Output layer gradients.
+		for h := 0; h < cfg.Hidden; h++ {
+			gW2[h] = gOut*hidden[h] + cfg.L2*m.W2[h]
+		}
+		gB2 := gOut
+
+		// Hidden layer gradients (ReLU gate: active when hidden > 0).
+		for h := 0; h < cfg.Hidden; h++ {
+			if hidden[h] <= 0 {
+				gB1[h] = 0
+				continue
+			}
+			gB1[h] = gOut * m.W2[h]
+		}
+		for h := 0; h < cfg.Hidden; h++ {
+			gh := gB1[h]
+			if gh == 0 {
+				continue
+			}
+			row := gW1[h*cfg.Dim : (h+1)*cfg.Dim]
+			for k, idx := range ex.X.Idx {
+				row[idx] = gh * ex.X.Val[k]
+			}
+		}
+
+		// Apply updates. W1 rows only touch the sparse input indices.
+		base := 0
+		for h := 0; h < cfg.Hidden; h++ {
+			if gB1[h] != 0 {
+				rowG := gW1[h*cfg.Dim : (h+1)*cfg.Dim]
+				rowW := m.W1[h*cfg.Dim : (h+1)*cfg.Dim]
+				for _, idx := range ex.X.Idx {
+					delta := opt.Step(base+idx, rowG[idx]+cfg.L2*rowW[idx])
+					rowW[idx] += delta
+					rowG[idx] = 0
+				}
+			}
+			base += cfg.Dim
+		}
+		for h := 0; h < cfg.Hidden; h++ {
+			m.B1[h] += opt.Step(base+h, gB1[h])
+		}
+		base += cfg.Hidden
+		for h := 0; h < cfg.Hidden; h++ {
+			m.W2[h] += opt.Step(base+h, gW2[h])
+		}
+		base += cfg.Hidden
+		m.B2 += opt.Step(base, gB2)
+	}
+	loss := func(ex Example) float64 { return LogLoss(m.forward(ex.X, hidden), ex.Y) }
+
 	var bestW1, bestB1, bestW2 []float64
 	var bestB2 float64
-	snapshot := func() {
+	keep := func() {
 		bestW1 = append(bestW1[:0], m.W1...)
 		bestB1 = append(bestB1[:0], m.B1...)
 		bestW2 = append(bestW2[:0], m.W2...)
 		bestB2 = m.B2
 	}
-
-	cfg := m.cfg
-	nParams := len(m.W1) + len(m.B1) + len(m.W2) + 1
-	opt := newAdamDense(nParams, cfg.LearnRate)
-	hidden := make([]float64, cfg.Hidden)
-	gW1 := make([]float64, len(m.W1))
-	gB1 := make([]float64, cfg.Hidden)
-	gW2 := make([]float64, cfg.Hidden)
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, i := range order {
-			ex := examples[i]
-			p := m.forward(ex.X, hidden)
-			gOut := (p - ex.Y) * ex.weight()
-
-			// Output layer gradients.
-			for h := 0; h < cfg.Hidden; h++ {
-				gW2[h] = gOut*hidden[h] + cfg.L2*m.W2[h]
-			}
-			gB2 := gOut
-
-			// Hidden layer gradients (ReLU gate: active when hidden > 0).
-			for h := 0; h < cfg.Hidden; h++ {
-				if hidden[h] <= 0 {
-					gB1[h] = 0
-					continue
-				}
-				gB1[h] = gOut * m.W2[h]
-			}
-			for h := 0; h < cfg.Hidden; h++ {
-				gh := gB1[h]
-				if gh == 0 {
-					continue
-				}
-				row := gW1[h*cfg.Dim : (h+1)*cfg.Dim]
-				for k, idx := range ex.X.Idx {
-					row[idx] = gh * ex.X.Val[k]
-				}
-			}
-
-			// Apply updates. W1 rows only touch the sparse input indices.
-			base := 0
-			for h := 0; h < cfg.Hidden; h++ {
-				if gB1[h] != 0 {
-					rowG := gW1[h*cfg.Dim : (h+1)*cfg.Dim]
-					rowW := m.W1[h*cfg.Dim : (h+1)*cfg.Dim]
-					for _, idx := range ex.X.Idx {
-						delta := opt.step(base+idx, rowG[idx]+cfg.L2*rowW[idx])
-						rowW[idx] += delta
-						rowG[idx] = 0
-					}
-				}
-				base += cfg.Dim
-			}
-			for h := 0; h < cfg.Hidden; h++ {
-				m.B1[h] += opt.step(base+h, gB1[h])
-			}
-			base += cfg.Hidden
-			for h := 0; h < cfg.Hidden; h++ {
-				m.W2[h] += opt.step(base+h, gW2[h])
-			}
-			base += cfg.Hidden
-			m.B2 += opt.step(base, gB2)
-		}
-
-		// Validation checkpointing.
-		if len(val) > 0 {
-			loss := 0.0
-			for _, ex := range val {
-				loss += LogLoss(m.forward(ex.X, hidden), ex.Y)
-			}
-			if loss < bestLoss {
-				bestLoss = loss
-				snapshot()
-			}
-		}
-	}
-	if bestW1 != nil {
+	if Fit(examples, cfg.Epochs, rng, step, loss, keep) {
 		copy(m.W1, bestW1)
 		copy(m.B1, bestB1)
 		copy(m.W2, bestW2)
 		m.B2 = bestB2
 	}
-}
-
-func min8(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// adamDense is an Adam optimiser addressed by parameter index.
-type adamDense struct {
-	lr   float64
-	m, v []float64
-	t    []int
-}
-
-func newAdamDense(n int, lr float64) *adamDense {
-	return &adamDense{lr: lr, m: make([]float64, n), v: make([]float64, n), t: make([]int, n)}
-}
-
-// step updates the moment estimates for parameter idx with gradient g and
-// returns the additive delta. Per-parameter timesteps implement lazy
-// sparse Adam: untouched parameters accumulate no stale momentum.
-func (a *adamDense) step(idx int, g float64) float64 {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	a.t[idx]++
-	a.m[idx] = beta1*a.m[idx] + (1-beta1)*g
-	a.v[idx] = beta2*a.v[idx] + (1-beta2)*g*g
-	bc1 := 1 - math.Pow(beta1, float64(a.t[idx]))
-	bc2 := 1 - math.Pow(beta2, float64(a.t[idx]))
-	mh := a.m[idx] / bc1
-	vh := a.v[idx] / bc2
-	return -a.lr * mh / (math.Sqrt(vh) + eps)
 }

@@ -1,7 +1,8 @@
 // Package mlcore implements the trainable machine-learning substrate that
 // stands in for the GPU fine-tuning stack of the paper: sparse feature
 // hashing, logistic regression and multi-layer perceptrons trained with
-// Adam, plus the train/validate loop shared by all fine-tuned matchers.
+// Adam, plus the lazy Adam and the train/validate loop (Fit) that the
+// MLP and the mixture-of-experts heads share.
 //
 // Design note: the paper fine-tunes transformer language models (BERT,
 // DeBERTa, GPT-2, T5, LLaMA 3.2) on serialized record pairs. What the study

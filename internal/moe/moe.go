@@ -144,35 +144,17 @@ func (m *Model) Prob(x mlcore.SparseVec) float64 {
 }
 
 // Train fits the model on the examples with per-example Adam. As in the
-// MLP trainer, a held-out tenth of the examples drives best-epoch
-// selection, so a diverged final epoch never ships.
+// MLP trainer, mlcore.Fit holds out the validation set that drives
+// best-epoch selection, so a diverged final epoch never ships.
 func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
-	if len(examples) == 0 {
-		return
-	}
-	shuffled := append([]mlcore.Example(nil), examples...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	nVal := len(shuffled) / 10
-	if nVal > 0 && nVal < 8 && len(shuffled) >= 16 {
-		nVal = 8
-	}
-	val := shuffled[:nVal]
-	examples = shuffled[nVal:]
-	if len(examples) == 0 {
-		examples = shuffled
-		val = nil
-	}
-
-	bestLoss := math.Inf(1)
-	var best *snapshot
 	cfg := m.cfg
-	nParams := len(m.gateW) + len(m.gateB) + len(m.expertW1) + len(m.expertB1) + len(m.headW) + 1
-	opt := newAdam(nParams, cfg.LearnRate)
-	st := m.newState()
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
+	params := [][]float64{m.gateW, m.gateB, m.expertW1, m.expertB1, m.headW}
+	nParams := 1
+	for _, p := range params {
+		nParams += len(p)
 	}
+	opt := mlcore.NewAdam(nParams, cfg.LearnRate)
+	st := m.newState()
 	gGateLogit := make([]float64, cfg.Experts)
 	gHidden := make([]float64, cfg.Experts*cfg.Hidden)
 
@@ -184,125 +166,98 @@ func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
 	baseHeadW := baseExpertB1 + len(m.expertB1)
 	baseHeadB := baseHeadW + len(m.headW)
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, i := range order {
-			ex := examples[i]
-			m.forward(ex.X, st)
-			w := ex.Weight
-			if w == 0 {
-				w = 1
-			}
-			gOut := (st.prob - ex.Y) * w
+	step := func(ex mlcore.Example) {
+		m.forward(ex.X, st)
+		w := ex.Weight
+		if w == 0 {
+			w = 1
+		}
+		gOut := (st.prob - ex.Y) * w
 
-			// Head gradients.
+		// Head gradients.
+		for h := 0; h < cfg.Hidden; h++ {
+			g := gOut*st.mixed[h] + cfg.L2*m.headW[h]
+			m.headW[h] += opt.Step(baseHeadW+h, g)
+		}
+		m.headB += opt.Step(baseHeadB, gOut)
+
+		// Gradient wrt mixed[h] is gOut * headW[h]; distribute to the
+		// experts (scaled by gate) and the gate (scaled by hidden).
+		for e := 0; e < cfg.Experts; e++ {
+			gGateLogit[e] = 0
+		}
+		for e := 0; e < cfg.Experts; e++ {
+			dot := 0.0
 			for h := 0; h < cfg.Hidden; h++ {
-				g := gOut*st.mixed[h] + cfg.L2*m.headW[h]
-				m.headW[h] += opt.step(baseHeadW+h, g)
+				gm := gOut * m.headW[h]
+				gHidden[e*cfg.Hidden+h] = gm * st.gateProbs[e]
+				dot += gm * st.hidden[e*cfg.Hidden+h]
 			}
-			m.headB += opt.step(baseHeadB, gOut)
+			// Softmax backprop: dL/dlogit_e = p_e * (dot_e - sum_k p_k dot_k).
+			gGateLogit[e] = dot
+		}
+		mixGrad := 0.0
+		for e := 0; e < cfg.Experts; e++ {
+			mixGrad += st.gateProbs[e] * gGateLogit[e]
+		}
+		for e := 0; e < cfg.Experts; e++ {
+			gGateLogit[e] = st.gateProbs[e] * (gGateLogit[e] - mixGrad)
+		}
 
-			// Gradient wrt mixed[h] is gOut * headW[h]; distribute to the
-			// experts (scaled by gate) and the gate (scaled by hidden).
-			for e := 0; e < cfg.Experts; e++ {
-				gGateLogit[e] = 0
+		// Gate parameter updates (sparse in the input).
+		for e := 0; e < cfg.Experts; e++ {
+			gl := gGateLogit[e]
+			if gl == 0 {
+				continue
 			}
-			for e := 0; e < cfg.Experts; e++ {
-				dot := 0.0
-				for h := 0; h < cfg.Hidden; h++ {
-					gm := gOut * m.headW[h]
-					gHidden[e*cfg.Hidden+h] = gm * st.gateProbs[e]
-					dot += gm * st.hidden[e*cfg.Hidden+h]
-				}
-				// Softmax backprop: dL/dlogit_e = p_e * (dot_e - sum_k p_k dot_k).
-				gGateLogit[e] = dot
+			rowBase := e * cfg.Dim
+			row := m.gateW[rowBase : rowBase+cfg.Dim]
+			for k, idx := range ex.X.Idx {
+				g := gl*ex.X.Val[k] + cfg.L2*row[idx]
+				row[idx] += opt.Step(baseGateW+rowBase+idx, g)
 			}
-			mixGrad := 0.0
-			for e := 0; e < cfg.Experts; e++ {
-				mixGrad += st.gateProbs[e] * gGateLogit[e]
-			}
-			for e := 0; e < cfg.Experts; e++ {
-				gGateLogit[e] = st.gateProbs[e] * (gGateLogit[e] - mixGrad)
-			}
+			m.gateB[e] += opt.Step(baseGateB+e, gl)
+		}
 
-			// Gate parameter updates (sparse in the input).
-			for e := 0; e < cfg.Experts; e++ {
-				gl := gGateLogit[e]
-				if gl == 0 {
+		// Expert parameter updates (ReLU-gated, sparse in the input).
+		for e := 0; e < cfg.Experts; e++ {
+			for h := 0; h < cfg.Hidden; h++ {
+				if st.hidden[e*cfg.Hidden+h] <= 0 {
 					continue
 				}
-				rowBase := e * cfg.Dim
-				row := m.gateW[rowBase : rowBase+cfg.Dim]
+				gh := gHidden[e*cfg.Hidden+h]
+				if gh == 0 {
+					continue
+				}
+				rowBase := (e*cfg.Hidden + h) * cfg.Dim
+				row := m.expertW1[rowBase : rowBase+cfg.Dim]
 				for k, idx := range ex.X.Idx {
-					g := gl*ex.X.Val[k] + cfg.L2*row[idx]
-					row[idx] += opt.step(baseGateW+rowBase+idx, g)
+					g := gh*ex.X.Val[k] + cfg.L2*row[idx]
+					row[idx] += opt.Step(baseExpertW1+rowBase+idx, g)
 				}
-				m.gateB[e] += opt.step(baseGateB+e, gl)
-			}
-
-			// Expert parameter updates (ReLU-gated, sparse in the input).
-			for e := 0; e < cfg.Experts; e++ {
-				for h := 0; h < cfg.Hidden; h++ {
-					if st.hidden[e*cfg.Hidden+h] <= 0 {
-						continue
-					}
-					gh := gHidden[e*cfg.Hidden+h]
-					if gh == 0 {
-						continue
-					}
-					rowBase := (e*cfg.Hidden + h) * cfg.Dim
-					row := m.expertW1[rowBase : rowBase+cfg.Dim]
-					for k, idx := range ex.X.Idx {
-						g := gh*ex.X.Val[k] + cfg.L2*row[idx]
-						row[idx] += opt.step(baseExpertW1+rowBase+idx, g)
-					}
-					m.expertB1[e*cfg.Hidden+h] += opt.step(baseExpertB1+e*cfg.Hidden+h, gh)
-				}
-			}
-		}
-
-		// Validation checkpointing.
-		if len(val) > 0 {
-			loss := 0.0
-			for _, ex := range val {
-				m.forward(ex.X, st)
-				loss += mlcore.LogLoss(st.prob, ex.Y)
-			}
-			if loss < bestLoss {
-				bestLoss = loss
-				best = m.snapshot()
+				m.expertB1[e*cfg.Hidden+h] += opt.Step(baseExpertB1+e*cfg.Hidden+h, gh)
 			}
 		}
 	}
-	if best != nil {
-		m.restore(best)
+	loss := func(ex mlcore.Example) float64 {
+		m.forward(ex.X, st)
+		return mlcore.LogLoss(st.prob, ex.Y)
 	}
-}
 
-// snapshot captures all trainable parameters.
-type snapshot struct {
-	gateW, gateB, expertW1, expertB1, headW []float64
-	headB                                   float64
-}
-
-func (m *Model) snapshot() *snapshot {
-	return &snapshot{
-		gateW:    append([]float64(nil), m.gateW...),
-		gateB:    append([]float64(nil), m.gateB...),
-		expertW1: append([]float64(nil), m.expertW1...),
-		expertB1: append([]float64(nil), m.expertB1...),
-		headW:    append([]float64(nil), m.headW...),
-		headB:    m.headB,
+	best := make([][]float64, len(params))
+	var bestHeadB float64
+	keep := func() {
+		for i, p := range params {
+			best[i] = append(best[i][:0], p...)
+		}
+		bestHeadB = m.headB
 	}
-}
-
-func (m *Model) restore(s *snapshot) {
-	copy(m.gateW, s.gateW)
-	copy(m.gateB, s.gateB)
-	copy(m.expertW1, s.expertW1)
-	copy(m.expertB1, s.expertB1)
-	copy(m.headW, s.headW)
-	m.headB = s.headB
+	if mlcore.Fit(examples, cfg.Epochs, rng, step, loss, keep) {
+		for i, p := range params {
+			copy(p, best[i])
+		}
+		m.headB = bestHeadB
+	}
 }
 
 func softmax(logits, out []float64) {
@@ -320,29 +275,4 @@ func softmax(logits, out []float64) {
 	for i := range out {
 		out[i] /= sum
 	}
-}
-
-// adam is a flat-indexed lazy Adam optimiser (per-parameter timesteps).
-type adam struct {
-	lr   float64
-	m, v []float64
-	t    []int
-}
-
-func newAdam(n int, lr float64) *adam {
-	return &adam{lr: lr, m: make([]float64, n), v: make([]float64, n), t: make([]int, n)}
-}
-
-func (a *adam) step(idx int, g float64) float64 {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	a.t[idx]++
-	a.m[idx] = beta1*a.m[idx] + (1-beta1)*g
-	a.v[idx] = beta2*a.v[idx] + (1-beta2)*g*g
-	bc1 := 1 - math.Pow(beta1, float64(a.t[idx]))
-	bc2 := 1 - math.Pow(beta2, float64(a.t[idx]))
-	return -a.lr * (a.m[idx] / bc1) / (math.Sqrt(a.v[idx]/bc2) + eps)
 }
