@@ -3,8 +3,9 @@
 // built-in transfer library, exactly like emmatch) and answers /match
 // requests for single pairs and batches over HTTP JSON or the compact
 // binary wire protocol (content-type negotiated; see internal/wire), with
-// micro-batching, a sharded LRU prediction cache and admission control
-// (see internal/serve).
+// micro-batching, a sharded second-chance (CLOCK) prediction cache, which
+// evicts the first entry not hit since its clock hand last passed, and
+// admission control (see internal/serve).
 //
 // Usage:
 //

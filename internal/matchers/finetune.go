@@ -159,9 +159,10 @@ func appendAttrPairs(examples []mlcore.Example, enc *lm.Encoder, pairs []transfe
 }
 
 // probHead is a trained prediction head: LogReg, MLP or the
-// mixture-of-experts model.
+// mixture-of-experts model. Scorer returns its probability function,
+// which holds one forward-pass scratch for all the pairs of a batch.
 type probHead interface {
-	Prob(mlcore.SparseVec) float64
+	Scorer() func(mlcore.SparseVec) float64
 }
 
 // predictHead is the prediction loop of the fine-tuned matchers: each
@@ -172,6 +173,7 @@ type probHead interface {
 func predictHead(task Task, enc *lm.Encoder, prep func(record.Pair) record.Pair, head probHead, out []bool, conf []float64) {
 	st := obs.StartStages(task.Ctx)
 	var vec mlcore.SparseVec
+	prob := head.Scorer()
 	for i, p := range task.Pairs {
 		st.Enter("featurise")
 		if prep != nil {
@@ -179,7 +181,7 @@ func predictHead(task Task, enc *lm.Encoder, prep func(record.Pair) record.Pair,
 		}
 		enc.EncodeInto(&vec, p, task.Opts)
 		st.Enter("classify")
-		pr := head.Prob(vec)
+		pr := prob(vec)
 		out[i] = pr >= 0.5
 		if conf != nil {
 			conf[i] = decisionMargin(pr, 0.5)

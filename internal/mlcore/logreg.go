@@ -87,6 +87,9 @@ func (m *LogReg) Prob(x SparseVec) float64 {
 	return Sigmoid(x.Dot(m.W) + m.Bias)
 }
 
+// Scorer returns Prob: a linear head keeps no activations.
+func (m *LogReg) Scorer() func(SparseVec) float64 { return m.Prob }
+
 // adam implements the Adam optimiser with sparse updates.
 type adam struct {
 	lr      float64

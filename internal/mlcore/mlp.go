@@ -70,8 +70,15 @@ func (m *MLP) forward(x SparseVec, hidden []float64) float64 {
 
 // Prob returns the predicted match probability for x.
 func (m *MLP) Prob(x SparseVec) float64 {
+	return m.Scorer()(x)
+}
+
+// Scorer returns Prob as a function that reuses one hidden-activation
+// scratch across its calls, so a batch scores without a per-pair
+// allocation. The function is not safe for concurrent use.
+func (m *MLP) Scorer() func(SparseVec) float64 {
 	hidden := make([]float64, m.cfg.Hidden)
-	return m.forward(x, hidden)
+	return func(x SparseVec) float64 { return m.forward(x, hidden) }
 }
 
 // Train fits the network on the examples with mini-batch size 1 (the

@@ -138,9 +138,18 @@ func (m *Model) forward(x mlcore.SparseVec, st *forwardState) {
 
 // Prob returns the predicted match probability for x.
 func (m *Model) Prob(x mlcore.SparseVec) float64 {
+	return m.Scorer()(x)
+}
+
+// Scorer returns Prob as a function that reuses one forward-pass state
+// across its calls, so a batch scores without a per-pair allocation. The
+// function is not safe for concurrent use.
+func (m *Model) Scorer() func(mlcore.SparseVec) float64 {
 	st := m.newState()
-	m.forward(x, st)
-	return st.prob
+	return func(x mlcore.SparseVec) float64 {
+		m.forward(x, st)
+		return st.prob
+	}
 }
 
 // Train fits the model on the examples with per-example Adam. As in the

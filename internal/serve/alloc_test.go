@@ -9,6 +9,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -149,5 +150,26 @@ func TestWireErrorPathZeroAlloc(t *testing.T) {
 		if st, _ := srv.ServeWire(context.Background(), badMagic, dst[:0]); st != http.StatusBadRequest {
 			t.Fatalf("status %d", st)
 		}
+	})
+}
+
+// TestPredCachePutZeroAlloc pins the eviction path: a Put of a new, built
+// key into a full shard replaces an entry in place and allocates nothing.
+func TestPredCachePutZeroAlloc(t *testing.T) {
+	const capacity = 64
+	c := NewPredCache(capacity, 1)
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("put-%d", i)
+	}
+	for _, k := range keys[:capacity] {
+		c.Put(k, true)
+	}
+	// Every Put from here on is of a key the shard does not hold: the
+	// cycle of keys is four times the capacity.
+	i := capacity
+	zeroAllocs(t, "Put into a full shard", func() {
+		c.Put(keys[i%len(keys)], i%2 == 0)
+		i++
 	})
 }

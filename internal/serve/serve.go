@@ -12,8 +12,10 @@
 //     matcher invocation amortises its fixed costs over many pairs while
 //     light traffic still sees single-pair latency.
 //
-//   - A sharded LRU prediction cache (cache.go) keyed by the canonical
-//     serialized pair. A hit skips serialization, text profiling,
+//   - A sharded second-chance (CLOCK) prediction cache (cache.go) keyed
+//     by the canonical serialized pair: a hit marks its entry, and a full
+//     shard evicts the first unmarked entry its clock hand reaches,
+//     clearing marks on the way. A hit skips serialization, text profiling,
 //     featurization and the model call entirely — and costs zero dollars
 //     on prompted matchers. A miss serializes its two records afresh
 //     (serialization is a pure function of the values, and memoising it
