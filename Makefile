@@ -30,8 +30,10 @@ bench:
 # SLO engine, the Ratcliff/Obershelp ratio and threshold test on a held
 # scratch, the q-gram Jaccard kernel on warm profiles, the symmetric
 # Monge-Elkan kernel, the lm knowledge draw and a 64-pair StringSim batch;
-# a ceiling of 3 for an all-hit Submit and the measured ceiling for an
-# all-hit wire request through the fleet front.
+# a ceiling of 3 for an all-hit Submit, one allocation per value plus a
+# small constant for an all-hit JSON request through the replica handler
+# (TestMatchJSONHitAllocCeiling) and the measured ceiling for an all-hit
+# wire request through the fleet front.
 alloc-gate:
 	$(GO) test ./internal/serve/ ./internal/fleet/ ./internal/route/ ./internal/slo/ ./internal/flight/ \
 		./internal/textsim/ ./internal/lm/ ./internal/matchers/ -run 'ZeroAlloc|AllocCeiling'
@@ -56,7 +58,7 @@ alloc-gate:
 #            stage by emtool trace
 #   bench    benchmark/run.sh -quick on each of the four BENCHMARK.json
 #            workloads: it must build, exit 0 and print "correct":true
-#   fuzz     5 s per wire/snap/textsim fuzz target; a failing input lands
+#   fuzz     5 s per wire/serve/snap/textsim fuzz target; a failing input lands
 #            in the package's testdata/fuzz/ and fails the stage
 smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; store=$$tmp/store; set -x; \
@@ -79,6 +81,7 @@ smoke:
 		bash benchmark/run.sh -workload $$w -quick > $$tmp/bench.out; cat $$tmp/bench.out; \
 		grep -q '"correct":true' $$tmp/bench.out || { echo "bench $$w: not correct"; exit 1; }; done; \
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime=5s; \
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeMatchRequest$$' -fuzztime=5s; \
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzResponseDecode$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime=5s; \
 	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzDec$$' -fuzztime=5s; \

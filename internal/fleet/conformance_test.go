@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datasets"
+	"repro/internal/eval"
 	"repro/internal/matchers"
 	"repro/internal/record"
 	"repro/internal/serve"
@@ -179,6 +181,12 @@ func TestMatchEdgeConformance(t *testing.T) {
 			io.LimitReader(zeros{}, wire.MaxPayload+64), strings.NewReader(`"],"right":["b"]}`))
 	}
 
+	// A complete JSON value followed by bytes past the bound: the body,
+	// not its first value, is what the bound limits.
+	oversizeTail := func() io.Reader {
+		return io.MultiReader(strings.NewReader(`{"left":["a"],"right":["b"]}`), io.LimitReader(zeros{}, wire.MaxPayload+64))
+	}
+
 	cases := []struct {
 		name        string
 		method      string
@@ -194,6 +202,7 @@ func TestMatchEdgeConformance(t *testing.T) {
 		{"empty pairs", http.MethodPost, "application/json", jsonBody(`{"pairs":[]}`), http.StatusBadRequest},
 		{"oversize JSON", http.MethodPost, "application/json", oversizeJSON, http.StatusRequestEntityTooLarge},
 		{"too many pairs JSON", http.MethodPost, "application/json", bytesBody(tooManyJSON), http.StatusRequestEntityTooLarge},
+		{"oversize after a JSON value", http.MethodPost, "application/json", oversizeTail, http.StatusRequestEntityTooLarge},
 		{"truncated frame", http.MethodPost, wire.ContentType, bytesBody(valid[:len(valid)-3]), http.StatusBadRequest},
 		{"trailing bytes", http.MethodPost, wire.ContentType, bytesBody(append(append([]byte(nil), valid...), 0)), http.StatusBadRequest},
 		{"wrong frame type", http.MethodPost, wire.ContentType, bytesBody(wrongType), http.StatusBadRequest},
@@ -214,6 +223,31 @@ func TestMatchEdgeConformance(t *testing.T) {
 			t.Fatalf("server %d admitted %d of the refused requests", i, n)
 		}
 	}
+
+	// Accepted JSON bodies: values that need escaping, and case-variant
+	// keys, which select their fields as exact ones do. Each must be
+	// answered as its pairs given as Go values are offline.
+	accepted := []struct {
+		name  string
+		body  string
+		pairs []record.Pair
+	}{
+		{"escaped values JSON", `{"pairs":[` +
+			`{"left":["r\u0026b \"live\" \\ \u003cb\u003e caf\u00e9 \ud83d\ude00"],"right":["r&b \"live\" \\ <b> café 😀"]},` +
+			`{"left":["r\u0026b"],"right":["r\\u0026b"]}]}`,
+			[]record.Pair{onePair("r&b \"live\" \\ <b> café 😀", "r&b \"live\" \\ <b> café 😀"), onePair("r&b", `r\u0026b`)}},
+		{"case-variant keys JSON", `{"PAIRS":[{"Left":["a"],"RIGHT":["a"]},{"left":["a"],"Right":["b"]}],"Deadline_MS":0}`,
+			[]record.Pair{onePair("a", "a"), onePair("a", "b")}},
+	}
+	for _, tc := range accepted {
+		t.Run(tc.name, func(t *testing.T) {
+			got := e.both(t, http.MethodPost, "application/json", jsonBody(tc.body), http.StatusOK)
+			offline := (&gatedMatcher{}).Predict(matchers.Task{Pairs: tc.pairs})
+			if fmt.Sprint(got.preds) != fmt.Sprint(offline) {
+				t.Fatalf("served %v, offline %v", got.preds, offline)
+			}
+		})
+	}
 }
 
 // zeros is an endless stream of '0' bytes.
@@ -231,14 +265,7 @@ func (zeros) Read(p []byte) (int, error) {
 // the first time and all cached the second.
 func TestMatchEdgeConformanceSuccess(t *testing.T) {
 	pairs := abtPairs(t, 64)
-	jreq := serve.MatchRequest{Pairs: make([]serve.PairJSON, len(pairs))}
-	for i := range pairs {
-		jreq.Pairs[i] = serve.PairJSON{Left: pairs[i].Left.Values, Right: pairs[i].Right.Values}
-	}
-	jbody, err := json.Marshal(jreq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jbody := jsonPairs(t, pairs)
 	m := matchers.NewStringSim()
 	offline := m.Predict(matchers.Task{Pairs: pairs})
 	e := newEdges(t, m, serve.Config{MatcherName: "stringsim", CacheCapacity: 1 << 10})
@@ -253,6 +280,41 @@ func TestMatchEdgeConformanceSuccess(t *testing.T) {
 			t.Fatalf("pair %d: cached %v then %v, want false then true", i, first.cached[i], second.cached[i])
 		}
 	}
+
+	// Pairs whose values json.Marshal escapes (DBAC writes "and" as "&")
+	// are answered as offline too.
+	d, err := datasets.Generate("DBAC", eval.DatasetSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var escaped []record.Pair
+	for _, lp := range d.Pairs {
+		if len(escaped) < 64 && strings.Contains(fmt.Sprint(lp.Left.Values, lp.Right.Values), "&") {
+			escaped = append(escaped, lp.Pair)
+		}
+	}
+	ebody := jsonPairs(t, escaped)
+	if len(escaped) < 64 || !bytes.Contains(ebody, []byte(`\u0026`)) {
+		t.Fatalf("%d pairs with an escaped value", len(escaped))
+	}
+	got := e.both(t, http.MethodPost, "application/json", bytesBody(ebody), http.StatusOK)
+	if want := m.Predict(matchers.Task{Pairs: escaped}); fmt.Sprint(got.preds) != fmt.Sprint(want) {
+		t.Fatalf("escaped JSON served %v, offline %v", got.preds, want)
+	}
+}
+
+// jsonPairs is the JSON /match body of pairs, as clients encode it.
+func jsonPairs(t *testing.T, pairs []record.Pair) []byte {
+	t.Helper()
+	req := serve.MatchRequest{Pairs: make([]serve.PairJSON, len(pairs))}
+	for i, p := range pairs {
+		req.Pairs[i] = serve.PairJSON{Left: p.Left.Values, Right: p.Right.Values}
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // holdWorkers parks every server's single worker inside the gated matcher

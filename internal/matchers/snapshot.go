@@ -11,7 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// This file implements snap.Snapshotter for every matcher in the study.
+// This file implements snap.Snapshotter for every registry matcher
+// (ByName), the only matchers a snapshot store is asked to hold.
 // The contract is strict: a matcher restored from its snapshot predicts
 // bit-identically to the freshly trained instance (pinned by the
 // round-trip tests in internal/snap). Each implementation therefore
@@ -50,10 +51,6 @@ func ConfigOf(m Matcher) string {
 		return "jellyfish"
 	case *MatchGPT:
 		return fmt.Sprintf("matchgpt:%s:strat=%d,demos=%d", m.profile.Name, int(m.Strategy), m.NumDemos)
-	case *MatchGPTRAG:
-		return fmt.Sprintf("ragmatch:%s:k=%d,cap=%d", m.profile.Name, m.K, m.IndexCap)
-	case *Cascade:
-		return fmt.Sprintf("cascade:lo=%g,hi=%g|%s", m.LowBand, m.HighBand, ConfigOf(m.Expensive))
 	default:
 		return m.Name()
 	}
@@ -216,54 +213,6 @@ func (m *MatchGPT) RestoreState(d *snap.Dec) error {
 	return nil
 }
 
-// --- MatchGPTRAG ---
-
-// SnapshotState implements snap.Snapshotter: the retrieval index (demos
-// plus similarity signatures) and the prompt-model RNG stream.
-func (m *MatchGPTRAG) SnapshotState(e *snap.Enc) error {
-	e.Str("ragmatch/v1")
-	e.Str(m.profile.Name)
-	e.Int(m.K)
-	e.Int(m.IndexCap)
-	encodeRNG(e, m.rng)
-	e.Uvarint(uint64(len(m.index)))
-	for _, ent := range m.index {
-		encodeLabeledPair(e, ent.demo.Pair)
-		e.Str(ent.demo.Dataset)
-		e.F64s(ent.sig)
-	}
-	return nil
-}
-
-// RestoreState implements snap.Snapshotter.
-func (m *MatchGPTRAG) RestoreState(d *snap.Dec) error {
-	d.Tag("ragmatch/v1")
-	name := d.Str()
-	k := d.Int()
-	indexCap := d.Int()
-	rng := decodeRNG(d)
-	n := int(d.Uvarint())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := checkProfile(name, m.profile.Name); err != nil {
-		return err
-	}
-	index := make([]ragEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var ent ragEntry
-		ent.demo.Pair = decodeLabeledPair(d)
-		ent.demo.Dataset = d.Str()
-		ent.sig = d.F64s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		index = append(index, ent)
-	}
-	m.K, m.IndexCap, m.rng, m.index = k, indexCap, rng, index
-	return nil
-}
-
 // --- Ditto ---
 
 // SnapshotState implements snap.Snapshotter: configuration, the
@@ -378,49 +327,5 @@ func (m *Unicorn) RestoreState(d *snap.Dec) error {
 	}
 	m.TrainCap, m.AuxCap = trainCap, auxCap
 	m.enc, m.model = enc, model
-	return nil
-}
-
-// --- Cascade ---
-
-// SnapshotState implements snap.Snapshotter: the band thresholds plus
-// the expensive stage's state, nested in the same payload. The expensive
-// matcher must itself be a Snapshotter.
-func (m *Cascade) SnapshotState(e *snap.Enc) error {
-	sub, ok := m.Expensive.(snap.Snapshotter)
-	if !ok {
-		return fmt.Errorf("snap: cascade stage %s is not snapshottable", m.Expensive.Name())
-	}
-	e.Str("cascade/v1")
-	e.F64(m.LowBand)
-	e.F64(m.HighBand)
-	e.Str(m.Expensive.Name())
-	return sub.SnapshotState(e)
-}
-
-// RestoreState implements snap.Snapshotter. The receiver's Expensive
-// matcher must already be constructed (NewCascade with the right stage);
-// its state is restored in place.
-func (m *Cascade) RestoreState(d *snap.Dec) error {
-	sub, ok := m.Expensive.(snap.Snapshotter)
-	if !ok {
-		return fmt.Errorf("snap: cascade stage %s is not snapshottable", m.Expensive.Name())
-	}
-	d.Tag("cascade/v1")
-	low := d.F64()
-	high := d.F64()
-	name := d.Str()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != m.Expensive.Name() {
-		return fmt.Errorf("%w: cascade snapshot escalates to %q, receiver to %q",
-			snap.ErrMismatch, name, m.Expensive.Name())
-	}
-	if err := sub.RestoreState(d); err != nil {
-		return err
-	}
-	m.LowBand, m.HighBand = low, high
-	m.Escalated, m.Total = 0, 0
 	return nil
 }

@@ -106,39 +106,6 @@ func shrink(m Matcher) {
 	}
 }
 
-// TestSnapshotRoundTripCascade covers the nested snapshot: a cascade's
-// state embeds its expensive stage's state.
-func TestSnapshotRoundTripCascade(t *testing.T) {
-	const target = "ABT"
-	transfer := smallTransfer(target, 40)
-	task, _ := miniTask(t, target, 80)
-
-	trained := NewCascade(NewMatchGPT(lm.GPT4))
-	fresh := NewCascade(NewMatchGPT(lm.GPT4))
-	trained.Train(transfer, stats.NewRNG(3).Split("train"))
-
-	var buf bytes.Buffer
-	if err := snap.Write(&buf, snap.Meta{Matcher: trained.Name()}, trained); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.Read(bytes.NewReader(buf.Bytes()), fresh); err != nil {
-		t.Fatal(err)
-	}
-	want, got := trained.Predict(task), fresh.Predict(task)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: cascade restored prediction differs", i)
-		}
-	}
-
-	// Restoring into a cascade over a different expensive stage must fail
-	// with a mismatch, not silently cross-load.
-	wrong := NewCascade(NewMatchGPT(lm.GPT35Turbo))
-	if _, err := snap.Read(bytes.NewReader(buf.Bytes()), wrong); !errors.Is(err, snap.ErrMismatch) {
-		t.Fatalf("cross-stage restore: got %v, want ErrMismatch", err)
-	}
-}
-
 // TestSnapshotProfileMismatch pins the fail-closed behaviour of
 // profile-carrying snapshots: a GPT-4 snapshot cannot restore into a
 // matcher configured for another model.

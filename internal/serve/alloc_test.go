@@ -8,9 +8,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/record"
@@ -172,4 +176,81 @@ func TestPredCachePutZeroAlloc(t *testing.T) {
 		c.Put(keys[i%len(keys)], i%2 == 0)
 		i++
 	})
+}
+
+// bodyWriter is a reusable ResponseWriter that keeps the last reply, so
+// the measurement counts the handler's allocations and not a recorder's.
+type bodyWriter struct {
+	h      http.Header
+	status int
+	body   []byte
+}
+
+func (w *bodyWriter) Header() http.Header    { return w.h }
+func (w *bodyWriter) WriteHeader(status int) { w.status = status }
+func (w *bodyWriter) Write(b []byte) (int, error) {
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+// TestMatchJSONHitAllocCeiling pins the JSON codec on an all-hit 64-pair
+// request with three values a side through Server.Handler(): one string
+// per value, and a per-request constant for the pairs and their shared
+// value array, the result the record codec keeps, the reply and the
+// test's request body wrapper.
+func TestMatchJSONHitAllocCeiling(t *testing.T) {
+	pairs := benchmarkPairs(t, "ABT", 64)
+	values := 0
+	for _, p := range pairs {
+		if len(p.Left.Values) != 3 || len(p.Right.Values) != 3 {
+			t.Fatalf("want 3 values a side, got %d and %d", len(p.Left.Values), len(p.Right.Values))
+		}
+		values += 6
+	}
+	srv, err := New(trained(t, "stringsim"), Config{
+		MatcherName: "stringsim", CacheCapacity: 1 << 12, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	h := srv.Handler()
+	jreq := MatchRequest{Pairs: make([]PairJSON, len(pairs))}
+	for i, p := range pairs {
+		jreq.Pairs[i] = PairJSON{Left: p.Left.Values, Right: p.Right.Values}
+	}
+	raw, err := json.Marshal(jreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.NewReader(raw)
+	req := httptest.NewRequest(http.MethodPost, "/match", nil)
+	req.Header.Set("Content-Type", "application/json")
+	w := &bodyWriter{h: http.Header{}}
+	serveJSON := func() {
+		body.Seek(0, io.SeekStart)
+		req.Body = io.NopCloser(body)
+		w.body = w.body[:0]
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body)
+		}
+	}
+	serveJSON() // score and cache every pair
+	serveJSON()
+	var resp MatchResponse
+	if err := json.Unmarshal(w.body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range resp.Cached {
+		if !c {
+			t.Fatalf("pair %d missed the cache", i)
+		}
+	}
+	ceiling := float64(values + 16)
+	allocs := testing.AllocsPerRun(100, serveJSON)
+	t.Logf("all-hit JSON request of %d values: %.0f allocs", values, allocs)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocs per all-hit JSON request of %d values, ceiling %.0f", allocs, values, ceiling)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -109,23 +110,13 @@ func (e *MatchEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.serveWire(w, r)
 		return
 	}
-	var req MatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	pairs, err := req.toPairs(e.MaxPairs)
+	pairs, deadlineMs, err := readMatchJSON(r.Body, e.MaxPairs)
 	if err != nil {
 		writeError(w, rejectStatus(err), err.Error())
 		return
 	}
 	start := time.Now()
-	res, err := e.Submit(r.Context(), pairs, req.DeadlineMs)
+	res, err := e.Submit(r.Context(), pairs, deadlineMs)
 	if err != nil {
 		writeError(w, StatusFor(err), err.Error())
 		return
@@ -168,46 +159,24 @@ func (e *MatchEdge) serveWire(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, wire.ContentType, status, out)
 }
 
-// bodyBufPool recycles request-body and response-frame buffers for the
-// binary protocol edge.
+// bodyBufPool recycles request-body buffers of both codecs and the
+// response-frame buffers of the binary protocol edge.
 var bodyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
 }}
 
-// toPairs validates the request and converts it to record pairs, refusing
-// a batch over maxPairs (ErrTooLarge) before any pair is converted.
-func (r *MatchRequest) toPairs(maxPairs int) ([]record.Pair, error) {
-	single := len(r.Left) > 0 || len(r.Right) > 0
-	if single && len(r.Pairs) > 0 {
-		return nil, errors.New("set either left/right or pairs, not both")
+// readMatchJSON reads a JSON /match body into a pooled buffer, which it
+// does not keep, and decodes it.
+func readMatchJSON(r io.Reader, maxPairs int) ([]record.Pair, int, error) {
+	bodyp := bodyBufPool.Get().(*[]byte)
+	defer bodyBufPool.Put(bodyp)
+	body, err := readAllInto((*bodyp)[:0], r)
+	*bodyp = body
+	if err != nil {
+		return nil, 0, fmt.Errorf("unreadable body: %w", err)
 	}
-	if single {
-		if len(r.Left) == 0 || len(r.Right) == 0 {
-			return nil, errors.New("both left and right are required")
-		}
-		return []record.Pair{{
-			Left:  record.Record{Values: r.Left},
-			Right: record.Record{Values: r.Right},
-		}}, nil
-	}
-	if len(r.Pairs) == 0 {
-		return nil, errNoPairs
-	}
-	if len(r.Pairs) > maxPairs {
-		return nil, ErrTooLarge
-	}
-	pairs := make([]record.Pair, 0, len(r.Pairs))
-	for i, p := range r.Pairs {
-		if len(p.Left) == 0 || len(p.Right) == 0 {
-			return nil, fmt.Errorf("pair %d: both left and right are required", i)
-		}
-		pairs = append(pairs, record.Pair{
-			Left:  record.Record{ID: p.LeftID, Values: p.Left},
-			Right: record.Record{ID: p.RightID, Values: p.Right},
-		})
-	}
-	return pairs, nil
+	return decodeMatchRequest(body, maxPairs)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -96,14 +96,14 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 		}
 		n, err := r.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]
+		if len(dst) > maxBody {
+			return dst, wire.ErrOversize
+		}
 		if err == io.EOF {
 			return dst, nil
 		}
 		if err != nil {
 			return dst, err
-		}
-		if len(dst) > maxBody {
-			return dst, wire.ErrOversize
 		}
 	}
 }
