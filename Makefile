@@ -29,7 +29,9 @@ bench:
 # KeyHash), the all-cheap cascade route, the flight-ring write, the nil
 # SLO engine, the Ratcliff/Obershelp ratio and threshold test on a held
 # scratch, the q-gram Jaccard kernel on warm profiles, the symmetric
-# Monge-Elkan kernel, the lm knowledge draw and a 64-pair StringSim batch;
+# Monge-Elkan kernel, the lm knowledge draw, a warm pair through the
+# encoder's EncodeInto with a held vector (TestEncodeIntoAllocCeiling) and
+# a 64-pair StringSim batch;
 # a ceiling of 3 for an all-hit Submit, one allocation per value plus a
 # small constant for an all-hit JSON request through the replica handler
 # (TestMatchJSONHitAllocCeiling) and the measured ceiling for an all-hit

@@ -69,6 +69,75 @@ func BenchmarkEncoderEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeInto featurises a warm 64-pair ABT batch per op through
+// EncodeInto with one held vector, as a trained matcher's prediction head
+// does, at the encoder capacities of Ditto, Unicorn and AnyMatch: every
+// text derivation is cached, so this is the serving regime.
+func BenchmarkEncodeInto(b *testing.B) {
+	d := datasets.MustGenerate("ABT", eval.DatasetSeed)
+	pairs := make([]record.Pair, 0, 64)
+	for i := 0; i < 64 && i < len(d.Pairs); i++ {
+		pairs = append(pairs, d.Pairs[i].Pair)
+	}
+	for _, m := range []struct {
+		name string
+		prof lm.Profile
+	}{{"Ditto", lm.BERT}, {"Unicorn", lm.DeBERTa}, {"AnyMatch", lm.LLaMA32}} {
+		b.Run(m.name, func(b *testing.B) {
+			enc := lm.NewEncoder(m.prof.Capacity)
+			opts := record.SerializeOptions{Cache: record.NewSerializeCache()}
+			var vec mlcore.SparseVec
+			for _, p := range pairs {
+				enc.EncodeInto(&vec, p, opts)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pairs {
+					enc.EncodeInto(&vec, p, opts)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeCold is one fine-tuning pass's featurisation per op: a
+// fresh Ditto encoder, sized for the sample as encodePairs sizes it,
+// observes a fixed transfer sample (the first 500 pairs of each of four
+// datasets, both records of each pair) and then encodes every pair of
+// it, so every text derivation is built for text seen for the first
+// time, as in a training cell.
+func BenchmarkEncodeCold(b *testing.B) {
+	var sample []record.Pair
+	for _, name := range []string{"DBAC", "FOZA", "BEER", "WAAM"} {
+		d := datasets.MustGenerate(name, eval.DatasetSeed)
+		for i := 0; i < 500 && i < len(d.Pairs); i++ {
+			sample = append(sample, d.Pairs[i].Pair)
+		}
+	}
+	values := 0
+	for _, p := range sample {
+		values += len(p.Left.Values) + len(p.Right.Values)
+	}
+	opts := record.SerializeOptions{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc := lm.NewEncoder(lm.BERT.Capacity)
+		enc.ReserveCorpus(2*len(sample), values)
+		for _, p := range sample {
+			enc.ObserveRecord(p.Left, opts)
+			enc.ObserveRecord(p.Right, opts)
+		}
+		for _, p := range sample {
+			benchVec = enc.Encode(p, opts)
+		}
+	}
+}
+
+// benchVec keeps BenchmarkEncodeCold's vectors live.
+var benchVec mlcore.SparseVec
+
 func BenchmarkTokenizerCount(b *testing.B) {
 	text := "sony professional camcorder hdr-fx1000 black, home audio equipment, $3,199.99"
 	b.ReportAllocs()

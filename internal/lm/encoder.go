@@ -67,6 +67,17 @@ func (e *Encoder) Capacity() EncoderCapacity { return e.capacity }
 // Dim returns the total feature-space width (dense + hashed).
 func (e *Encoder) Dim() int { return numDenseFeatures + e.capacity.HashWidth }
 
+// ReserveCorpus sizes the encoder's own text cache for a fine-tuning
+// corpus of records records holding values attribute values in all, the
+// counts its owner knows before featurising it, so the cache's maps do
+// not rehash while the corpus fills them. It does nothing after
+// DropCorpusCache or once the cache holds entries.
+func (e *Encoder) ReserveCorpus(records, values int) {
+	if e.text != sharedText {
+		e.text.reserve(records, values)
+	}
+}
+
 // ObserveCorpus absorbs token statistics from fine-tuning text, improving
 // the IDF weighting of the dense similarity features (fine-tuning data is
 // in-reach for trained matchers, unlike for zero-shot prompting).
@@ -79,6 +90,13 @@ func (e *Encoder) Dim() int { return numDenseFeatures + e.capacity.HashWidth }
 // dropped with it.
 func (e *Encoder) ObserveCorpus(text string) {
 	e.idf.ObserveProfile(e.text.profiles.Get(text))
+}
+
+// ObserveRecord is ObserveCorpus(record.SerializeRecord(r, opts)), with
+// the profile composed from r's values (whose entries Encode reads next)
+// instead of tokenising the serialisation again.
+func (e *Encoder) ObserveRecord(r record.Record, opts record.SerializeOptions) {
+	e.idf.ObserveProfile(e.text.recordProfile(r, opts, record.SerializeRecord(r, opts)))
 }
 
 // normCaps derives the normalisation capabilities implied by pretraining
@@ -112,12 +130,16 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	// Dense similarity summary features (indices 0..numDenseFeatures-1).
 	left := record.SerializeRecord(p.Left, opts)
 	right := record.SerializeRecord(p.Right, opts)
-	pl := e.text.profiles.Get(left)
-	pr := e.text.profiles.Get(right)
-	el := e.text.normEntryFor(left, caps)
-	er := e.text.normEntryFor(right, caps)
-	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + min(pl.NumGrams(), pr.NumGrams()))
-	ev := extractEvidence(e.text, p, Capabilities{
+	pl, el := e.text.recordEntries(p.Left, opts, left, caps)
+	pr, er := e.text.recordEntries(p.Right, opts, right, caps)
+	grams := 0
+	if e.capacity.CharGrams {
+		grams = min(pl.NumGrams(), pr.NumGrams())
+	}
+	vec.Grow(numDenseFeatures + len(el.sorted) + len(er.sorted) + grams)
+	sc := evidencePool.Get().(*evidenceScratch)
+	defer evidencePool.Put(sc)
+	ev := extractEvidenceInto(sc, e.text, p, Capabilities{
 		Normalization: caps.Normalization,
 		Semantics:     caps.Semantics,
 		Numeracy:      0.25 + 0.6*e.capacity.Pretraining,
@@ -131,8 +153,9 @@ func (e *Encoder) EncodeInto(vec *mlcore.SparseVec, p record.Pair, opts record.S
 	// mechanism behind the paper's Finding 4 — fine-tuned small models
 	// trail the large commercial models on domain-specific language.
 	noiseScale := 1.1 * (1 - e.capacity.Pretraining)
+	noise := pairNoiseBase(p)
 	dense := func(idx int, val float64) {
-		vec.Add(idx, val+noiseScale*pairNoise(p, idx))
+		vec.Add(idx, val+noiseScale*pairNoiseAt(noise, idx))
 	}
 	dense(0, ev.Score)
 	dense(1, ev.Conflict)
@@ -224,9 +247,10 @@ func (e *Encoder) EncodeAttributePair(a, b string) mlcore.SparseVec {
 	return e.Encode(pair, record.SerializeOptions{})
 }
 
-// pairNoise derives a deterministic symmetric noise value in [-0.5, 0.5]
-// from the pair content and a feature index.
-func pairNoise(p record.Pair, idx int) float64 {
+// pairNoiseBase and pairNoiseAt derive a deterministic symmetric noise
+// value in [-0.5, 0.5] from the pair content and a feature index: the
+// base hashes the pair's IDs once for all of its indices.
+func pairNoiseBase(p record.Pair) uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -236,6 +260,11 @@ func pairNoise(p record.Pair, idx int) float64 {
 	}
 	mix(p.Left.ID)
 	mix(p.Right.ID)
+	return h
+}
+
+// pairNoiseAt finishes the draw for one index from the pair's base.
+func pairNoiseAt(h uint64, idx int) float64 {
 	h ^= uint64(idx) + 0x9e3779b97f4a7c15
 	h *= 1099511628211
 	// SplitMix finaliser for avalanche.

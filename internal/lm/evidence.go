@@ -4,6 +4,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
 
 	"repro/internal/record"
 	"repro/internal/textsim"
@@ -58,17 +60,37 @@ type Evidence struct {
 // everything with equal care, so noise drowns signal. The Attention
 // capability interpolates between the two weightings.
 func extractEvidence(c *textCache, p record.Pair, caps Capabilities, idf *textsim.Weighter) Evidence {
+	return extractEvidenceInto(nil, c, p, caps, idf)
+}
+
+// evidenceScratch holds the per-pair slices of extractEvidenceInto, so a
+// caller that reads the Evidence before scoring its next pair allocates
+// none of them.
+type evidenceScratch struct {
+	sims, weights         []float64
+	leftRare, rightRare   []string
+	leftProfs, rightProfs []*textsim.Profile
+}
+
+var evidencePool = sync.Pool{New: func() any { return new(evidenceScratch) }}
+
+// extractEvidenceInto is extractEvidence with its slices taken from sc;
+// the returned AttrSims and AttrWeights alias sc and are valid until its
+// next use. A nil sc allocates them, for callers that keep the Evidence.
+func extractEvidenceInto(sc *evidenceScratch, c *textCache, p record.Pair, caps Capabilities, idf *textsim.Weighter) Evidence {
 	n := len(p.Left.Values)
 	if len(p.Right.Values) < n {
 		n = len(p.Right.Values)
 	}
-	ev := Evidence{
-		AttrSims:    make([]float64, n),
-		AttrWeights: make([]float64, n),
+	if sc == nil {
+		sc = &evidenceScratch{}
 	}
-	var leftRare, rightRare []string
-	leftProfs := make([]*textsim.Profile, n)
-	rightProfs := make([]*textsim.Profile, n)
+	ev := Evidence{
+		AttrSims:    grow(sc.sims, n),
+		AttrWeights: grow(sc.weights, n),
+	}
+	leftRare, rightRare := sc.leftRare[:0], sc.rightRare[:0]
+	leftProfs, rightProfs := grow(sc.leftProfs, n), grow(sc.rightProfs, n)
 	ev.MinShortSim = 1
 	for i := 0; i < n; i++ {
 		le, re := c.valEntryFor(p.Left.Values[i]), c.valEntryFor(p.Right.Values[i])
@@ -115,6 +137,11 @@ func extractEvidence(c *textCache, p record.Pair, caps Capabilities, idf *textsi
 	if contrastConflictProfiles(leftProfs, rightProfs, caps.Semantics) {
 		ev.ContrastConflict = 1
 	}
+	*sc = evidenceScratch{
+		sims: ev.AttrSims, weights: ev.AttrWeights,
+		leftRare: leftRare, rightRare: rightRare,
+		leftProfs: leftProfs, rightProfs: rightProfs,
+	}
 
 	var num, den float64
 	for i := 0; i < n; i++ {
@@ -125,6 +152,15 @@ func extractEvidence(c *textCache, p record.Pair, caps Capabilities, idf *textsi
 		ev.Score = num / den
 	}
 	return ev
+}
+
+// grow returns s resized to n, reusing its backing array when it is
+// large enough; the elements are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // attrSimilarityE compares one aligned attribute value pair, given as
@@ -155,14 +191,16 @@ func attrSimilarityE(c *textCache, va, vb *valEntry, caps Capabilities, idf *tex
 		return caps.Numeracy*numeric + (1-caps.Numeracy)*str
 	}
 
-	la := c.normEntryFor(va.trimmed, caps)
-	lb := c.normEntryFor(vb.trimmed, caps)
+	// normalizeText lowercases first, so the lowercased value has the
+	// trimmed value's normalised form, and lowercasing it again is free.
+	la := c.normEntryFor(va.lowerTrim, caps)
+	lb := c.normEntryFor(vb.lowerTrim, caps)
 
 	// Token-set similarity with attention-gated IDF weighting.
 	tokSim := weightedOverlap(la, lb, caps.Attention, idf)
 
 	// Character-level similarity catches typos that token matching misses.
-	charSim := textsim.QGramJaccardP(la.joinedProfile(c), lb.joinedProfile(c))
+	charSim := textsim.QGramJaccardT(la.joinedGrams(), lb.joinedGrams())
 
 	sim := 0.65*tokSim + 0.35*charSim
 
@@ -411,28 +449,22 @@ func isIdentifierToken(t string) bool {
 	return digits >= 4
 }
 
-// versionTokens extracts version-shaped tokens ("4.0", "2.5.1") from the
-// fields of a mixed text value, strings.Fields of its lowercased form.
-func versionTokens(fields []string) []string {
-	var out []string
-	for _, f := range fields {
-		t := strings.Trim(f, ",;:!?\"'()[]$")
-		digits, dots, other := 0, 0, 0
-		for _, r := range t {
-			switch {
-			case r >= '0' && r <= '9':
-				digits++
-			case r == '.':
-				dots++
-			default:
-				other++
-			}
-		}
-		if other == 0 && dots >= 1 && digits >= 2 && digits <= 4 && !strings.HasPrefix(f, "$") {
-			out = append(out, t)
+// versionToken reports whether f, one field of a lowercased mixed text
+// value, is version-shaped ("4.0", "2.5.1"), and returns it trimmed.
+func versionToken(f string) (string, bool) {
+	t := versionCut.trim(f)
+	digits, dots, other := 0, 0, 0
+	for _, r := range t {
+		switch {
+		case r >= '0' && r <= '9':
+			digits++
+		case r == '.':
+			dots++
+		default:
+			other++
 		}
 	}
-	return out
+	return t, other == 0 && dots >= 1 && digits >= 2 && digits <= 4 && !strings.HasPrefix(f, "$")
 }
 
 // isYearLike reports whether a parsed number looks like a calendar year.
@@ -448,14 +480,15 @@ func rareAgreement(left, right []string) (conflict, identifierMatch float64) {
 	if len(left) == 0 || len(right) == 0 {
 		return 0, 0
 	}
-	set := make(map[string]struct{}, len(left))
-	for _, t := range left {
-		set[t] = struct{}{}
-	}
 	shared := 0
+	// Identifier lists are short, so a scan costs less than building a
+	// set per pair.
 	for _, t := range right {
-		if _, ok := set[t]; ok {
-			shared++
+		for _, u := range left {
+			if t == u {
+				shared++
+				break
+			}
 		}
 	}
 	total := len(left)
@@ -473,6 +506,13 @@ func rareAgreement(left, right []string) (conflict, identifierMatch float64) {
 func parseLooseNumber(s string) (float64, bool) {
 	clean := strings.TrimSpace(strings.ToLower(s))
 	clean = strings.TrimLeft(clean, "$€£ ")
+	// Once the commas go and the result is trimmed, the text starts at
+	// its first byte that is neither a comma nor a space (the suffix
+	// trims can only empty it), so text that cannot parse there is
+	// refused before ReplaceAll copies it.
+	if !textsim.MayStartFloat(strings.TrimLeftFunc(clean, isCommaOrSpace)) {
+		return 0, false
+	}
 	clean = strings.ReplaceAll(clean, ",", "")
 	for _, suffix := range []string{" usd", "usd", " dollars", "%", " min", " minutes"} {
 		clean = strings.TrimSuffix(clean, suffix)
@@ -495,6 +535,8 @@ func parseLooseNumber(s string) (float64, bool) {
 	}
 	return v, true
 }
+
+func isCommaOrSpace(r rune) bool { return r == ',' || unicode.IsSpace(r) }
 
 // parseDuration parses "m:ss" clock-style durations.
 func parseDuration(s string) (mins, secs int, ok bool) {

@@ -274,10 +274,26 @@ func normalizeToken(tok string, coverage float64) string {
 // deterministic fraction of fields unnormalised), so they cannot match
 // their clean twins.
 func normalizeText(text string, caps Capabilities) []string {
-	fields := strings.Fields(strings.ToLower(text))
-	out := make([]string, 0, len(fields))
-	for _, f := range fields {
-		tok := strings.Trim(f, ".,;:!?\"'()[]")
+	toks, _ := normalizeFields(text, caps)
+	return toks
+}
+
+// normalizeFields is normalizeText that also returns the last field of
+// text when the model kept it raw, and "" when it normalised it or the
+// field holds only punctuation. normalizeText is field-local, so the
+// normalised form of values joined by ", " is the values' normalised
+// forms in order, except that the last field of a value followed by the
+// separator carries its comma: kept raw, it reads rawLast+",".
+func normalizeFields(text string, caps Capabilities) (out []string, rawLast string) {
+	lower := strings.ToLower(text)
+	n := 0
+	for f, i := nextField(lower, 0); f != ""; f, i = nextField(lower, i) {
+		n++
+	}
+	out = make([]string, 0, n)
+	for f, i := nextField(lower, 0); f != ""; f, i = nextField(lower, i) {
+		rawLast = ""
+		tok := normCut.trim(f)
 		if tok == "" {
 			continue
 		}
@@ -285,6 +301,7 @@ func normalizeText(text string, caps Capabilities) []string {
 			// Model fails to normalise this token: keep the raw field,
 			// punctuation and all, so it won't match its clean twin.
 			out = append(out, f)
+			rawLast = f
 			continue
 		}
 		// Abbreviation lookup happens on the whole trimmed field (the
@@ -292,33 +309,37 @@ func normalizeText(text string, caps Capabilities) []string {
 		// canonical form is split into alphanumeric subtokens — including
 		// at digit/letter boundaries ("256gb" → "256", "gb") — and each
 		// subtoken gets a second knowledge pass ("gb" → "gigabyte").
-		canon := normalizeToken(tok, caps.Semantics)
-		for _, sub := range splitAlnum(canon) {
-			out = append(out, normalizeToken(sub, caps.Semantics))
+		runs := len(out)
+		out = appendAlnumRuns(out, normalizeToken(tok, caps.Semantics))
+		for k := runs; k < len(out); k++ {
+			out[k] = normalizeToken(out[k], caps.Semantics)
 		}
 	}
-	return out
+	return out, rawLast
 }
 
 // splitAlnum splits a token into homogeneous runs of lowercase ASCII
 // letters or digits, dropping everything else. Pure-punctuation tokens
-// yield nothing. The runs are substrings of tok: every byte of a
-// multi-byte rune is >= 0x80, so it ends a run exactly as the rune does.
-func splitAlnum(tok string) []string {
-	var out []string
+// yield nothing.
+func splitAlnum(tok string) []string { return appendAlnumRuns(nil, tok) }
+
+// appendAlnumRuns appends the runs splitAlnum returns to dst. The runs
+// are substrings of tok: every byte of a multi-byte rune is >= 0x80, so
+// it ends a run exactly as the rune does.
+func appendAlnumRuns(dst []string, tok string) []string {
 	start, curDigit := -1, false
 	for i := 0; i < len(tok); i++ {
 		c := tok[i]
 		isDigit := '0' <= c && c <= '9'
 		if !isDigit && !('a' <= c && c <= 'z') {
 			if start >= 0 {
-				out = append(out, tok[start:i])
+				dst = append(dst, tok[start:i])
 				start = -1
 			}
 			continue
 		}
 		if start >= 0 && isDigit != curDigit {
-			out = append(out, tok[start:i])
+			dst = append(dst, tok[start:i])
 			start = -1
 		}
 		if start < 0 {
@@ -327,7 +348,67 @@ func splitAlnum(tok string) []string {
 		curDigit = isDigit
 	}
 	if start >= 0 {
-		out = append(out, tok[start:])
+		dst = append(dst, tok[start:])
 	}
-	return out
+	return dst
+}
+
+// cutset is an ASCII strings.Trim cutset, built once: strings.Trim builds
+// its byte set from the cutset string on every call.
+type cutset [256]bool
+
+func newCutset(chars string) *cutset {
+	var c cutset
+	for i := 0; i < len(chars); i++ {
+		c[chars[i]] = true
+	}
+	return &c
+}
+
+// trim is strings.Trim(s, chars) for the chars c was built from.
+func (c *cutset) trim(s string) string {
+	i, j := 0, len(s)
+	for i < j && c[s[i]] {
+		i++
+	}
+	for j > i && c[s[j-1]] {
+		j--
+	}
+	return s[i:j]
+}
+
+var (
+	// normCut is normalizeText's field cutset.
+	normCut = newCutset(".,;:!?\"'()[]")
+	// versionCut is versionToken's field cutset, and the ASCII part of
+	// trimIdent's.
+	versionCut = newCutset(",;:!?\"'()[]$")
+)
+
+// trimIdent is strings.Trim(s, ",;:!?\"'()[]$€£"): a leading or trailing
+// "€" or "£" is stripped where strings.Trim would decode that rune.
+func trimIdent(s string) string {
+	for {
+		if s != "" && versionCut[s[0]] {
+			s = s[1:]
+		} else if strings.HasPrefix(s, "€") {
+			s = s[len("€"):]
+		} else if strings.HasPrefix(s, "£") {
+			s = s[len("£"):]
+		} else {
+			break
+		}
+	}
+	for {
+		if s != "" && versionCut[s[len(s)-1]] {
+			s = s[:len(s)-1]
+		} else if strings.HasSuffix(s, "€") {
+			s = s[:len(s)-len("€")]
+		} else if strings.HasSuffix(s, "£") {
+			s = s[:len(s)-len("£")]
+		} else {
+			break
+		}
+	}
+	return s
 }

@@ -159,14 +159,17 @@ func TestIsIdentifierToken(t *testing.T) {
 }
 
 func TestVersionTokens(t *testing.T) {
-	got := versionTokens(strings.Fields("adobe photoshop 4.0 win"))
+	versions := func(v string) []string {
+		return newTextCache(textsim.NewProfileCache()).valEntryFor(v).versionToks
+	}
+	got := versions("Adobe Photoshop 4.0 win")
 	if len(got) != 1 || got[0] != "4.0" {
 		t.Fatalf("versionTokens = %v", got)
 	}
-	if len(versionTokens(strings.Fields("price is $12.99 today"))) != 0 {
+	if len(versions("price is $12.99 today")) != 0 {
 		t.Fatal("currency-prefixed decimals must not be versions")
 	}
-	if len(versionTokens(strings.Fields("no versions here"))) != 0 {
+	if len(versions("no versions here")) != 0 {
 		t.Fatal("plain words must not be versions")
 	}
 }

@@ -105,10 +105,30 @@ func (m *PromptModel) ObserveCorpus(text string) {
 	m.idf.Observe(text)
 }
 
+// ObserveRecord is ObserveCorpus(record.SerializeRecord(r, opts)),
+// counted from the profiles of r's values in the shared cache, which
+// scoring the pair resolves next, instead of tokenising the serialisation
+// (when composes(opts)).
+func (m *PromptModel) ObserveRecord(r record.Record, opts record.SerializeOptions) {
+	if !composes(opts) {
+		m.idf.Observe(record.SerializeRecord(r, opts))
+		return
+	}
+	var valStack [16]string
+	var stack [16]*textsim.Profile
+	parts := stack[:0]
+	for _, v := range record.AppendOrdered(valStack[:0], r, opts) {
+		parts = append(parts, sharedText.valEntryFor(v).prof)
+	}
+	m.idf.ObserveJoined(parts)
+}
+
 // rawScore computes the pre-threshold evidence score for a pair in [0, 1].
 func (m *PromptModel) rawScore(p record.Pair) float64 {
 	caps := m.profile.Zero
-	ev := extractEvidence(sharedText, p, caps, m.idf)
+	sc := evidencePool.Get().(*evidenceScratch)
+	defer evidencePool.Put(sc)
+	ev := extractEvidenceInto(sc, sharedText, p, caps, m.idf)
 	s := ev.Score
 	if !m.ablation.NoIdentifierSignals {
 		s += 0.25 * ev.IdentifierMatch * caps.Attention

@@ -88,7 +88,7 @@ func (m *AnyMatch) Train(transfer []*record.Dataset, rng *stats.RNG) {
 		examples = encodePairs(m.enc, balanced, record.SerializeOptions{})
 		for _, i := range hard {
 			tp := pool[i]
-			m.enc.ObserveCorpus(record.SerializeRecord(tp.pair.Left, record.SerializeOptions{}))
+			m.enc.ObserveRecord(tp.pair.Left, record.SerializeOptions{})
 			x := m.enc.Encode(tp.pair.Pair, record.SerializeOptions{})
 			examples = append(examples, mlcore.Example{X: x, Y: tp.pair.Label(), Weight: 2.0})
 		}

@@ -120,9 +120,14 @@ func balancePairs(pool []transferPair, perClass int, rng *stats.RNG) []transferP
 // IDF features reflect the fine-tuning corpus, as they would for a model
 // fine-tuned on this text.
 func encodePairs(enc *lm.Encoder, pairs []transferPair, opts record.SerializeOptions) []mlcore.Example {
+	values := 0
 	for _, tp := range pairs {
-		enc.ObserveCorpus(record.SerializeRecord(tp.pair.Left, opts))
-		enc.ObserveCorpus(record.SerializeRecord(tp.pair.Right, opts))
+		values += len(tp.pair.Left.Values) + len(tp.pair.Right.Values)
+	}
+	enc.ReserveCorpus(2*len(pairs), values)
+	for _, tp := range pairs {
+		enc.ObserveRecord(tp.pair.Left, opts)
+		enc.ObserveRecord(tp.pair.Right, opts)
 	}
 	out := make([]mlcore.Example, len(pairs))
 	for i, tp := range pairs {

@@ -64,8 +64,8 @@ func (m *Jellyfish) Predict(task Task) []bool {
 	st := obs.StartStages(task.Ctx)
 	st.Enter("serialize")
 	for _, p := range task.Pairs {
-		model.ObserveCorpus(record.SerializeRecord(p.Left, task.Opts))
-		model.ObserveCorpus(record.SerializeRecord(p.Right, task.Opts))
+		model.ObserveRecord(p.Left, task.Opts)
+		model.ObserveRecord(p.Right, task.Opts)
 	}
 	st.Enter("prompt")
 	out := model.MatchBatch(task.Pairs, task.Opts)

@@ -71,8 +71,8 @@ func (m *MatchGPT) Predict(task Task) []bool {
 	// The engine sees the batch it scores (candidate sets are processed in
 	// batch), which grounds its token-rarity knowledge.
 	for _, p := range task.Pairs {
-		model.ObserveCorpus(record.SerializeRecord(p.Left, task.Opts))
-		model.ObserveCorpus(record.SerializeRecord(p.Right, task.Opts))
+		model.ObserveRecord(p.Left, task.Opts)
+		model.ObserveRecord(p.Right, task.Opts)
 	}
 	st.Enter("prompt")
 	out := model.MatchBatch(task.Pairs, task.Opts)

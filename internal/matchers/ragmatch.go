@@ -71,8 +71,8 @@ func (m *MatchGPTRAG) Predict(task Task) []bool {
 	}
 	model := lm.NewPromptModel(m.profile, rng.Split("rag:model"))
 	for _, p := range task.Pairs {
-		model.ObserveCorpus(record.SerializeRecord(p.Left, task.Opts))
-		model.ObserveCorpus(record.SerializeRecord(p.Right, task.Opts))
+		model.ObserveRecord(p.Left, task.Opts)
+		model.ObserveRecord(p.Right, task.Opts)
 	}
 	// Precompute query signatures.
 	sigs := make([][]float64, len(task.Pairs))

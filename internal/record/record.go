@@ -139,24 +139,38 @@ type SerializeOptions struct {
 // DefaultSeparator is the attribute separator used when none is given.
 const DefaultSeparator = ", "
 
+// Sep returns the separator SerializeRecord joins values with.
+func (o SerializeOptions) Sep() string {
+	if o.Separator == "" {
+		return DefaultSeparator
+	}
+	return o.Separator
+}
+
+// AppendOrdered appends to dst the values of r in the order
+// SerializeRecord joins them: r's values, or those ColumnOrder names
+// that exist, in its order.
+func AppendOrdered(dst []string, r Record, opts SerializeOptions) []string {
+	if opts.ColumnOrder == nil {
+		return append(dst, r.Values...)
+	}
+	for _, i := range opts.ColumnOrder {
+		if i >= 0 && i < len(r.Values) {
+			dst = append(dst, r.Values[i])
+		}
+	}
+	return dst
+}
+
 // SerializeRecord renders a single record as a separator-joined value list.
 // Per cross-dataset restriction 2, no attribute names are included.
 func SerializeRecord(r Record, opts SerializeOptions) string {
 	if opts.Cache != nil {
 		return opts.Cache.record(r, opts)
 	}
-	sep := opts.Separator
-	if sep == "" {
-		sep = DefaultSeparator
+	if opts.ColumnOrder == nil {
+		return strings.Join(r.Values, opts.Sep())
 	}
-	vals := r.Values
-	if opts.ColumnOrder != nil {
-		vals = make([]string, 0, len(r.Values))
-		for _, i := range opts.ColumnOrder {
-			if i >= 0 && i < len(r.Values) {
-				vals = append(vals, r.Values[i])
-			}
-		}
-	}
-	return strings.Join(vals, sep)
+	var stack [16]string
+	return strings.Join(AppendOrdered(stack[:0], r, opts), opts.Sep())
 }

@@ -19,10 +19,19 @@ var IsASCII = isASCII
 // built so far.
 func GramSetsBuilt() int64 { return gramSetsBuilt.Load() }
 
-func gramsOf(g *gramSet) []string {
+func gramsOf(g *Trigrams) []string {
 	grams := make([]string, g.len())
 	for i := range grams {
 		grams[i] = g.gram(i)
 	}
 	return grams
 }
+
+// ProfileTrigrams returns p's trigram set, building it on first use.
+func ProfileTrigrams(p *Profile) *Trigrams { return p.gramSet() }
+
+// GramsOf returns a trigram set's grams in order.
+func GramsOf(g *Trigrams) []string { return gramsOf(g) }
+
+// IDFTableMax bridges idfTableMax.
+const IDFTableMax = idfTableMax

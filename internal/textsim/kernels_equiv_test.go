@@ -400,3 +400,34 @@ func TestWeighterSnapshotConcurrent(t *testing.T) {
 		t.Errorf("frozen base observed children's documents: DocCount=%d", frozen.DocCount())
 	}
 }
+
+// TestJaroWordsMatchLegacy holds Jaro to the legacy kernel on random
+// ASCII strings over a four-letter alphabet, so matches and
+// transpositions are dense, at every length pair from 0 to 70: both
+// sides of the 64-byte cut where the bit-parallel matcher hands over to
+// the scan.
+func TestJaroWordsMatchLegacy(t *testing.T) {
+	rng := uint64(7)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	str := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abcd"[next()%4]
+		}
+		return string(b)
+	}
+	for la := 0; la <= 70; la++ {
+		for lb := 0; lb <= 70; lb++ {
+			for k := 0; k < 3; k++ {
+				a, b := str(la), str(lb)
+				eq(t, "Jaro", a, b, jaroPooled(a, b), legacyJaro(a, b))
+				eq(t, "JaroWinkler", a, b, JaroWinkler(a, b), legacyJaroWinkler(a, b))
+			}
+		}
+	}
+}

@@ -37,12 +37,16 @@ type Profile struct {
 	// SortedIDs holds the unique token IDs (shared interner), ascending.
 	// Set-intersection kernels merge-join over this slice.
 	SortedIDs []uint32
+	// uniqIDs holds the ID of each token of Uniq, in Uniq's order; it
+	// shares SortedIDs' backing array, so a joined profile dedups its
+	// parts' tokens without the interner.
+	uniqIDs []uint32
 	// Num is the parsed numeric value of Raw and IsNum whether Raw parses
 	// as a number (currency symbols and thousands separators tolerated).
 	Num   float64
 	IsNum bool
 
-	grams atomic.Pointer[gramSet]
+	grams atomic.Pointer[Trigrams]
 }
 
 // NumGrams returns the number of unique padded trigrams of Lower.
@@ -56,7 +60,7 @@ func (p *Profile) Gram(i int) string { return p.gramSet().gram(i) }
 // gramSet returns the profile's trigram set, building it on first use.
 // Racing first users may each build one; the first to publish wins and
 // the rest adopt it, so every caller sees the same set.
-func (p *Profile) gramSet() *gramSet {
+func (p *Profile) gramSet() *Trigrams {
 	if g := p.grams.Load(); g != nil {
 		return g
 	}
@@ -72,24 +76,25 @@ func (p *Profile) gramSet() *gramSet {
 // that a token-only caller builds none.
 var gramSetsBuilt atomic.Int64
 
-// gramSet is the unique padded trigram set of one lowercased string,
+// Trigrams is the unique padded trigram set of one lowercased string,
 // held without a pointer per gram: the grams in byte-lexicographic order
-// are concatenated into one string.
-type gramSet struct {
+// are concatenated into one string. A Profile builds one lazily;
+// JoinedTrigrams builds one alone, for text compared only by grams.
+type Trigrams struct {
 	codes string
 	// offs holds the start of each gram in codes plus the end of the
 	// last; nil when every gram is 3 bytes (ASCII text).
 	offs []uint32
 }
 
-func (g *gramSet) len() int {
+func (g *Trigrams) len() int {
 	if g.offs == nil {
 		return len(g.codes) / 3
 	}
 	return len(g.offs) - 1
 }
 
-func (g *gramSet) gram(i int) string {
+func (g *Trigrams) gram(i int) string {
 	if g.offs == nil {
 		return g.codes[3*i : 3*i+3]
 	}
@@ -116,31 +121,80 @@ func newProfile(s string, in *Interner) *Profile {
 	p := &Profile{Raw: s, Lower: lowerString(s)}
 	p.Tokens = Tokens(p.Lower)
 	if n := len(p.Tokens); n > 0 {
-		ids := make([]uint32, n)
-		for i, t := range p.Tokens {
-			ids[i] = in.ID(t)
+		var stack, spare [64]uint32
+		ids, sorted := stack[:0], spare[:0]
+		if n > len(stack) {
+			ids, sorted = make([]uint32, 0, n), make([]uint32, 0, n)
 		}
-		sorted := append([]uint32(nil), ids...)
+		for _, t := range p.Tokens {
+			ids = append(ids, in.ID(t))
+		}
+		sorted = append(sorted, ids...)
 		slices.Sort(sorted)
-		uniqIDs := slices.Compact(sorted)
-		p.SortedIDs = uniqIDs
-		// A token is a first occurrence when its slot in SortedIDs is
-		// still unmarked.
-		var stack [64]bool
-		seen := stack[:]
-		if len(uniqIDs) > len(stack) {
-			seen = make([]bool, len(uniqIDs))
+		p.setIDs(slices.Compact(sorted), p.Tokens, ids)
+	}
+	p.Num, p.IsNum = parseNumber(s)
+	return p
+}
+
+// setIDs sets SortedIDs to a copy of sorted, the ascending unique IDs of
+// the profile's tokens, and fills Uniq and uniqIDs from toks and their
+// IDs, in occurrence order: a token is a first occurrence when its slot
+// in SortedIDs is still unmarked.
+func (p *Profile) setIDs(sorted []uint32, toks []string, tokIDs []uint32) {
+	k := len(sorted)
+	ids := make([]uint32, 2*k)
+	copy(ids, sorted)
+	p.SortedIDs, p.uniqIDs = ids[:k:k], ids[k:k]
+	var stack [64]bool
+	seen := stack[:]
+	if k > len(stack) {
+		seen = make([]bool, k)
+	}
+	uniq := make([]string, 0, k)
+	for i, t := range toks {
+		slot, _ := slices.BinarySearch(p.SortedIDs, tokIDs[i])
+		if seen[slot] {
+			continue
 		}
-		uniq := make([]string, 0, len(uniqIDs))
-		for i, t := range p.Tokens {
-			k, _ := slices.BinarySearch(uniqIDs, ids[i])
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			uniq = append(uniq, t)
+		seen[slot] = true
+		uniq = append(uniq, t)
+		p.uniqIDs = append(p.uniqIDs, tokIDs[i])
+	}
+	p.Uniq = uniq
+}
+
+// joinProfile builds the profile of s, the Raw strings of parts joined by
+// a separator that Tokens splits at without a token of its own (such as
+// ", "), from the parts' tokens and IDs instead of tokenising and
+// interning s again: Tokens(s) is then the parts' tokens in order, so the
+// whole profile follows from them but for Lower and the number parse,
+// which read s. The result equals newProfile(s, sharedInterner) field for
+// field.
+func joinProfile(s string, parts []*Profile) *Profile {
+	p := &Profile{Raw: s, Lower: lowerString(s)}
+	n, u := 0, 0
+	for _, q := range parts {
+		n += len(q.Tokens)
+		u += len(q.SortedIDs)
+	}
+	if n > 0 {
+		toks := make([]string, 0, n)
+		var idStack, uidStack [128]uint32
+		var uniqStack [128]string
+		all, uids, uniq := idStack[:0], uidStack[:0], uniqStack[:0]
+		if u > len(idStack) {
+			all, uids, uniq = make([]uint32, 0, u), make([]uint32, 0, u), make([]string, 0, u)
 		}
-		p.Uniq = uniq
+		for _, q := range parts {
+			toks = append(toks, q.Tokens...)
+			all = append(all, q.SortedIDs...)
+			uniq = append(uniq, q.Uniq...)
+			uids = append(uids, q.uniqIDs...)
+		}
+		p.Tokens = toks
+		slices.Sort(all)
+		p.setIDs(slices.Compact(all), uniq, uids)
 	}
 	p.Num, p.IsNum = parseNumber(s)
 	return p
@@ -162,7 +216,7 @@ func lowerString(s string) string {
 // trigramSet computes the unique padded trigrams of an already-lowercased
 // string. ASCII text takes the byte kernel; text with any byte >= 0x80
 // takes the rune path, which defines the result.
-func trigramSet(lower string) *gramSet {
+func trigramSet(lower string) *Trigrams {
 	if isASCII(lower) {
 		return trigramSetASCII(lower)
 	}
@@ -172,7 +226,7 @@ func trigramSet(lower string) *gramSet {
 // trigramSetASCII is the byte kernel: each 3-byte window of
 // "##"+lower+"##" packs big-endian into a uint32, so sorting and
 // de-duplicating the integers yields the grams in lexicographic order.
-func trigramSetASCII(lower string) *gramSet {
+func trigramSetASCII[S ~string | ~[]byte](lower S) *Trigrams {
 	n := len(lower) + 2 // windows over the padded string
 	var stack, spare [256]uint32
 	codes, tmp := stack[:0], spare[:]
@@ -201,7 +255,7 @@ func trigramSetASCII(lower string) *gramSet {
 		b.WriteByte(byte(c >> 8))
 		b.WriteByte(byte(c))
 	}
-	return &gramSet{codes: b.String()}
+	return &Trigrams{codes: b.String()}
 }
 
 // radixMinCodes is the window count from which radixSortCodes beats
@@ -235,7 +289,7 @@ func radixSortCodes(codes, tmp []uint32) []uint32 {
 
 // trigramSetRunes is the rune path: the trigrams of the rune slice of
 // the padded string, de-duplicated through a map and sorted as strings.
-func trigramSetRunes(lower string) *gramSet {
+func trigramSetRunes(lower string) *Trigrams {
 	padded := "##" + lower + "##"
 	rs := []rune(padded)
 	set := make(map[string]struct{}, len(rs))
@@ -254,7 +308,28 @@ func trigramSetRunes(lower string) *gramSet {
 		b.WriteString(g)
 	}
 	offs[len(grams)] = uint32(b.Len())
-	return &gramSet{codes: b.String(), offs: offs}
+	return &Trigrams{codes: b.String(), offs: offs}
+}
+
+// JoinedTrigrams returns the trigram set of strings.Join(toks, " "): the
+// set a Profile of that string builds, without the tokens, interner IDs
+// and number parse of the rest of a Profile. Lowercase ASCII tokens are
+// packed into a stack buffer instead of a joined string.
+func JoinedTrigrams(toks []string) *Trigrams {
+	var stack [256]byte
+	buf := stack[:0]
+	for i, t := range toks {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, t...)
+	}
+	for _, c := range buf {
+		if c >= 0x80 || ('A' <= c && c <= 'Z') {
+			return trigramSet(lowerString(string(buf)))
+		}
+	}
+	return trigramSetASCII(buf)
 }
 
 // The 64-bit FNV-1a parameters.
@@ -292,6 +367,17 @@ func NewProfileCache() *ProfileCache {
 	return &ProfileCache{m: make(map[string]*Profile)}
 }
 
+// Reserve sizes an empty cache's map for n profiles, so filling it does
+// not rehash the map as it grows; a cache that holds profiles keeps its
+// map.
+func (c *ProfileCache) Reserve(n int) {
+	c.mu.Lock()
+	if len(c.m) == 0 {
+		c.m = make(map[string]*Profile, n)
+	}
+	c.mu.Unlock()
+}
+
 // Get returns the memoised profile of s, building it on first sight.
 func (c *ProfileCache) Get(s string) *Profile {
 	c.mu.RLock()
@@ -302,7 +388,34 @@ func (c *ProfileCache) Get(s string) *Profile {
 		return p
 	}
 	c.misses.Add(1)
-	p = newProfile(s, sharedInterner)
+	return c.publish(s, newProfile(s, sharedInterner))
+}
+
+// Lookup returns the memoised profile of s, or nil when s has none yet.
+// A caller that can build a missing profile more cheaply than Get does
+// (AddJoined) looks it up first.
+func (c *ProfileCache) Lookup(s string) *Profile {
+	c.mu.RLock()
+	p := c.m[s]
+	c.mu.RUnlock()
+	if p != nil {
+		c.hits.Add(1)
+	}
+	return p
+}
+
+// AddJoined builds the profile of s, which must be the Raw strings of
+// parts joined as joinProfile requires, from the parts, and stores it
+// unless a profile of s is stored already; it returns the stored
+// profile, the one Get(s) would return. A caller looks s up first.
+func (c *ProfileCache) AddJoined(s string, parts []*Profile) *Profile {
+	c.misses.Add(1)
+	return c.publish(s, joinProfile(s, parts))
+}
+
+// publish stores p as the profile of s unless a racing builder stored
+// one first, and returns the stored profile.
+func (c *ProfileCache) publish(s string, p *Profile) *Profile {
 	c.mu.Lock()
 	if q, ok := c.m[s]; ok {
 		p = q
@@ -327,9 +440,12 @@ var sharedProfiles = NewProfileCache()
 // Memory contract: the cache never evicts, so it holds one profile per
 // distinct string any caller resolved through it, for the life of the
 // process — the same contract as record.SerializeCache. A profile carries
-// its trigram set only once a caller has read it, and Weighter.Observe
-// resolves nothing here, so corpus text a caller only counts (a prompted
-// model's batch under shuffled column orders) costs the cache nothing.
+// its trigram set only once a caller has read it, and neither
+// Weighter.Observe nor ObserveJoined adds a profile, so a serialised
+// record a caller only counts (a prompted model's batch under shuffled
+// column orders) costs the cache nothing: lm's prompted models count it
+// from the profiles of its values, which they resolve here to score the
+// pair anyway.
 // Fine-tuning does not resolve through it: lm's encoder observes and
 // featurises its training corpus through a ProfileCache of its own,
 // dropped when training ends, and only what a trained matcher scores
@@ -358,7 +474,7 @@ func intersectIDs(a, b []uint32) int {
 // intersectGrams returns |a ∩ b| for two trigram sets. Both hold their
 // grams in byte-lexicographic order, so the merge join compares packed
 // 3-byte integers when both are ASCII and gram strings otherwise.
-func intersectGrams(a, b *gramSet) int {
+func intersectGrams(a, b *Trigrams) int {
 	if a.offs == nil && b.offs == nil {
 		return intersectCodes3(a.codes, b.codes)
 	}
@@ -474,7 +590,11 @@ func TokenOverlapP(a, b *Profile) float64 {
 // lower-cased trigram sets of a and b (q = 3, the usual choice for entity
 // matching), via a merge join over the sorted grams themselves.
 func QGramJaccardP(a, b *Profile) float64 {
-	ga, gb := a.gramSet(), b.gramSet()
+	return QGramJaccardT(a.gramSet(), b.gramSet())
+}
+
+// QGramJaccardT is QGramJaccardP over two trigram sets.
+func QGramJaccardT(ga, gb *Trigrams) float64 {
 	na, nb := ga.len(), gb.len()
 	if na == 0 && nb == 0 {
 		return 1

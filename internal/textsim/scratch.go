@@ -35,6 +35,9 @@ type seqScratch struct {
 	// The subsequence bound's per-symbol match masks over the second
 	// sequence (all zero between calls) and its running bit vector.
 	masks, vec []uint64
+	// byteMasks marks, per byte value, the positions of a Jaro call's
+	// second string of at most 64 bytes (all zero between calls).
+	byteMasks [256]uint64
 }
 
 var seqPool = sync.Pool{New: func() any { return new(seqScratch) }}
@@ -523,8 +526,26 @@ func jaroBytes(a, b string, sc *seqScratch) float64 {
 	if window < 0 {
 		window = 0
 	}
+	var matches, transpositions int
+	if la <= 64 && lb <= 64 {
+		matches, transpositions = jaroMatchWords(a, b, window, &sc.byteMasks)
+	} else {
+		matches, transpositions = jaroMatchScan(a, b, window, sc)
+	}
+	if matches == 0 {
+		return 0
+	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+// jaroMatchScan matches each byte of a, in order, to the first unmatched
+// equal byte of b within the window, and counts the matches and the
+// matched pairs, in order, that differ.
+func jaroMatchScan(a, b string, window int, sc *seqScratch) (matches, transpositions int) {
+	la, lb := len(a), len(b)
 	matchA, matchB := sc.bools(la, lb)
-	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window
 		if lo < 0 {
@@ -543,10 +564,6 @@ func jaroBytes(a, b string, sc *seqScratch) float64 {
 			}
 		}
 	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
 	j := 0
 	for i := 0; i < la; i++ {
 		if !matchA[i] {
@@ -560,9 +577,43 @@ func jaroBytes(a, b string, sc *seqScratch) float64 {
 		}
 		j++
 	}
-	m := float64(matches)
-	t := float64(transpositions) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+	return matches, transpositions
+}
+
+// jaroMatchWords is jaroMatchScan for a and b of at most 64 bytes, with
+// the matched positions held as bits: masks[c] marks where b holds c
+// (all zero between calls), so the first unmatched equal byte within the
+// window is the lowest bit of one AND, not a scan of the window. It is
+// the only form that runs on tokens this short; longer ones take the
+// scan.
+func jaroMatchWords(a, b string, window int, masks *[256]uint64) (matches, transpositions int) {
+	la, lb := len(a), len(b)
+	for j := 0; j < lb; j++ {
+		masks[b[j]] |= 1 << j
+	}
+	var matchA, matchB uint64
+	for i := 0; i < la; i++ {
+		lo := max(i-window, 0)
+		hi := min(i+window+1, lb)
+		if lo >= hi {
+			continue
+		}
+		win := ^uint64(0) >> (64 - (hi - lo)) << lo
+		if c := masks[a[i]] &^ matchB & win; c != 0 {
+			matchB |= c & -c
+			matchA |= 1 << i
+			matches++
+		}
+	}
+	for j := 0; j < lb; j++ {
+		masks[b[j]] = 0
+	}
+	for x, y := matchA, matchB; x != 0; x, y = x&(x-1), y&(y-1) {
+		if a[bits.TrailingZeros64(x)] != b[bits.TrailingZeros64(y)] {
+			transpositions++
+		}
+	}
+	return matches, transpositions
 }
 
 func jaroRunes(a, b []rune, sc *seqScratch) float64 {

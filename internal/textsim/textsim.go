@@ -113,10 +113,12 @@ func NumericSim(a, b string) float64 {
 func parseNumber(s string) (float64, bool) {
 	clean := strings.TrimSpace(s)
 	clean = strings.TrimLeft(clean, "$€£ ")
-	clean = strings.ReplaceAll(clean, ",", "")
-	if !MayStartFloat(clean) {
+	// The first byte left once the commas go is the first non-comma one,
+	// so text that cannot parse is refused before ReplaceAll copies it.
+	if !MayStartFloat(strings.TrimLeft(clean, ",")) {
 		return 0, false
 	}
+	clean = strings.ReplaceAll(clean, ",", "")
 	v, err := strconv.ParseFloat(clean, 64)
 	return v, err == nil
 }
